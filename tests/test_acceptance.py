@@ -7,12 +7,14 @@ display-string match, no tolerances anywhere.
 
 import itertools
 import random
+import time
 from datetime import datetime, timezone
 from fractions import Fraction
 
 from progtariff import (
     SlotGrid,
     SlotUsageMatrix,
+    compare_schemes,
     format_energy,
     format_money,
     group_slot_price,
@@ -179,24 +181,35 @@ def test_criterion_7_desk_oracle_equivalence(kepco):
     and 4 slots are all covered; every shape with at most 3 cells is
     enumerated exhaustively over the full grid (19,425 matrices), larger
     shapes get 250 seeded random draws each, since enumerating a 12-cell
-    grid (21^12 matrices) is not computable.
+    grid (21^12 matrices) is not computable. Every shape also gets 100
+    draws from a pool of mixed denominators (quarters, thirds, sevenths
+    and three-decimal values), so the cells of one slot sit on different
+    quanta. Last, 3 consumers on 8-hour slots over 31 days (93 slots, a
+    slot factor of 1/93 that does not terminate) get 20 draws from the
+    mixed pool.
     """
-    day_schedule = scale_schedule(kepco, Fraction(1, 30))
-    bounds = [tier.upper_bound for tier in day_schedule.tiers]
-    rates = [tier.rate for tier in day_schedule.tiers]
     grid_energies = [Fraction(k, 4) for k in range(21)]
+    mixed_energies = (
+        grid_energies
+        + [Fraction(k, 3) for k in range(1, 16)]
+        + [Fraction(k, 7) for k in range(1, 36)]
+        + [Fraction(text) for text in ("0.001", "0.417", "0.833", "1.234", "2.999", "4.005")]
+    )
     rng = random.Random(54)
     period_start = datetime(2025, 1, 1, tzinfo=UTC)
 
-    def check(rows, slots):
+    def check(rows, slots, days=1):
+        schedule = scale_schedule(kepco, Fraction(days, 30))
+        bounds = [tier.upper_bound for tier in schedule.tiers]
+        rates = [tier.rate for tier in schedule.tiers]
         matrix = SlotUsageMatrix.from_rows(rows, slots=slots)
-        grid = SlotGrid(Fraction(24, slots), 1, period_start)
+        grid = SlotGrid(Fraction(24 * days, slots), days, period_start)
         monthly, slotted, group_prices, allocated = desk_schemes(
             rows, bounds, rates, slots
         )
-        run_monthly = run_scheme(matrix, day_schedule, grid, "monthly-individual")
-        run_slotted = run_scheme(matrix, day_schedule, grid, "slotted-individual")
-        run_group = run_scheme(matrix, day_schedule, grid, "slotted-group")
+        run_monthly = run_scheme(matrix, schedule, grid, "monthly-individual")
+        run_slotted = run_scheme(matrix, schedule, grid, "slotted-individual")
+        run_group = run_scheme(matrix, schedule, grid, "slotted-group")
         return (
             run_monthly.consumer_totals == monthly
             and run_slotted.consumer_totals == slotted
@@ -204,33 +217,73 @@ def test_criterion_7_desk_oracle_equivalence(kepco):
             and {c: t * 100 for c, t in run_group.consumer_totals.items()} == allocated
         )
 
+    def draws(pool, cells, count):
+        return (tuple(rng.choice(pool) for _ in range(cells)) for _ in range(count))
+
     checked = 0
     mismatches = 0
-    for consumers in (1, 2, 3):
+
+    def check_all(flats, consumers, slots, days=1):
+        nonlocal checked, mismatches
         ids = [f"c{i}" for i in range(consumers)]
+        for flat in flats:
+            rows = {
+                ids[i]: list(flat[i * slots : (i + 1) * slots])
+                for i in range(consumers)
+            }
+            checked += 1
+            if not check(rows, slots, days):
+                mismatches += 1
+
+    for consumers in (1, 2, 3):
         for slots in (1, 2, 3, 4):
             cells = consumers * slots
             if cells <= 3:
                 pool = itertools.product(grid_energies, repeat=cells)
             else:
-                pool = (
-                    tuple(rng.choice(grid_energies) for _ in range(cells))
-                    for _ in range(250)
-                )
-            for flat in pool:
-                rows = {
-                    ids[i]: list(flat[i * slots : (i + 1) * slots])
-                    for i in range(consumers)
-                }
-                checked += 1
-                if not check(rows, slots):
-                    mismatches += 1
+                pool = draws(grid_energies, cells, 250)
+            check_all(pool, consumers, slots)
+            check_all(draws(mixed_energies, cells, 100), consumers, slots)
+    check_all(draws(mixed_energies, 3 * 93, 20), 3, 93, days=31)
     report(
         7,
         mismatches == 0,
         f"desk oracle equivalence on {checked} matrices (0.25 kWh grid, "
-        f"<=3 consumers, <=4 slots): {mismatches} mismatches",
+        "mixed thirds/sevenths/three-decimal cells, <=3 consumers, <=4 "
+        f"slots; 1/93 slot factor): {mismatches} mismatches",
     )
+
+
+def test_desk_oracle_equivalence_on_random_ratio_matrix(kepco, month_grid):
+    """compare_schemes vs the desk calculation on 50 x 120 random p/q cells.
+
+    Numerators and denominators are drawn below 10**6, so nearly every
+    cell in a slot has its own denominator and the slot's common quantum
+    is large. The print shows the engine's own time for the comparison.
+    """
+    rng = random.Random(93)
+    rows = {
+        f"c{index:02d}": [
+            Fraction(rng.randrange(10**6), rng.randrange(1, 10**6)) for _ in range(120)
+        ]
+        for index in range(50)
+    }
+    matrix = SlotUsageMatrix.from_rows(rows)
+    bounds = [tier.upper_bound for tier in kepco.tiers]
+    rates = [tier.rate for tier in kepco.tiers]
+    started = time.perf_counter()
+    comparison = compare_schemes(matrix, kepco, month_grid)
+    engine_s = time.perf_counter() - started
+    monthly, slotted, group_prices, allocated = desk_schemes(rows, bounds, rates, 120)
+    grouped = comparison.slotted_group
+    ok = (
+        comparison.monthly.consumer_totals == monthly
+        and comparison.slotted_individual.consumer_totals == slotted
+        and list(grouped.group_slot_prices) == group_prices
+        and {c: t * 100 for c, t in grouped.consumer_totals.items()} == allocated
+    )
+    print(f"compare_schemes on 50x120 random p/q cells: {engine_s:.3f} s")
+    assert ok
 
 
 def test_criterion_8_shift_incentive_on_month_fixture(kepco, month_grid):
