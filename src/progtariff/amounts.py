@@ -8,10 +8,9 @@ half-up to 2 decimals for money, 4 decimals for energy.
 
 from __future__ import annotations
 
-import math
 from decimal import Decimal
 from fractions import Fraction
-from typing import Union
+from typing import Iterable, Union
 
 ExactLike = Union[int, str, Fraction, Decimal]
 
@@ -27,6 +26,8 @@ def exact(value: ExactLike) -> Fraction:
     is already an approximation, and letting one in would poison every
     exact comparison downstream.
     """
+    if isinstance(value, Fraction):
+        return value
     if isinstance(value, bool):
         raise TypeError("bool is not a quantity")
     if isinstance(value, float):
@@ -34,8 +35,6 @@ def exact(value: ExactLike) -> Fraction:
             f"refusing float {value!r}: pass a str, int, Decimal or Fraction "
             "so the value stays exact"
         )
-    if isinstance(value, Fraction):
-        return value
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, Decimal):
@@ -72,12 +71,16 @@ def scale_value(value: ExactLike) -> Fraction:
     return factor
 
 
+def _half_up_units(value: Fraction, places: int) -> int:
+    """|value| in units of 10**-places, rounded half up, on integers alone."""
+    den = value.denominator
+    return (2 * abs(value.numerator) * 10**places + den) // (2 * den)
+
+
 def round_half_up(value: Fraction, places: int = MONEY_PLACES) -> Fraction:
     """Round to *places* decimals, halves away from zero, still exact."""
-    if value < 0:
-        return -round_half_up(-value, places)
-    quantum = 10**places
-    return Fraction(math.floor(value * quantum + Fraction(1, 2)), quantum)
+    units = _half_up_units(value, places)
+    return Fraction(-units if value.numerator < 0 else units, 10**places)
 
 
 def round_money(value: ExactLike) -> Fraction:
@@ -87,12 +90,11 @@ def round_money(value: ExactLike) -> Fraction:
 
 def format_fixed(value: Fraction, places: int) -> str:
     """Render with exactly *places* decimals, rounding half away from zero."""
-    quantum = 10**places
-    units = math.floor(abs(value) * quantum + Fraction(1, 2))
-    sign = "-" if (value < 0 and units > 0) else ""
+    units = _half_up_units(value, places)
+    sign = "-" if (value.numerator < 0 and units > 0) else ""
     if places == 0:
         return f"{sign}{units}"
-    whole, frac = divmod(units, quantum)
+    whole, frac = divmod(units, 10**places)
     return f"{sign}{whole}.{frac:0{places}d}"
 
 
@@ -102,6 +104,20 @@ def format_money(value: ExactLike) -> str:
 
 def format_energy(value: ExactLike) -> str:
     return format_fixed(exact(value), ENERGY_PLACES)
+
+
+def exact_sum(values: Iterable[Fraction]) -> Fraction:
+    """Exact sum of rationals.
+
+    Numerators that share a denominator are added as plain integers
+    first, so a long sum of values on a few denominators costs a few
+    Fraction additions instead of one per value.
+    """
+    numerators: dict[int, int] = {}
+    for value in values:
+        den = value.denominator
+        numerators[den] = numerators.get(den, 0) + value.numerator
+    return sum((Fraction(num, den) for den, num in numerators.items()), Fraction(0))
 
 
 def exact_str(value: Fraction) -> str:

@@ -25,14 +25,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
-from .amounts import (
-    MONEY_PLACES,
-    ExactLike,
-    energy_amount,
-    money_amount,
-    round_half_up,
-    round_money,
-)
+from .amounts import MONEY_PLACES, ExactLike, energy_amount, money_amount, round_money
 from .errors import AllocationError
 from .tariff import TariffSchedule, progressive_price, scale_schedule
 
@@ -143,6 +136,55 @@ def group_slot_price(
     return progressive_price(widened, pooled)
 
 
+def allocate_units(
+    group_num: int,
+    group_den: int,
+    weights: Sequence[int],
+    ids: Sequence[str],
+    policy: AllocationPolicy,
+) -> tuple[list[int], list[int]]:
+    """Minor-unit shares of the price group_num/group_den, by weight.
+
+    Share i is proportional to ``weights[i]`` (non-negative integers,
+    for example price numerators over one common denominator). Returns
+    the shares and the sorted indices that received an extra unit under
+    exact-sum reconciliation; ``ids`` break ties between equal
+    remainders. Implements proportional_allocation on integers alone.
+    """
+    minor = 10**MONEY_PLACES
+    total = sum(weights)
+    if total == 0:
+        if group_num != 0:
+            raise AllocationError(
+                "cannot allocate a positive group price over all-zero "
+                "individual prices"
+            )
+        return [0] * len(weights), []
+    # Raw share i, in minor units, is minor * group * w_i / total, which
+    # is the integer (minor * group_num * w_i) over ``scale``.
+    scale = group_den * total
+    scaled = minor * group_num
+    if policy is AllocationPolicy.INDEPENDENT:
+        return [(2 * scaled * weight + scale) // (2 * scale) for weight in weights], []
+    shares, remainders = [], []
+    for weight in weights:
+        share, remainder = divmod(scaled * weight, scale)
+        shares.append(share)
+        remainders.append(remainder)
+    target = (2 * scaled + group_den) // (2 * group_den)
+    # The floors fall short of the rounded group price by fewer units
+    # than there are consumers, so nobody receives two.
+    shortfall = target - sum(shares)
+    extra = []
+    if shortfall:
+        # Largest fractional remainder first; consumer id breaks ties.
+        order = sorted(range(len(weights)), key=lambda i: (-remainders[i], ids[i]))
+        extra = sorted(order[:shortfall])
+        for index in extra:
+            shares[index] += 1
+    return shares, extra
+
+
 def proportional_allocation(
     group_price: ExactLike,
     individual_prices: Mapping[str, ExactLike] | Sequence[tuple[str, ExactLike]],
@@ -171,37 +213,16 @@ def proportional_allocation(
         if consumer in prices:
             raise ValueError(f"duplicate consumer id {consumer!r}")
         prices[consumer] = money_amount(price)
-    total = sum(prices.values(), Fraction(0))
-    if total == 0:
-        if group != 0:
-            raise AllocationError(
-                "cannot allocate a positive group price over all-zero "
-                "individual prices"
-            )
-        return AllocationResult(
-            shares={consumer: Fraction(0) for consumer in prices},
-            policy=policy,
-            adjustments=(),
-        )
-    raw = {consumer: group * price / total for consumer, price in prices.items()}
-    if policy is AllocationPolicy.INDEPENDENT:
-        shares = {consumer: round_half_up(value) for consumer, value in raw.items()}
-        return AllocationResult(shares=shares, policy=policy, adjustments=())
-
+    ids = list(prices)
+    scale = math.lcm(*(price.denominator for price in prices.values()))
+    weights = [price.numerator * (scale // price.denominator) for price in prices.values()]
+    units, extra = allocate_units(group.numerator, group.denominator, weights, ids, policy)
     minor = 10**MONEY_PLACES
-    floors = {c: Fraction(math.floor(value * minor), minor) for c, value in raw.items()}
-    target = round_money(group)
-    shortfall = int((target - sum(floors.values(), Fraction(0))) * minor)
-    # Largest fractional remainder first; consumer id breaks ties.
-    order = sorted(raw, key=lambda c: (floors[c] - raw[c], c))
-    shares = dict(floors)
-    received: dict[str, int] = {}
-    for step in range(shortfall):
-        consumer = order[step % len(order)]
-        shares[consumer] += Fraction(1, minor)
-        received[consumer] = received.get(consumer, 0) + 1
-    adjustments = tuple((c, received[c]) for c in prices if c in received)
-    return AllocationResult(shares=shares, policy=policy, adjustments=adjustments)
+    return AllocationResult(
+        shares={consumer: Fraction(share, minor) for consumer, share in zip(ids, units)},
+        policy=policy,
+        adjustments=tuple((ids[index], 1) for index in extra),
+    )
 
 
 def group_saving(

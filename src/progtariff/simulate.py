@@ -24,16 +24,20 @@ from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Optional, Sequence
 
-from .amounts import ExactLike, energy_amount, exact, round_money, scale_value
-from .errors import InternalCheckError, SimulationError
-from .grouping import (
-    AllocationPolicy,
-    group_slot_price,
-    individual_slot_prices,
-    proportional_allocation,
+from .amounts import (
+    MONEY_PLACES,
+    ExactLike,
+    energy_amount,
+    exact,
+    exact_sum,
+    round_money,
+    scale_value,
 )
+from .errors import InternalCheckError, SimulationError
+from .grouping import AllocationPolicy, allocate_units
 from .tariff import (
     HOURS_PER_DAY,
     TariffSchedule,
@@ -170,6 +174,22 @@ class SlotUsageMatrix:
         usage = tuple(tuple(exact(cell) for cell in rows[c]) for c in consumers)
         return cls(consumers=consumers, slots=slots, usage=usage)
 
+    @cached_property
+    def quantized_columns(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """Every slot column as integers on one quantum: (quantum, units).
+
+        The quantum is the lcm of the column's denominators, so cell i of
+        the column is exactly ``units[i] / quantum`` kWh. Each column
+        picks its own quantum: one lcm over a whole matrix of unrelated
+        denominators would make every integer in it huge.
+        """
+        columns = []
+        for cells in zip(*self.usage) if self.usage else [()] * self.slots:
+            quantum = math.lcm(*(cell.denominator for cell in cells))
+            units = tuple(cell.numerator * (quantum // cell.denominator) for cell in cells)
+            columns.append((quantum, units))
+        return tuple(columns)
+
     def index_of(self, consumer: str) -> int:
         try:
             return self.consumers.index(consumer)
@@ -247,13 +267,20 @@ class DemandMetrics:
 class BillingReport:
     """One scheme's charges over a usage matrix.
 
-    ``consumer_totals`` are exact pre-rounding sums of the consumer's
-    slot charges; ``billed_totals`` round each total to minor units, and
+    ``consumer_totals`` are exact sums of the consumer's slot charges;
+    ``billed_totals`` round each total to minor units, and
     ``aggregate_billed`` sums the rounded bills. ``slot_charges`` is None
     for the monthly scheme, which has no per-slot structure. For the
     group scheme ``group_slot_prices`` holds the exact collective price
     of every slot (before allocation) and ``policy`` names the
     allocation policy used.
+
+    Under ``slotted-group`` each slot charge is the consumer's allocated
+    share of that slot's collective price, already rounded to minor
+    units, so ``consumer_totals`` are sums of per-slot minor-unit shares.
+    They are not exact shares of the collective price: the per-slot
+    rounding can drift a total off the consumer's exact proportional
+    share, by less than one minor unit per slot.
     """
 
     scheme: SchemeKind
@@ -391,7 +418,7 @@ def slot_partition(
 
 def demand_metrics(matrix: SlotUsageMatrix) -> DemandMetrics:
     """Aggregate slot loads and the peak-to-average ratio."""
-    loads = tuple(matrix.column_total(slot) for slot in range(matrix.slots))
+    loads = tuple(Fraction(sum(units), quantum) for quantum, units in matrix.quantized_columns)
     peak = max(loads)
     mean = sum(loads, Fraction(0)) / len(loads)
     par = None if mean == 0 else peak / mean
@@ -416,6 +443,108 @@ def _zero_filled(matrix: SlotUsageMatrix) -> Optional[int]:
     return matrix.slots * len(matrix.consumers) - len(matrix.observed)
 
 
+class _Billing:
+    """One usage matrix billed under one schedule on one grid.
+
+    Each piece is computed at most once and shared by every scheme that
+    reads it: the demand metrics, the slot schedule and its group-widened
+    form, and the price of every cell on its column's quantum.
+    """
+
+    def __init__(self, matrix: SlotUsageMatrix, schedule: TariffSchedule, grid: SlotGrid):
+        _check_grid(matrix, schedule, grid)
+        self.matrix = matrix
+        self.schedule = schedule
+        self.grid = grid
+        self.demand = demand_metrics(matrix)
+
+    @cached_property
+    def slot_schedule(self) -> TariffSchedule:
+        return scale_schedule(self.schedule, self.grid.factor)
+
+    @cached_property
+    def cell_prices(self) -> list[tuple[list[int], int]]:
+        """Per slot: every consumer's price numerator, and their denominator."""
+        table = self.slot_schedule.table
+        return [table.prices(units, quantum) for quantum, units in self.matrix.quantized_columns]
+
+    def _monthly(self) -> dict[str, Fraction]:
+        matrix = self.matrix
+        return {
+            consumer: progressive_price(self.schedule, exact_sum(row))
+            for consumer, row in zip(matrix.consumers, matrix.usage)
+        }
+
+    def _slotted(self) -> dict[str, tuple[Fraction, ...]]:
+        rows: list[list[Fraction]] = [[] for _ in self.matrix.consumers]
+        for numerators, denominator in self.cell_prices:
+            for row, numerator in zip(rows, numerators):
+                row.append(Fraction(numerator, denominator))
+        return {consumer: tuple(row) for consumer, row in zip(self.matrix.consumers, rows)}
+
+    def _grouped(
+        self, policy: AllocationPolicy
+    ) -> tuple[dict[str, tuple[Fraction, ...]], tuple[Fraction, ...]]:
+        """Allocated slot charges and the collective price of every slot."""
+        consumers = self.matrix.consumers
+        if not consumers:
+            return {}, (Fraction(0),) * self.matrix.slots
+        widened_table = scale_schedule(self.slot_schedule, len(consumers)).table
+        progressive = self.schedule.is_progressive
+        rows: list[list[int]] = [[] for _ in consumers]
+        prices = []
+        columns = zip(self.matrix.quantized_columns, self.cell_prices)
+        for slot, ((quantum, units), (numerators, denominator)) in enumerate(columns):
+            (group_num,), group_den = widened_table.prices((sum(units),), quantum)
+            if progressive and group_num * denominator > sum(numerators) * group_den:
+                raise InternalCheckError(
+                    f"slot {slot}: collective price {Fraction(group_num, group_den)} "
+                    "exceeds the sum of individual prices"
+                )
+            shares, _ = allocate_units(group_num, group_den, numerators, consumers, policy)
+            prices.append(Fraction(group_num, group_den))
+            for row, share in zip(rows, shares):
+                row.append(share)
+        minor = 10**MONEY_PLACES
+        charges = {
+            consumer: tuple(Fraction(share, minor) for share in row)
+            for consumer, row in zip(consumers, rows)
+        }
+        return charges, tuple(prices)
+
+    def report(
+        self, scheme: SchemeKind, policy: AllocationPolicy = AllocationPolicy.EXACT_SUM
+    ) -> BillingReport:
+        slot_charges: Optional[dict[str, tuple[Fraction, ...]]] = None
+        group_prices: Optional[tuple[Fraction, ...]] = None
+        used_policy: Optional[AllocationPolicy] = None
+        if scheme is SchemeKind.MONTHLY_INDIVIDUAL:
+            totals = self._monthly()
+        else:
+            if scheme is SchemeKind.SLOTTED_INDIVIDUAL:
+                slot_charges = self._slotted()
+            else:
+                used_policy = policy
+                slot_charges, group_prices = self._grouped(policy)
+            totals = {consumer: exact_sum(row) for consumer, row in slot_charges.items()}
+        billed = {consumer: round_money(total) for consumer, total in totals.items()}
+        return BillingReport(
+            scheme=scheme,
+            currency=self.schedule.currency,
+            grid=self.grid,
+            consumers=self.matrix.consumers,
+            slot_charges=slot_charges,
+            consumer_totals=totals,
+            billed_totals=billed,
+            aggregate_billed=exact_sum(billed.values()),
+            aggregate_exact=exact_sum(totals.values()),
+            group_slot_prices=group_prices,
+            policy=used_policy,
+            demand=self.demand,
+            zero_filled=_zero_filled(self.matrix),
+        )
+
+
 def run_scheme(
     matrix: SlotUsageMatrix,
     schedule: TariffSchedule,
@@ -433,73 +562,7 @@ def run_scheme(
     """
     scheme = SchemeKind(scheme)
     policy = AllocationPolicy(policy)
-    _check_grid(matrix, schedule, grid)
-    demand = demand_metrics(matrix)
-    slot_charges: Optional[dict[str, tuple[Fraction, ...]]] = None
-    group_prices: Optional[tuple[Fraction, ...]] = None
-    used_policy: Optional[AllocationPolicy] = None
-
-    if scheme is SchemeKind.MONTHLY_INDIVIDUAL:
-        totals = {
-            consumer: progressive_price(schedule, matrix.row_total(consumer))
-            for consumer in matrix.consumers
-        }
-    elif scheme is SchemeKind.SLOTTED_INDIVIDUAL:
-        slot_schedule = scale_schedule(schedule, grid.factor)
-        slot_charges = {
-            consumer: tuple(
-                progressive_price(slot_schedule, cell) for cell in matrix.row(consumer)
-            )
-            for consumer in matrix.consumers
-        }
-        totals = {
-            consumer: sum(slot_charges[consumer], Fraction(0))
-            for consumer in matrix.consumers
-        }
-    else:
-        slot_schedule = scale_schedule(schedule, grid.factor)
-        used_policy = policy
-        charges: dict[str, list[Fraction]] = {c: [] for c in matrix.consumers}
-        prices = []
-        for slot in range(matrix.slots):
-            column = matrix.column(slot)
-            if not column:
-                prices.append(Fraction(0))
-                continue
-            individual = individual_slot_prices(slot_schedule, column)
-            collective = group_slot_price(slot_schedule, column)
-            if schedule.is_progressive and collective > sum(individual.values(), Fraction(0)):
-                raise InternalCheckError(
-                    f"slot {slot}: collective price {collective} exceeds the sum "
-                    f"of individual prices"
-                )
-            allocation = proportional_allocation(collective, individual, policy)
-            prices.append(collective)
-            for consumer in matrix.consumers:
-                charges[consumer].append(allocation.shares[consumer])
-        slot_charges = {c: tuple(v) for c, v in charges.items()}
-        group_prices = tuple(prices)
-        totals = {
-            consumer: sum(slot_charges[consumer], Fraction(0))
-            for consumer in matrix.consumers
-        }
-
-    billed = {consumer: round_money(total) for consumer, total in totals.items()}
-    return BillingReport(
-        scheme=scheme,
-        currency=schedule.currency,
-        grid=grid,
-        consumers=matrix.consumers,
-        slot_charges=slot_charges,
-        consumer_totals=totals,
-        billed_totals=billed,
-        aggregate_billed=sum(billed.values(), Fraction(0)),
-        aggregate_exact=sum(totals.values(), Fraction(0)),
-        group_slot_prices=group_prices,
-        policy=used_policy,
-        demand=demand,
-        zero_filled=_zero_filled(matrix),
-    )
+    return _Billing(matrix, schedule, grid).report(scheme, policy)
 
 
 def compare_schemes(
@@ -508,10 +571,16 @@ def compare_schemes(
     grid: SlotGrid,
     policy: AllocationPolicy | str = AllocationPolicy.EXACT_SUM,
 ) -> SchemeComparison:
-    """Run all three schemes and difference their billed totals."""
-    monthly = run_scheme(matrix, schedule, grid, SchemeKind.MONTHLY_INDIVIDUAL)
-    slotted = run_scheme(matrix, schedule, grid, SchemeKind.SLOTTED_INDIVIDUAL)
-    grouped = run_scheme(matrix, schedule, grid, SchemeKind.SLOTTED_GROUP, policy)
+    """Run all three schemes and difference their billed totals.
+
+    The schemes share one demand computation and one pricing of every
+    slot cell.
+    """
+    policy = AllocationPolicy(policy)
+    billing = _Billing(matrix, schedule, grid)
+    monthly = billing.report(SchemeKind.MONTHLY_INDIVIDUAL)
+    slotted = billing.report(SchemeKind.SLOTTED_INDIVIDUAL)
+    grouped = billing.report(SchemeKind.SLOTTED_GROUP, policy)
     if schedule.is_progressive:
         for consumer in matrix.consumers:
             if slotted.consumer_totals[consumer] < monthly.consumer_totals[consumer]:
@@ -550,11 +619,14 @@ def what_if_shift(
     """Evaluate one hypothetical shift without touching the input matrix."""
     moved = energy_amount(amount)
     shifted = matrix.with_shift(consumer, from_slot, to_slot, moved)
+    policy = AllocationPolicy(policy)
+    before = _Billing(matrix, schedule, grid)
+    after = _Billing(shifted, schedule, grid)
 
-    group_before = run_scheme(matrix, schedule, grid, SchemeKind.SLOTTED_GROUP, policy)
-    group_after = run_scheme(shifted, schedule, grid, SchemeKind.SLOTTED_GROUP, policy)
-    solo_before = run_scheme(matrix, schedule, grid, SchemeKind.SLOTTED_INDIVIDUAL)
-    solo_after = run_scheme(shifted, schedule, grid, SchemeKind.SLOTTED_INDIVIDUAL)
+    group_before = before.report(SchemeKind.SLOTTED_GROUP, policy)
+    group_after = after.report(SchemeKind.SLOTTED_GROUP, policy)
+    solo_before = before.report(SchemeKind.SLOTTED_INDIVIDUAL)
+    solo_after = after.report(SchemeKind.SLOTTED_INDIVIDUAL)
 
     return ShiftReport(
         consumer=consumer,

@@ -12,11 +12,16 @@ and scaling commutes with pricing:
 
 holds as an exact identity for every rational f > 0. That identity is
 what makes slot-level and period-level billing comparable at all.
+
+Every schedule is compiled once, at construction, into a TierTable of
+plain integers; all pricing reads that table.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from bisect import bisect_left
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
@@ -49,6 +54,58 @@ class TariffTier:
         object.__setattr__(self, "rate", rate)
 
 
+class TierTable:
+    """A schedule's tiers compiled to integers, for exact pricing by bisection.
+
+    ``bounds`` holds the finite tier bounds in units of 1/``bound_scale``
+    kWh, where ``bound_scale`` is the lcm of the bound denominators.
+    ``rates`` holds every tier's rate in units of 1/``rate_scale`` per kWh,
+    where ``rate_scale`` is the lcm of the rate denominators.
+    ``charges[i]`` is the cumulative charge at the lower end of tier i, in
+    units of 1/(``bound_scale`` * ``rate_scale``). Integers never
+    overflow, so the table is exact for any rational schedule.
+    """
+
+    __slots__ = ("bound_scale", "rate_scale", "bounds", "rates", "charges")
+
+    def __init__(self, tiers: Sequence[TariffTier]):
+        finite = [tier.upper_bound for tier in tiers[:-1]]
+        self.bound_scale = math.lcm(*(bound.denominator for bound in finite))
+        self.rate_scale = math.lcm(*(tier.rate.denominator for tier in tiers))
+        self.bounds = [b.numerator * (self.bound_scale // b.denominator) for b in finite]
+        self.rates = [t.rate.numerator * (self.rate_scale // t.rate.denominator) for t in tiers]
+        self.charges = [0]
+        lower = 0
+        for bound, rate in zip(self.bounds, self.rates):
+            self.charges.append(self.charges[-1] + rate * (bound - lower))
+            lower = bound
+
+    def tier(self, usage: Fraction) -> int:
+        """0-based index of the tier that *usage* ends in (usage >= 0)."""
+        edges = [bound * usage.denominator for bound in self.bounds]
+        return bisect_left(edges, usage.numerator * self.bound_scale)
+
+    def prices(self, units: Sequence[int], quantum: int) -> tuple[list[int], int]:
+        """Exact prices of the usages ``units[i] / quantum`` kWh.
+
+        Returns the price numerators and their one common denominator,
+        ``quantum * bound_scale * rate_scale``. Usages must be >= 0.
+        """
+        # Levels, tier edges and charges all count 1/(quantum * bound_scale)
+        # kWh steps, so each price is one bisection and one multiply-add.
+        scale = self.bound_scale
+        edges = [bound * quantum for bound in self.bounds]
+        lows = [0, *edges]
+        bases = [charge * quantum for charge in self.charges]
+        rates = self.rates
+        numerators = []
+        for unit in units:
+            level = unit * scale
+            tier = bisect_left(edges, level)
+            numerators.append(bases[tier] + rates[tier] * (level - lows[tier]))
+        return numerators, quantum * scale * self.rate_scale
+
+
 @dataclass(frozen=True)
 class TariffSchedule:
     """An ordered list of tiers plus the billing period they were quoted for.
@@ -58,13 +115,15 @@ class TariffSchedule:
     non-decreasing rates. The last rule keeps the price function convex;
     a deliberately non-progressive schedule is accepted only with
     ``allow_rate_decrease=True``, and convexity-based sanity checks are
-    skipped for it downstream.
+    skipped for it downstream. ``table`` is the schedule compiled for
+    pricing.
     """
 
     tiers: tuple[TariffTier, ...]
     currency: str = "KRW"
     base_hours: Fraction = Fraction(720)
     allow_rate_decrease: bool = False
+    table: TierTable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         tiers = tuple(self.tiers)
@@ -99,6 +158,7 @@ class TariffSchedule:
             raise ScheduleError("currency must be a non-empty string")
         object.__setattr__(self, "tiers", tiers)
         object.__setattr__(self, "base_hours", base)
+        object.__setattr__(self, "table", TierTable(tiers))
 
     @property
     def is_progressive(self) -> bool:
@@ -172,25 +232,13 @@ def validate_schedule(
 def progressive_price(schedule: TariffSchedule, usage: ExactLike) -> Fraction:
     """Exact price of *usage* kWh under *schedule*.
 
-    Fills tiers in order: energy inside each tier's range is charged at
-    that tier's rate, and whatever exceeds the last bounded tier is
-    charged at the open-ended rate. The result is an exact, unrounded
-    currency amount.
+    Energy inside each tier's range is charged at that tier's rate, and
+    whatever exceeds the last bounded tier is charged at the open-ended
+    rate. The result is an exact, unrounded currency amount.
     """
-    remaining = energy_amount(usage)
-    previous = Fraction(0)
-    total = Fraction(0)
-    for tier in schedule.tiers:
-        if remaining == 0:
-            break
-        if tier.upper_bound is None:
-            span = remaining
-        else:
-            span = min(remaining, tier.upper_bound - previous)
-            previous = tier.upper_bound
-        total += tier.rate * span
-        remaining -= span
-    return total
+    amount = energy_amount(usage)
+    (numerator,), denominator = schedule.table.prices((amount.numerator,), amount.denominator)
+    return Fraction(numerator, denominator)
 
 
 def tier_breakdown(
@@ -202,20 +250,15 @@ def tier_breakdown(
     and in schedule order. Energies sum to the usage and charges sum to
     progressive_price, both exactly.
     """
-    remaining = energy_amount(usage)
-    previous = Fraction(0)
+    amount = energy_amount(usage)
+    last = schedule.table.tier(amount)
     rows = []
-    for number, tier in enumerate(schedule.tiers, start=1):
-        if remaining == 0:
-            break
-        if tier.upper_bound is None:
-            span = remaining
-        else:
-            span = min(remaining, tier.upper_bound - previous)
-            previous = tier.upper_bound
-        if span > 0:
-            rows.append((number, span, tier.rate * span))
-        remaining -= span
+    lower = Fraction(0)
+    for number, tier in enumerate(schedule.tiers[: last + 1], start=1):
+        upper = amount if number == last + 1 else tier.upper_bound
+        if upper > lower:
+            rows.append((number, upper - lower, tier.rate * (upper - lower)))
+        lower = upper
     return rows
 
 

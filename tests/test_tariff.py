@@ -244,6 +244,10 @@ def test_slot_factor_fractional_hours():
         (exact("139.9968"), "140.00"),
         (exact("0.005"), "0.01"),
         (Fraction(933, 2), "466.50"),
+        (exact("-0.005"), "-0.01"),
+        (Fraction(-1, 300), "0.00"),
+        (exact("-2.345"), "-2.35"),
+        (Fraction(-200, 3), "-66.67"),
     ],
 )
 def test_money_display(value, text):
@@ -254,6 +258,7 @@ def test_money_display(value, text):
 def test_round_money_is_exact_quantization():
     assert round_money(exact("312.0833")) == Fraction(31208, 100)
     assert round_money(exact("312.085")) == Fraction(31209, 100)
+    assert round_money(exact("-312.085")) == Fraction(-31209, 100)
 
 
 # ----------------------------------------------------------------------
