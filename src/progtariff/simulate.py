@@ -174,22 +174,6 @@ class SlotUsageMatrix:
         usage = tuple(tuple(exact(cell) for cell in rows[c]) for c in consumers)
         return cls(consumers=consumers, slots=slots, usage=usage)
 
-    @cached_property
-    def quantized_columns(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
-        """Every slot column as integers on one quantum: (quantum, units).
-
-        The quantum is the lcm of the column's denominators, so cell i of
-        the column is exactly ``units[i] / quantum`` kWh. Each column
-        picks its own quantum: one lcm over a whole matrix of unrelated
-        denominators would make every integer in it huge.
-        """
-        columns = []
-        for cells in zip(*self.usage) if self.usage else [()] * self.slots:
-            quantum = math.lcm(*(cell.denominator for cell in cells))
-            units = tuple(cell.numerator * (quantum // cell.denominator) for cell in cells)
-            columns.append((quantum, units))
-        return tuple(columns)
-
     def index_of(self, consumer: str) -> int:
         try:
             return self.consumers.index(consumer)
@@ -206,9 +190,6 @@ class SlotUsageMatrix:
         if not 0 <= slot < self.slots:
             raise SimulationError(f"slot {slot} out of range 0..{self.slots - 1}")
         return {c: self.usage[i][slot] for i, c in enumerate(self.consumers)}
-
-    def column_total(self, slot: int) -> Fraction:
-        return sum(self.column(slot).values(), Fraction(0))
 
     def total(self) -> Fraction:
         return sum((sum(row, Fraction(0)) for row in self.usage), Fraction(0))
@@ -416,9 +397,14 @@ def slot_partition(
     )
 
 
+def _slot_columns(matrix: SlotUsageMatrix):
+    """The matrix's cells slot by slot, one tuple per slot."""
+    return zip(*matrix.usage) if matrix.usage else [()] * matrix.slots
+
+
 def demand_metrics(matrix: SlotUsageMatrix) -> DemandMetrics:
     """Aggregate slot loads and the peak-to-average ratio."""
-    loads = tuple(Fraction(sum(units), quantum) for quantum, units in matrix.quantized_columns)
+    loads = tuple(exact_sum(cells) for cells in _slot_columns(matrix))
     peak = max(loads)
     mean = sum(loads, Fraction(0)) / len(loads)
     par = None if mean == 0 else peak / mean
@@ -447,8 +433,8 @@ class _Billing:
     """One usage matrix billed under one schedule on one grid.
 
     Each piece is computed at most once and shared by every scheme that
-    reads it: the demand metrics, the slot schedule and its group-widened
-    form, and the price of every cell on its column's quantum.
+    reads it: the demand metrics, the slot schedule, the cells of every
+    slot column as integers on one quantum, and the price of every cell.
     """
 
     def __init__(self, matrix: SlotUsageMatrix, schedule: TariffSchedule, grid: SlotGrid):
@@ -463,10 +449,25 @@ class _Billing:
         return scale_schedule(self.schedule, self.grid.factor)
 
     @cached_property
+    def columns(self) -> list[tuple[int, tuple[int, ...]]]:
+        """Per slot: (quantum, units), where cell i is ``units[i] / quantum`` kWh.
+
+        The quantum is the lcm of the column's denominators. Each column
+        picks its own: one lcm over a whole matrix of unrelated
+        denominators would make every integer in it huge.
+        """
+        columns = []
+        for cells in _slot_columns(self.matrix):
+            quantum = math.lcm(*(cell.denominator for cell in cells))
+            units = tuple(cell.numerator * (quantum // cell.denominator) for cell in cells)
+            columns.append((quantum, units))
+        return columns
+
+    @cached_property
     def cell_prices(self) -> list[tuple[list[int], int]]:
         """Per slot: every consumer's price numerator, and their denominator."""
         table = self.slot_schedule.table
-        return [table.prices(units, quantum) for quantum, units in self.matrix.quantized_columns]
+        return [table.prices(units, quantum) for quantum, units in self.columns]
 
     def _monthly(self) -> dict[str, Fraction]:
         matrix = self.matrix
@@ -493,7 +494,7 @@ class _Billing:
         progressive = self.schedule.is_progressive
         rows: list[list[int]] = [[] for _ in consumers]
         prices = []
-        columns = zip(self.matrix.quantized_columns, self.cell_prices)
+        columns = zip(self.columns, self.cell_prices)
         for slot, ((quantum, units), (numerators, denominator)) in enumerate(columns):
             (group_num,), group_den = widened_table.prices((sum(units),), quantum)
             if progressive and group_num * denominator > sum(numerators) * group_den:
@@ -620,13 +621,14 @@ def what_if_shift(
     moved = energy_amount(amount)
     shifted = matrix.with_shift(consumer, from_slot, to_slot, moved)
     policy = AllocationPolicy(policy)
-    before = _Billing(matrix, schedule, grid)
-    after = _Billing(shifted, schedule, grid)
-
-    group_before = before.report(SchemeKind.SLOTTED_GROUP, policy)
-    group_after = after.report(SchemeKind.SLOTTED_GROUP, policy)
-    solo_before = before.report(SchemeKind.SLOTTED_INDIVIDUAL)
-    solo_after = after.report(SchemeKind.SLOTTED_INDIVIDUAL)
+    reports = []
+    # One side at a time, so the first billing's tables are freed before
+    # the second's are computed.
+    for billed in (matrix, shifted):
+        billing = _Billing(billed, schedule, grid)
+        group = billing.report(SchemeKind.SLOTTED_GROUP, policy)
+        reports.append((group, billing.report(SchemeKind.SLOTTED_INDIVIDUAL)))
+    (group_before, solo_before), (group_after, solo_after) = reports
 
     return ShiftReport(
         consumer=consumer,
