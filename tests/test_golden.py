@@ -26,10 +26,11 @@ POLICIES = ["exact-sum", "independent"]
 # Usages that stop inside the first tier, on a bound, deep in the open
 # tier, and on a non-terminating value.
 USAGES = ["0", "50/3", "100", "350", "1234.567"]
+# consumer, from slot, to slot, amount
 SHIFTS = {
-    "three_consumer_slot": ["--consumer", "c1", "--from-slot", "0", "--to-slot", "1", "--amount", "1/2"],
-    "three_consumer_slot_exact": ["--consumer", "c3", "--from-slot", "0", "--to-slot", "7", "--amount", "5/6"],
-    "two_consumer_month": ["--consumer", "c2", "--from-slot", "1", "--to-slot", "2", "--amount", "1.2"],
+    "three_consumer_slot": ("c1", "0", "1", "1/2"),
+    "three_consumer_slot_exact": ("c3", "0", "7", "5/6"),
+    "two_consumer_month": ("c2", "1", "2", "1.2"),
 }
 ALLOCATIONS = {
     "published": ["--group", "466.50", "--individual", "312.08,155.50,50.58"],
@@ -56,7 +57,11 @@ def _cases():
                     "simulate", *base, "--scheme", scheme, "--policy", policy,
                 ]
             cases[f"compare-{trace}-{policy}"] = ["compare", *base, "--policy", policy]
-            cases[f"shift-{trace}-{policy}"] = ["shift", *base, *SHIFTS[trace], "--policy", policy]
+            consumer, source, target, amount = SHIFTS[trace]
+            cases[f"shift-{trace}-{policy}"] = [
+                "shift", *base, "--consumer", consumer, "--from-slot", source,
+                "--to-slot", target, "--amount", amount, "--policy", policy,
+            ]
     for grid, flags in GRIDS.items():
         base = ["--schedule", SCHEDULE, "--trace", "fixtures/two_consumer_month.csv", *flags]
         cases[f"compare-two_consumer_month-{grid}"] = ["compare", *base]
