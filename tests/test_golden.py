@@ -20,7 +20,12 @@ from progtariff.cli import run_cli
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
 SCHEDULE = "fixtures/kepco_residential.json"
-TRACES = ["three_consumer_slot", "three_consumer_slot_exact", "two_consumer_month"]
+TRACES = [
+    "three_consumer_intervals",
+    "three_consumer_slot",
+    "three_consumer_slot_exact",
+    "two_consumer_month",
+]
 SCHEMES = ["monthly-individual", "slotted-individual", "slotted-group"]
 POLICIES = ["exact-sum", "independent"]
 # Usages that stop inside the first tier, on a bound, deep in the open
@@ -28,6 +33,7 @@ POLICIES = ["exact-sum", "independent"]
 USAGES = ["0", "50/3", "100", "350", "1234.567"]
 # consumer, from slot, to slot, amount
 SHIFTS = {
+    "three_consumer_intervals": ("c1", "1", "9", "1/2"),
     "three_consumer_slot": ("c1", "0", "1", "1/2"),
     "three_consumer_slot_exact": ("c3", "0", "7", "5/6"),
     "two_consumer_month": ("c2", "1", "2", "1.2"),
