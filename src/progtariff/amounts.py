@@ -17,6 +17,28 @@ ExactLike = Union[int, str, Fraction, Decimal]
 MONEY_PLACES = 2
 ENERGY_PLACES = 4
 
+# Largest decimal exponent magnitude that exact() accepts. Python already
+# caps the digits of an int read from text (sys.int_max_str_digits, 4300
+# by default); without this cap "1e100000000" would make Fraction build
+# 10**100000000 and hang. 1e4300 is still accepted.
+MAX_DECIMAL_EXPONENT = 4300
+
+# Longest input echoed in full in an error message.
+_ECHO_CHARS = 40
+
+
+def _echo(text: str) -> str:
+    if len(text) <= _ECHO_CHARS:
+        return repr(text)
+    return f"{text[:_ECHO_CHARS]!r}... ({len(text)} characters)"
+
+
+def _check_exponent(exponent: int, value: str) -> None:
+    if abs(exponent) > MAX_DECIMAL_EXPONENT:
+        raise ValueError(
+            f"decimal exponent beyond +/-{MAX_DECIMAL_EXPONENT}: {_echo(value)}"
+        )
+
 
 def exact(value: ExactLike) -> Fraction:
     """Convert *value* to an exact Fraction.
@@ -24,7 +46,9 @@ def exact(value: ExactLike) -> Fraction:
     Accepts ints, Fractions, Decimals, and strings in decimal ("60.7")
     or ratio ("5/3") form. Floats are refused outright: a binary float
     is already an approximation, and letting one in would poison every
-    exact comparison downstream.
+    exact comparison downstream. A decimal exponent larger in magnitude
+    than MAX_DECIMAL_EXPONENT is refused before any power of ten is
+    built.
     """
     if isinstance(value, Fraction):
         return value
@@ -38,19 +62,31 @@ def exact(value: ExactLike) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, Decimal):
+        exponent = value.as_tuple().exponent
+        if isinstance(exponent, int):  # "n", "N" or "F" for NaN and infinity
+            _check_exponent(exponent, str(value))
         return Fraction(value)
     if isinstance(value, str):
+        text = value.strip()
+        mark = max(text.rfind("e"), text.rfind("E"))
+        if mark >= 0:
+            try:
+                exponent = int(text[mark + 1 :])
+            except ValueError:
+                pass  # not an exponent; Fraction rejects the text below
+            else:
+                _check_exponent(exponent, value)
         try:
-            return Fraction(value.strip())
+            return Fraction(text)
         except (ValueError, ZeroDivisionError) as err:
-            raise ValueError(f"not a decimal or p/q number: {value!r}") from err
+            raise ValueError(f"not a decimal or p/q number: {_echo(value)}") from err
     raise TypeError(f"cannot convert {type(value).__name__} to an exact number")
 
 
 def energy_amount(value: ExactLike) -> Fraction:
     """Exact non-negative kWh quantity."""
     amount = exact(value)
-    if amount < 0:
+    if amount.numerator < 0:
         raise ValueError(f"energy must be >= 0, got {amount}")
     return amount
 
@@ -58,7 +94,7 @@ def energy_amount(value: ExactLike) -> Fraction:
 def money_amount(value: ExactLike) -> Fraction:
     """Exact non-negative currency quantity."""
     amount = exact(value)
-    if amount < 0:
+    if amount.numerator < 0:
         raise ValueError(f"money must be >= 0, got {amount}")
     return amount
 
@@ -66,7 +102,7 @@ def money_amount(value: ExactLike) -> Fraction:
 def scale_value(value: ExactLike) -> Fraction:
     """Exact positive multiplier."""
     factor = exact(value)
-    if factor <= 0:
+    if factor.numerator <= 0:
         raise ValueError(f"scale factor must be > 0, got {factor}")
     return factor
 

@@ -164,8 +164,10 @@ def parse_trace_csv(path: PathLike) -> list[MeterReading]:
         )
     has_end = len(header) == 4
     readings = []
+    # Each distinct energy string is parsed and checked once per file.
+    energies: dict[str, Fraction] = {}
     for line_no, row in enumerate(rows[1:], start=2):
-        if not row or all(not cell.strip() for cell in row):
+        if not "".join(row).strip():
             continue
         if len(row) != len(header):
             raise TraceError(
@@ -178,10 +180,12 @@ def parse_trace_csv(path: PathLike) -> list[MeterReading]:
             start = parse_rfc3339(row[1])
         except ValueError as err:
             raise TraceError(f"{path}:{line_no}: {err}") from err
-        try:
-            energy = energy_amount(row[2].strip())
-        except ValueError as err:
-            raise TraceError(f"{path}:{line_no}: {err}") from err
+        energy = energies.get(row[2])
+        if energy is None:
+            try:
+                energy = energies[row[2]] = energy_amount(row[2].strip())
+            except ValueError as err:
+                raise TraceError(f"{path}:{line_no}: {err}") from err
         end: Optional[datetime] = None
         if has_end and row[3].strip():
             try:

@@ -53,11 +53,7 @@ def _require_utc(stamp: datetime, label: str) -> datetime:
     return stamp.astimezone(timezone.utc)
 
 
-def _seconds_between(start: datetime, end: datetime) -> Fraction:
-    delta = end - start
-    return Fraction(delta.days * 86400 + delta.seconds) + Fraction(
-        delta.microseconds, 10**6
-    )
+_MICROSECOND = timedelta(microseconds=1)
 
 
 @dataclass(frozen=True)
@@ -157,7 +153,10 @@ class SlotUsageMatrix:
                 raise SimulationError(
                     f"consumer {consumer!r}: expected {self.slots} slots, got {len(row)}"
                 )
-            rows.append(tuple(energy_amount(cell) for cell in row))
+            if all(type(cell) is Fraction and cell.numerator >= 0 for cell in row):
+                rows.append(row if type(row) is tuple else tuple(row))
+            else:
+                rows.append(tuple(energy_amount(cell) for cell in row))
         object.__setattr__(self, "usage", tuple(rows))
         object.__setattr__(self, "consumers", tuple(self.consumers))
 
@@ -338,43 +337,70 @@ def slot_partition(
     reading must lie inside the billing period, and one consumer's
     interval readings must not overlap each other. Cells that received
     no reading are zero-filled and tracked via ``observed``.
+
+    Time is counted in integer microseconds from the period start, the
+    resolution of ``datetime``. A slot lasts ``num/den`` microseconds, so
+    a point reading at offset ``t`` lands in slot ``t * den // num``, and
+    interval offsets scaled by ``den`` meet slot edges ``k * num`` on
+    integers. A cell whose only share is one point reading holds that
+    reading's energy as it is. Every other cell sums its shares as one
+    integer numerator over the lcm of their denominators and becomes a
+    single Fraction at the end.
     """
-    period_seconds = _seconds_between(grid.period_start, grid.period_end)
-    consumers = sorted({reading.consumer for reading in readings})
-    cells: dict[tuple[str, int], Fraction] = {}
-    observed: set[tuple[str, int]] = set()
-    intervals: dict[str, list[tuple[Fraction, Fraction]]] = {}
+    origin = grid.period_start
+    period = (grid.period_end - origin) // _MICROSECOND
+    slot_length = grid.slot_seconds * 10**6
+    num, den = slot_length.numerator, slot_length.denominator
+    slot_count = grid.slot_count
+    # (consumer, slot) -> energy of the cell's first point reading
+    points: dict[tuple[str, int], Fraction] = {}
+    # (consumer, slot) -> (numerator, denominator) of every other share
+    shares: dict[tuple[str, int], tuple[int, int]] = {}
+    intervals: dict[str, list[tuple[int, int]]] = {}
+
+    def add_share(cell: tuple[str, int], share_num: int, share_den: int) -> None:
+        total = shares.get(cell)
+        if total is None:
+            shares[cell] = (share_num, share_den)
+            return
+        total_num, total_den = total
+        if total_den != share_den:
+            common = math.lcm(total_den, share_den)
+            total_num *= common // total_den
+            share_num *= common // share_den
+            total_den = common
+        shares[cell] = (total_num + share_num, total_den)
 
     for reading in readings:
-        offset = _seconds_between(grid.period_start, reading.start)
-        if offset < 0 or offset >= period_seconds:
+        consumer = reading.consumer
+        energy = reading.energy
+        offset = (reading.start - origin) // _MICROSECOND
+        if offset < 0 or offset >= period:
             raise SimulationError(
-                f"reading for {reading.consumer!r} at {reading.start.isoformat()} "
+                f"reading for {consumer!r} at {reading.start.isoformat()} "
                 "lies outside the billing period"
             )
         if reading.end is None:
-            slot = math.floor(offset / grid.slot_seconds)
-            key = (reading.consumer, slot)
-            cells[key] = cells.get(key, Fraction(0)) + reading.energy
-            observed.add(key)
+            cell = (consumer, offset * den // num)
+            if cell in points:
+                add_share(cell, energy.numerator, energy.denominator)
+            else:
+                points[cell] = energy
             continue
-        end_offset = _seconds_between(grid.period_start, reading.end)
-        if end_offset > period_seconds:
+        end = (reading.end - origin) // _MICROSECOND
+        if end > period:
             raise SimulationError(
-                f"reading for {reading.consumer!r} ending {reading.end.isoformat()} "
+                f"reading for {consumer!r} ending {reading.end.isoformat()} "
                 "lies outside the billing period"
             )
-        intervals.setdefault(reading.consumer, []).append((offset, end_offset))
-        duration = end_offset - offset
-        first = math.floor(offset / grid.slot_seconds)
-        slot = first
-        while slot * grid.slot_seconds < end_offset and slot < grid.slot_count:
-            lo = max(offset, slot * grid.slot_seconds)
-            hi = min(end_offset, (slot + 1) * grid.slot_seconds)
-            if hi > lo:
-                key = (reading.consumer, slot)
-                cells[key] = cells.get(key, Fraction(0)) + reading.energy * (hi - lo) / duration
-                observed.add(key)
+        intervals.setdefault(consumer, []).append((offset, end))
+        low, high = offset * den, end * den
+        share_den = energy.denominator * (high - low)
+        slot = low // num
+        while slot * num < high and slot < slot_count:
+            overlap = min(high, (slot + 1) * num) - max(low, slot * num)
+            if overlap > 0:
+                add_share((consumer, slot), energy.numerator * overlap, share_den)
             slot += 1
 
     for consumer, spans in intervals.items():
@@ -385,15 +411,20 @@ def slot_partition(
                     f"overlapping interval readings for consumer {consumer!r}"
                 )
 
-    usage = tuple(
-        tuple(cells.get((consumer, slot), Fraction(0)) for slot in range(grid.slot_count))
-        for consumer in consumers
-    )
+    consumers = sorted({reading.consumer for reading in readings})
+    rows = {consumer: [Fraction(0)] * slot_count for consumer in consumers}
+    for (consumer, slot), energy in points.items():
+        rows[consumer][slot] = energy
+    for cell, (share_num, share_den) in shares.items():
+        share = Fraction(share_num, share_den)
+        point = points.get(cell)
+        consumer, slot = cell
+        rows[consumer][slot] = share if point is None else point + share
     return SlotUsageMatrix(
         consumers=tuple(consumers),
-        slots=grid.slot_count,
-        usage=usage,
-        observed=frozenset(observed),
+        slots=slot_count,
+        usage=tuple(tuple(rows[consumer]) for consumer in consumers),
+        observed=frozenset(points.keys() | shares.keys()),
     )
 
 

@@ -5,8 +5,9 @@ Everything here is deliberately written as straight-line code over plain
 the price oracle walks one minimal energy quantum at a time, the desk
 calculator prices via the cumulative clip formula, and the remainder
 allocator repeatedly scans for the largest remainder instead of sorting
-once. If the package and these agree, both routes would have to be wrong
-in the same way.
+once. The partition oracle measures time in Fraction seconds, where the
+package counts integer microseconds. If the package and these agree,
+both routes would have to be wrong in the same way.
 """
 
 import math
@@ -110,3 +111,71 @@ def desk_schemes(rows, bounds, rates, slots):
         for consumer, value in units.items():
             allocated[consumer] += value
     return monthly, slotted, group_prices, allocated
+
+
+def _seconds_between(start, end):
+    delta = end - start
+    return Fraction(delta.days * 86400 + delta.seconds) + Fraction(
+        delta.microseconds, 10**6
+    )
+
+
+def desk_partition(readings, grid):
+    """Slot partition on exact Fraction seconds, one reading at a time.
+
+    Offsets are Fractions of a second from the period start; a point
+    reading lands in floor(offset / slot_seconds), and an interval
+    reading's energy is split by the Fraction-second overlap of each
+    slot it touches. Returns (consumers, usage, observed) with usage as
+    a tuple of rows of Fractions. Raises ValueError with the engine's
+    messages for readings outside the period and overlapping intervals.
+    """
+    slot_seconds = grid.slot_hours * 3600
+    period_seconds = _seconds_between(grid.period_start, grid.period_end)
+    consumers = sorted({reading.consumer for reading in readings})
+    cells = {}
+    observed = set()
+    intervals = {}
+
+    for reading in readings:
+        offset = _seconds_between(grid.period_start, reading.start)
+        if offset < 0 or offset >= period_seconds:
+            raise ValueError(
+                f"reading for {reading.consumer!r} at {reading.start.isoformat()} "
+                "lies outside the billing period"
+            )
+        if reading.end is None:
+            slot = math.floor(offset / slot_seconds)
+            key = (reading.consumer, slot)
+            cells[key] = cells.get(key, Fraction(0)) + reading.energy
+            observed.add(key)
+            continue
+        end_offset = _seconds_between(grid.period_start, reading.end)
+        if end_offset > period_seconds:
+            raise ValueError(
+                f"reading for {reading.consumer!r} ending {reading.end.isoformat()} "
+                "lies outside the billing period"
+            )
+        intervals.setdefault(reading.consumer, []).append((offset, end_offset))
+        duration = end_offset - offset
+        slot = math.floor(offset / slot_seconds)
+        while slot * slot_seconds < end_offset and slot < grid.slot_count:
+            lo = max(offset, slot * slot_seconds)
+            hi = min(end_offset, (slot + 1) * slot_seconds)
+            if hi > lo:
+                key = (reading.consumer, slot)
+                cells[key] = cells.get(key, Fraction(0)) + reading.energy * (hi - lo) / duration
+                observed.add(key)
+            slot += 1
+
+    for consumer, spans in intervals.items():
+        spans.sort()
+        for (_, prev_end), (next_start, _) in zip(spans, spans[1:]):
+            if next_start < prev_end:
+                raise ValueError(f"overlapping interval readings for consumer {consumer!r}")
+
+    usage = tuple(
+        tuple(cells.get((consumer, slot), Fraction(0)) for slot in range(grid.slot_count))
+        for consumer in consumers
+    )
+    return tuple(consumers), usage, observed

@@ -177,6 +177,20 @@ def test_bad_trace_row_is_reported_with_line(capsys, tmp_path):
     assert "bad.csv:3" in err
 
 
+def test_huge_exponent_in_trace_is_reported_with_line(capsys, tmp_path):
+    trace = tmp_path / "huge.csv"
+    trace.write_text(
+        "consumer_id,interval_start,energy_kwh\n"
+        "a,2025-01-01T00:00:00Z,1\n"
+        "a,2025-01-01T06:00:00Z,1e100000000\n"
+    )
+    status, _, err = run(
+        capsys, "compare", "--schedule", SCHEDULE, "--trace", str(trace)
+    )
+    assert status == 1
+    assert "huge.csv:3: decimal exponent beyond" in err
+
+
 def test_empty_trace_needs_period_start(capsys, tmp_path):
     trace = tmp_path / "empty.csv"
     trace.write_text("consumer_id,interval_start,energy_kwh\n")

@@ -1,4 +1,6 @@
-from datetime import datetime, timezone
+import math
+import random
+from datetime import datetime, timedelta, timezone
 from fractions import Fraction
 
 import pytest
@@ -19,7 +21,7 @@ from progtariff import (
 )
 
 from conftest import FIXTURES, make_schedule
-from oracles import desk_schemes
+from oracles import desk_partition, desk_schemes
 
 UTC = timezone.utc
 
@@ -136,6 +138,130 @@ def test_partition_conserves_energy(month_grid, rng):
     point_only = [r for r in readings if r.end is None]
     matrix = slot_partition(point_only, month_grid)
     assert matrix.total() == sum((r.energy for r in point_only), Fraction(0))
+
+
+def test_matrix_checks_only_rows_that_are_not_plain_fractions():
+    exact_row = (Fraction(1, 3), Fraction(0))
+    matrix = SlotUsageMatrix(("a", "b"), 2, (exact_row, [2, "0.5"]))
+    assert matrix.usage[0] is exact_row
+    assert matrix.usage[1] == (Fraction(2), Fraction(1, 2))
+    assert all(type(cell) is Fraction for cell in matrix.usage[1])
+    with pytest.raises(ValueError, match=">= 0"):
+        SlotUsageMatrix(("a",), 2, ((Fraction(1), Fraction(-1, 3)),))
+    with pytest.raises(TypeError, match="float"):
+        SlotUsageMatrix(("a",), 1, ((0.5,),))
+
+
+PARTITION_SLOT_HOURS = [
+    Fraction(1, 2), Fraction(1), Fraction(6), Fraction(8), Fraction(24, 7), Fraction(24),
+]
+# UTC offsets in minutes, including half- and three-quarter-hour zones.
+PARTITION_OFFSETS = [0, 60, 330, 345, 540, -210, -300, -570]
+
+
+def _zone(rng):
+    return timezone(timedelta(minutes=rng.choice(PARTITION_OFFSETS)))
+
+
+def _partition_energy(rng):
+    kind = rng.randrange(4)
+    if kind == 0:
+        return Fraction(0)
+    if kind == 1:
+        return Fraction(rng.randint(0, 99_999), 1000)
+    return Fraction(rng.randint(0, 500), rng.choice([1, 3, 7, 12, 97]))
+
+
+def _partition_offset(rng, period_us, slot_us):
+    """A microsecond offset in [0, period_us), often on or next to a slot edge."""
+    if rng.random() < 0.4:
+        edge = math.floor(rng.randrange(int(period_us / slot_us) + 1) * slot_us)
+        return min(max(edge + rng.choice([-1, 0, 0, 1]), 0), period_us - 1)
+    return rng.randrange(period_us)
+
+
+def _random_partition_case(rng):
+    """A grid and a shuffled, valid mix of point and interval readings."""
+    hours = rng.choice(PARTITION_SLOT_HOURS)
+    days = rng.randint(1, 31)
+    start = datetime(
+        2025, rng.randint(1, 12), rng.randint(1, 28), rng.randrange(24),
+        rng.randrange(60), rng.randrange(60),
+        rng.choice([0, rng.randrange(10**6)]), tzinfo=_zone(rng),
+    )
+    grid = SlotGrid(hours, days, start)
+    period_us = days * 86_400 * 10**6
+    slot_us = hours * 3600 * 10**6
+    origin = grid.period_start
+
+    def stamp(offset_us):
+        return (origin + timedelta(microseconds=offset_us)).astimezone(_zone(rng))
+
+    readings = []
+    for consumer in rng.sample(["a", "b", "c", "d"], rng.randint(1, 4)):
+        # Disjoint intervals between sorted cut points; neighbours may touch.
+        cuts = sorted(
+            _partition_offset(rng, period_us, slot_us) for _ in range(2 * rng.randint(0, 4))
+        )
+        if cuts and rng.random() < 0.3:
+            cuts[-1] = period_us  # an interval ending exactly at the period end
+        for low, high in zip(cuts[::2], cuts[1::2]):
+            if high > low:
+                readings.append(
+                    MeterReading(consumer, stamp(low), _partition_energy(rng), end=stamp(high))
+                )
+        for _ in range(rng.randint(0, 5)):
+            offset = _partition_offset(rng, period_us, slot_us)
+            for _ in range(rng.choice([1, 1, 2, 3])):  # several readings in one cell
+                readings.append(MeterReading(consumer, stamp(offset), _partition_energy(rng)))
+    rng.shuffle(readings)
+    return grid, readings, period_us, stamp
+
+
+def _partition_error(readings, grid):
+    """The message slot_partition and the oracle raise, as a pair."""
+    with pytest.raises(SimulationError) as engine:
+        slot_partition(readings, grid)
+    with pytest.raises(ValueError) as oracle:
+        desk_partition(readings, grid)
+    return str(engine.value), str(oracle.value)
+
+
+def test_partition_matches_fraction_seconds_oracle():
+    rng = random.Random(20251018)
+    for _ in range(400):
+        grid, readings, _, _ = _random_partition_case(rng)
+        matrix = slot_partition(readings, grid)
+        consumers, usage, observed = desk_partition(readings, grid)
+        assert matrix.consumers == consumers
+        assert matrix.usage == usage
+        assert matrix.observed == observed
+
+
+def test_partition_errors_match_fraction_seconds_oracle():
+    rng = random.Random(20251019)
+    for index in range(120):
+        grid, readings, period_us, stamp = _random_partition_case(rng)
+        kind = index % 4
+        if kind == 0:  # a point reading before the period start
+            bad = MeterReading("z", stamp(-rng.choice([1, rng.randint(1, 10**9)])), 1)
+        elif kind == 1:  # a point reading at or after the period end
+            bad = MeterReading("z", stamp(period_us + rng.choice([0, 1, 10**9])), 1)
+        elif kind == 2:  # an interval that ends after the period end
+            bad = MeterReading(
+                "z", stamp(period_us - rng.randint(1, 10**9)), 1,
+                end=stamp(period_us + rng.choice([1, rng.randint(1, 10**9)])),
+            )
+        else:  # two intervals of one consumer that overlap
+            low = rng.randrange(period_us - 2)
+            high = rng.randint(low + 2, period_us)
+            middle = rng.randint(low + 1, high - 1)
+            readings.append(MeterReading("z", stamp(low), 1, end=stamp(middle + 1)))
+            bad = MeterReading("z", stamp(middle), 1, end=stamp(high))
+        readings.insert(rng.randint(0, len(readings)), bad)
+        engine, oracle = _partition_error(readings, grid)
+        assert engine == oracle
+        assert ("overlapping" in engine) == (kind == 3)
 
 
 # ----------------------------------------------------------------------

@@ -1,3 +1,4 @@
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -137,6 +138,32 @@ def test_price_rejects_negative_usage(kepco):
 def test_price_rejects_float_usage(kepco):
     with pytest.raises(TypeError, match="float"):
         progressive_price(kepco, 2.5)
+
+
+# Each of these is refused before any power of ten is built; handed to
+# Fraction, the first would build 10**100000000 and hang.
+@pytest.mark.parametrize(
+    "value",
+    ["1e100000000", "1E-100000000", " 2.5e+4301 ", "7e4_301", Decimal("1e100000000")],
+)
+def test_exact_rejects_a_huge_decimal_exponent(value):
+    with pytest.raises(ValueError, match="exponent beyond"):
+        exact(value)
+
+
+def test_exact_accepts_the_largest_decimal_exponent():
+    assert exact("1e4300") == 10**4300
+    assert exact("1e-4300") == Fraction(1, 10**4300)
+    assert exact(Decimal("1e-4300")) == Fraction(1, 10**4300)
+
+
+def test_exact_error_clips_a_long_input():
+    with pytest.raises(ValueError) as caught:
+        exact("5" * 5000 + "x")
+    message = str(caught.value)
+    assert message.startswith("not a decimal or p/q number: '5555")
+    assert message.endswith("... (5001 characters)")
+    assert len(message) < 120
 
 
 # ----------------------------------------------------------------------
