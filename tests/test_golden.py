@@ -38,6 +38,14 @@ SHIFTS = {
     "three_consumer_slot_exact": ("c3", "0", "7", "5/6"),
     "two_consumer_month": ("c2", "1", "2", "1.2"),
 }
+# Shift edge cases: trace, extra flags, consumer, from slot, to slot,
+# amount. A shift back into its own slot, a zero amount, and a shift on
+# the 8 h grid into a slot where nobody uses energy.
+SHIFT_EDGES = {
+    "same-slot": ("two_consumer_month", [], "c1", "4", "4", "0.6"),
+    "zero": ("three_consumer_slot", [], "c2", "0", "1", "0"),
+    "two_consumer_month-8h": ("two_consumer_month", ["--slot-hours", "8"], "c2", "3", "4", "5/3"),
+}
 ALLOCATIONS = {
     "published": ["--group", "466.50", "--individual", "312.08,155.50,50.58"],
     "ties": ["--group", "10", "--individual", "1,1,1"],
@@ -66,6 +74,13 @@ def _cases():
             consumer, source, target, amount = SHIFTS[trace]
             cases[f"shift-{trace}-{policy}"] = [
                 "shift", *base, "--consumer", consumer, "--from-slot", source,
+                "--to-slot", target, "--amount", amount, "--policy", policy,
+            ]
+    for name, (trace, flags, consumer, source, target, amount) in SHIFT_EDGES.items():
+        for policy in POLICIES:
+            cases[f"shift-{name}-{policy}"] = [
+                "shift", "--schedule", SCHEDULE, "--trace", f"fixtures/{trace}.csv",
+                *flags, "--consumer", consumer, "--from-slot", source,
                 "--to-slot", target, "--amount", amount, "--policy", policy,
             ]
     for grid, flags in GRIDS.items():
