@@ -8,6 +8,7 @@ half-up to 2 decimals for money, 4 decimals for energy.
 
 from __future__ import annotations
 
+import sys
 from decimal import Decimal
 from fractions import Fraction
 from typing import Iterable, Union
@@ -31,6 +32,28 @@ def _echo(text: str) -> str:
     if len(text) <= _ECHO_CHARS:
         return repr(text)
     return f"{text[:_ECHO_CHARS]!r}... ({len(text)} characters)"
+
+
+def _too_large() -> ValueError:
+    """The error for a value with more digits than Python converts to text.
+
+    ``str(int)`` refuses integers longer than ``sys.int_max_str_digits``.
+    A value accepted by :func:`exact` can still produce one, for example
+    the price of 1e4300 kWh. Raised from ``except ValueError`` around the
+    conversion, so values that print cost no extra check.
+    """
+    return ValueError(
+        "amount too large to display: more than "
+        f"{sys.get_int_max_str_digits()} digits"
+    )
+
+
+def fraction_str(value: Fraction) -> str:
+    """``str(value)``, with a clear error for a value too large to print."""
+    try:
+        return str(value)
+    except ValueError:
+        raise _too_large() from None
 
 
 def _check_exponent(exponent: int, value: str) -> None:
@@ -128,10 +151,13 @@ def format_fixed(value: Fraction, places: int) -> str:
     """Render with exactly *places* decimals, rounding half away from zero."""
     units = _half_up_units(value, places)
     sign = "-" if (value.numerator < 0 and units > 0) else ""
-    if places == 0:
-        return f"{sign}{units}"
-    whole, frac = divmod(units, 10**places)
-    return f"{sign}{whole}.{frac:0{places}d}"
+    try:
+        if places == 0:
+            return f"{sign}{units}"
+        whole, frac = divmod(units, 10**places)
+        return f"{sign}{whole}.{frac:0{places}d}"
+    except ValueError:
+        raise _too_large() from None
 
 
 def format_money(value: ExactLike) -> str:
@@ -170,13 +196,16 @@ def exact_str(value: Fraction) -> str:
     while den % 5 == 0:
         den //= 5
         fives += 1
-    if den != 1:
-        return f"{value.numerator}/{value.denominator}"
     places = max(twos, fives)
-    if places == 0:
-        return str(value.numerator)
-    quantum = 10**places
-    units = value.numerator * (quantum // value.denominator)
-    sign = "-" if units < 0 else ""
-    whole, frac = divmod(abs(units), quantum)
-    return f"{sign}{whole}.{frac:0{places}d}"
+    try:
+        if den != 1:
+            return f"{value.numerator}/{value.denominator}"
+        if places == 0:
+            return str(value.numerator)
+        quantum = 10**places
+        units = value.numerator * (quantum // value.denominator)
+        sign = "-" if units < 0 else ""
+        whole, frac = divmod(abs(units), quantum)
+        return f"{sign}{whole}.{frac:0{places}d}"
+    except ValueError:
+        raise _too_large() from None

@@ -12,7 +12,7 @@ import argparse
 import sys
 from datetime import timezone
 
-from .amounts import exact, format_money
+from .amounts import exact, format_money, fraction_str
 from .errors import BillingError, InternalCheckError
 from .fileio import (
     allocation_to_dict,
@@ -165,7 +165,7 @@ def _cmd_bill(args) -> int:
             "breakdown": [
                 {
                     "tier": number,
-                    "energy_kwh": str(span),
+                    "energy_kwh": fraction_str(span),
                     "charge": format_money(charge),
                 }
                 for number, span, charge in rows

@@ -41,6 +41,7 @@ from .grouping import AllocationPolicy, allocate_units
 from .tariff import (
     HOURS_PER_DAY,
     TariffSchedule,
+    TierTable,
     progressive_price,
     scale_schedule,
     slot_factor,
@@ -48,6 +49,8 @@ from .tariff import (
 
 
 def _require_utc(stamp: datetime, label: str) -> datetime:
+    if stamp.tzinfo is timezone.utc:
+        return stamp
     if stamp.tzinfo is None or stamp.utcoffset() is None:
         raise ValueError(f"{label} must be timezone-aware")
     return stamp.astimezone(timezone.utc)
@@ -433,13 +436,17 @@ def _slot_columns(matrix: SlotUsageMatrix):
     return zip(*matrix.usage) if matrix.usage else [()] * matrix.slots
 
 
+def _load_metrics(loads: tuple[Fraction, ...], mean: Fraction) -> DemandMetrics:
+    """Peak and peak-to-average ratio of slot loads whose mean is known."""
+    peak = max(loads)
+    par = None if mean == 0 else peak / mean
+    return DemandMetrics(slot_loads=loads, peak=peak, mean=mean, par=par)
+
+
 def demand_metrics(matrix: SlotUsageMatrix) -> DemandMetrics:
     """Aggregate slot loads and the peak-to-average ratio."""
     loads = tuple(exact_sum(cells) for cells in _slot_columns(matrix))
-    peak = max(loads)
-    mean = sum(loads, Fraction(0)) / len(loads)
-    par = None if mean == 0 else peak / mean
-    return DemandMetrics(slot_loads=loads, peak=peak, mean=mean, par=par)
+    return _load_metrics(loads, sum(loads, Fraction(0)) / len(loads))
 
 
 def _check_grid(matrix: SlotUsageMatrix, schedule: TariffSchedule, grid: SlotGrid):
@@ -460,12 +467,19 @@ def _zero_filled(matrix: SlotUsageMatrix) -> Optional[int]:
     return matrix.slots * len(matrix.consumers) - len(matrix.observed)
 
 
+# One slot column on its own quantum: (quantum, pooled units, price
+# numerators, their denominator). Cell i is units_i / quantum kWh, the
+# column's pooled usage is pooled / quantum kWh, and consumer i's price
+# on the slot schedule is numerators[i] / denominator.
+_Column = tuple[int, int, list[int], int]
+
+
 class _Billing:
     """One usage matrix billed under one schedule on one grid.
 
     Each piece is computed at most once and shared by every scheme that
-    reads it: the demand metrics, the slot schedule, the cells of every
-    slot column as integers on one quantum, and the price of every cell.
+    reads it: the demand metrics, the slot schedule and its group-widened
+    form, and every slot column with the price of each of its cells.
     """
 
     def __init__(self, matrix: SlotUsageMatrix, schedule: TariffSchedule, grid: SlotGrid):
@@ -473,6 +487,7 @@ class _Billing:
         self.matrix = matrix
         self.schedule = schedule
         self.grid = grid
+        self.progressive = schedule.is_progressive
         self.demand = demand_metrics(matrix)
 
     @cached_property
@@ -480,25 +495,65 @@ class _Billing:
         return scale_schedule(self.schedule, self.grid.factor)
 
     @cached_property
-    def columns(self) -> list[tuple[int, tuple[int, ...]]]:
-        """Per slot: (quantum, units), where cell i is ``units[i] / quantum`` kWh.
+    def group_table(self) -> TierTable:
+        """The slot schedule widened by the group size, compiled."""
+        return scale_schedule(self.slot_schedule, len(self.matrix.consumers)).table
+
+    def price_column(self, cells: Sequence[Fraction]) -> _Column:
+        """Put one slot column's cells on one quantum and price each alone.
 
         The quantum is the lcm of the column's denominators. Each column
         picks its own: one lcm over a whole matrix of unrelated
         denominators would make every integer in it huge.
         """
-        columns = []
-        for cells in _slot_columns(self.matrix):
-            quantum = math.lcm(*(cell.denominator for cell in cells))
-            units = tuple(cell.numerator * (quantum // cell.denominator) for cell in cells)
-            columns.append((quantum, units))
-        return columns
+        quantum = math.lcm(*(cell.denominator for cell in cells))
+        units = [cell.numerator * (quantum // cell.denominator) for cell in cells]
+        numerators, denominator = self.slot_schedule.table.prices(units, quantum)
+        return quantum, sum(units), numerators, denominator
 
     @cached_property
-    def cell_prices(self) -> list[tuple[list[int], int]]:
-        """Per slot: every consumer's price numerator, and their denominator."""
-        table = self.slot_schedule.table
-        return [table.prices(units, quantum) for quantum, units in self.columns]
+    def columns(self) -> list[_Column]:
+        """Every slot column of the matrix, priced."""
+        return [self.price_column(cells) for cells in _slot_columns(self.matrix)]
+
+    def bill_slot(
+        self, slot: int, column: _Column, policy: AllocationPolicy
+    ) -> tuple[list[int], int, int]:
+        """Collective price of one priced slot column, allocated.
+
+        Returns every consumer's share in minor units, and the collective
+        price as a numerator and a denominator. For a progressive schedule
+        the collective price is checked against the sum of the individual
+        prices.
+        """
+        quantum, pooled, numerators, denominator = column
+        (group_num,), group_den = self.group_table.prices((pooled,), quantum)
+        if self.progressive and group_num * denominator > sum(numerators) * group_den:
+            raise InternalCheckError(
+                f"slot {slot}: collective price {Fraction(group_num, group_den)} "
+                "exceeds the sum of individual prices"
+            )
+        shares, _ = allocate_units(
+            group_num, group_den, numerators, self.matrix.consumers, policy
+        )
+        return shares, group_num, group_den
+
+    def allocated(
+        self, policy: AllocationPolicy
+    ) -> tuple[list[list[int]], list[Fraction]]:
+        """Allocated shares and collective prices of every slot.
+
+        Returns the shares in minor units, one row per consumer with one
+        entry per slot, and the collective price of every slot.
+        """
+        rows: list[list[int]] = [[] for _ in self.matrix.consumers]
+        prices = []
+        for slot, column in enumerate(self.columns):
+            shares, group_num, group_den = self.bill_slot(slot, column, policy)
+            prices.append(Fraction(group_num, group_den))
+            for row, share in zip(rows, shares):
+                row.append(share)
+        return rows, prices
 
     def _monthly(self) -> dict[str, Fraction]:
         matrix = self.matrix
@@ -509,7 +564,7 @@ class _Billing:
 
     def _slotted(self) -> dict[str, tuple[Fraction, ...]]:
         rows: list[list[Fraction]] = [[] for _ in self.matrix.consumers]
-        for numerators, denominator in self.cell_prices:
+        for _, _, numerators, denominator in self.columns:
             for row, numerator in zip(rows, numerators):
                 row.append(Fraction(numerator, denominator))
         return {consumer: tuple(row) for consumer, row in zip(self.matrix.consumers, rows)}
@@ -521,22 +576,7 @@ class _Billing:
         consumers = self.matrix.consumers
         if not consumers:
             return {}, (Fraction(0),) * self.matrix.slots
-        widened_table = scale_schedule(self.slot_schedule, len(consumers)).table
-        progressive = self.schedule.is_progressive
-        rows: list[list[int]] = [[] for _ in consumers]
-        prices = []
-        columns = zip(self.columns, self.cell_prices)
-        for slot, ((quantum, units), (numerators, denominator)) in enumerate(columns):
-            (group_num,), group_den = widened_table.prices((sum(units),), quantum)
-            if progressive and group_num * denominator > sum(numerators) * group_den:
-                raise InternalCheckError(
-                    f"slot {slot}: collective price {Fraction(group_num, group_den)} "
-                    "exceeds the sum of individual prices"
-                )
-            shares, _ = allocate_units(group_num, group_den, numerators, consumers, policy)
-            prices.append(Fraction(group_num, group_den))
-            for row, share in zip(rows, shares):
-                row.append(share)
+        rows, prices = self.allocated(policy)
         minor = 10**MONEY_PLACES
         charges = {
             consumer: tuple(Fraction(share, minor) for share in row)
@@ -648,35 +688,58 @@ def what_if_shift(
     amount: ExactLike,
     policy: AllocationPolicy | str = AllocationPolicy.EXACT_SUM,
 ) -> ShiftReport:
-    """Evaluate one hypothetical shift without touching the input matrix."""
+    """Evaluate one hypothetical shift without touching the input matrix.
+
+    The input matrix is billed once. A shift changes only the columns of
+    its two slots, so only those columns of the shifted matrix are
+    priced and allocated again, and every "after" figure is the "before"
+    figure plus the change on them: allocated shares in integer minor
+    units, individual prices as exact rationals.
+    """
     moved = energy_amount(amount)
     shifted = matrix.with_shift(consumer, from_slot, to_slot, moved)
     policy = AllocationPolicy(policy)
-    reports = []
-    # One side at a time, so the first billing's tables are freed before
-    # the second's are computed.
-    for billed in (matrix, shifted):
-        billing = _Billing(billed, schedule, grid)
-        group = billing.report(SchemeKind.SLOTTED_GROUP, policy)
-        reports.append((group, billing.report(SchemeKind.SLOTTED_INDIVIDUAL)))
-    (group_before, solo_before), (group_after, solo_after) = reports
+    billing = _Billing(matrix, schedule, grid)
+    rows, _ = billing.allocated(policy)
+    index = matrix.consumers.index(consumer)
+    own = rows[index]
 
+    def solo(column: _Column) -> Fraction:
+        _, _, numerators, denominator = column
+        return Fraction(numerators[index], denominator)
+
+    allocated_before = sum(own)
+    group_before = sum(map(sum, rows))
+    individual_before = exact_sum(solo(column) for column in billing.columns)
+    allocated_after, group_after = allocated_before, group_before
+    individual_after = individual_before
+    for slot in sorted({from_slot, to_slot}):
+        column = billing.price_column([row[slot] for row in shifted.usage])
+        shares, _, _ = billing.bill_slot(slot, column, policy)
+        allocated_after += shares[index] - own[slot]
+        group_after += sum(shares) - sum(row[slot] for row in rows)
+        individual_after += solo(column) - solo(billing.columns[slot])
+
+    demand = billing.demand
+    loads = list(demand.slot_loads)
+    loads[from_slot] -= moved
+    loads[to_slot] += moved
+    par_after = _load_metrics(tuple(loads), demand.mean).par
+    minor = 10**MONEY_PLACES
     return ShiftReport(
         consumer=consumer,
         from_slot=from_slot,
         to_slot=to_slot,
         amount=moved,
-        allocated_before=group_before.billed_totals[consumer],
-        allocated_after=group_after.billed_totals[consumer],
-        allocated_delta=group_after.billed_totals[consumer]
-        - group_before.billed_totals[consumer],
-        individual_before=solo_before.consumer_totals[consumer],
-        individual_after=solo_after.consumer_totals[consumer],
-        individual_delta=solo_after.consumer_totals[consumer]
-        - solo_before.consumer_totals[consumer],
-        group_billed_before=group_before.aggregate_billed,
-        group_billed_after=group_after.aggregate_billed,
-        group_billed_delta=group_after.aggregate_billed - group_before.aggregate_billed,
-        par_before=group_before.demand.par,
-        par_after=group_after.demand.par,
+        allocated_before=Fraction(allocated_before, minor),
+        allocated_after=Fraction(allocated_after, minor),
+        allocated_delta=Fraction(allocated_after - allocated_before, minor),
+        individual_before=individual_before,
+        individual_after=individual_after,
+        individual_delta=individual_after - individual_before,
+        group_billed_before=Fraction(group_before, minor),
+        group_billed_after=Fraction(group_after, minor),
+        group_billed_delta=Fraction(group_after - group_before, minor),
+        par_before=demand.par,
+        par_after=par_after,
     )

@@ -6,12 +6,23 @@ the price oracle walks one minimal energy quantum at a time, the desk
 calculator prices via the cumulative clip formula, and the remainder
 allocator repeatedly scans for the largest remainder instead of sorting
 once. The partition oracle measures time in Fraction seconds, where the
-package counts integer microseconds. If the package and these agree,
-both routes would have to be wrong in the same way.
+package counts integer microseconds. The shift oracle bills both whole
+matrices, where the package reprices only the two changed columns. If
+the package and these agree, both routes would have to be wrong in the
+same way.
 """
 
 import math
 from fractions import Fraction
+
+from progtariff import (
+    AllocationPolicy,
+    SchemeKind,
+    ShiftReport,
+    demand_metrics,
+    energy_amount,
+    run_scheme,
+)
 
 MINOR = 100  # minor currency units per whole unit
 
@@ -179,3 +190,45 @@ def desk_partition(readings, grid):
         for consumer in consumers
     )
     return tuple(consumers), usage, observed
+
+
+def desk_shift(matrix, schedule, grid, consumer, from_slot, to_slot, amount,
+               policy="exact-sum"):
+    """A what-if shift priced on both whole matrices.
+
+    Bills the input matrix and the shifted one under the slotted-group
+    and slotted-individual schemes, and takes each one's demand metrics,
+    then reads the consumer's figures off the four reports. Raises the
+    same errors as the engine, in the same order: the amount, then the
+    shift itself, then the policy, then the grid.
+    """
+    moved = energy_amount(amount)
+    shifted = matrix.with_shift(consumer, from_slot, to_slot, moved)
+    policy = AllocationPolicy(policy)
+    sides = []
+    for billed in (matrix, shifted):
+        group = run_scheme(billed, schedule, grid, SchemeKind.SLOTTED_GROUP, policy)
+        solo = run_scheme(billed, schedule, grid, SchemeKind.SLOTTED_INDIVIDUAL)
+        sides.append((group, solo, demand_metrics(billed)))
+    (group_before, solo_before, demand_before), (group_after, solo_after, demand_after) = sides
+    allocated_before = group_before.billed_totals[consumer]
+    allocated_after = group_after.billed_totals[consumer]
+    individual_before = solo_before.consumer_totals[consumer]
+    individual_after = solo_after.consumer_totals[consumer]
+    return ShiftReport(
+        consumer=consumer,
+        from_slot=from_slot,
+        to_slot=to_slot,
+        amount=moved,
+        allocated_before=allocated_before,
+        allocated_after=allocated_after,
+        allocated_delta=allocated_after - allocated_before,
+        individual_before=individual_before,
+        individual_after=individual_after,
+        individual_delta=individual_after - individual_before,
+        group_billed_before=group_before.aggregate_billed,
+        group_billed_after=group_after.aggregate_billed,
+        group_billed_delta=group_after.aggregate_billed - group_before.aggregate_billed,
+        par_before=demand_before.par,
+        par_after=demand_after.par,
+    )

@@ -191,6 +191,23 @@ def test_huge_exponent_in_trace_is_reported_with_line(capsys, tmp_path):
     assert "huge.csv:3: decimal exponent beyond" in err
 
 
+def test_value_too_large_to_display_is_input_error(capsys, tmp_path):
+    # 1e4300 is accepted, but its price has more digits than Python
+    # converts to text. A free schedule prices it at 0, so only the
+    # tier's energy is too large.
+    free = tmp_path / "free.json"
+    free.write_text('{"currency": "KRW", "tiers": [{"upper_kwh": null, "rate": "0"}]}')
+    limit = "amount too large to display: more than 4300 digits"
+    for schedule in (SCHEDULE, str(free)):
+        for extra in ([], ["--json"]):
+            status, out, err = run(
+                capsys, "bill", "--schedule", schedule, "--usage", "1e4300", *extra
+            )
+            assert (status, out, err) == (1, "", f"error: {limit}\n")
+    status, out, _ = run(capsys, "bill", "--schedule", SCHEDULE, "--usage", "1e1000")
+    assert status == 0 and len(out.splitlines()[0]) == 1006
+
+
 def test_empty_trace_needs_period_start(capsys, tmp_path):
     trace = tmp_path / "empty.csv"
     trace.write_text("consumer_id,interval_start,energy_kwh\n")

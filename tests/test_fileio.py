@@ -255,6 +255,26 @@ def test_exact_str_roundtrip():
     assert exact_str(Fraction(30)) == "30"
 
 
+@pytest.mark.parametrize(
+    "value",
+    [
+        Fraction(10**4400),
+        Fraction(-(10**4400), 8),
+        Fraction(10**4400, 3),
+        Fraction(1, 3 * 10**4400),
+    ],
+)
+def test_values_too_large_to_display_say_so(value):
+    from progtariff.amounts import format_fixed, fraction_str
+
+    renderers = [exact_str, fraction_str]
+    if abs(value) > 1:
+        renderers += [lambda v: format_fixed(v, 0), lambda v: format_fixed(v, 4)]
+    for render in renderers:
+        with pytest.raises(ValueError, match=r"^amount too large to display: more than 4300 digits$"):
+            render(value)
+
+
 def test_render_group_result(kepco_slot, slot_usages):
     from progtariff import group_saving
     from progtariff.fileio import render_group_result

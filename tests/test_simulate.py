@@ -20,8 +20,8 @@ from progtariff import (
     what_if_shift,
 )
 
-from conftest import FIXTURES, make_schedule
-from oracles import desk_partition, desk_schemes
+from conftest import FIXTURES, KEPCO_TIERS, make_schedule
+from oracles import desk_partition, desk_schemes, desk_shift
 
 UTC = timezone.utc
 
@@ -54,6 +54,19 @@ def test_partition_single_point_reading(month_grid):
     assert matrix.usage[0][0] == Fraction(5, 6)
     assert matrix.total() == Fraction(5, 6)
     assert matrix.observed == {("a", 0)}
+    # A UTC stamp is kept as it is, an offset stamp is converted to UTC,
+    # and a naive stamp is refused.
+    stamp = ts(hour=7)
+    assert MeterReading("a", stamp, 1).start is stamp
+    tokyo = datetime(2025, 1, 1, 16, tzinfo=timezone(timedelta(hours=9)))
+    reading = MeterReading("a", tokyo, 1, end=tokyo + timedelta(hours=1))
+    assert (reading.start, reading.end) == (stamp, ts(hour=8))
+    assert reading.start.tzinfo is UTC and reading.end.tzinfo is UTC
+    naive = datetime(2025, 1, 1, 7)
+    with pytest.raises(ValueError, match="reading start must be timezone-aware"):
+        MeterReading("a", naive, 1)
+    with pytest.raises(ValueError, match="reading end must be timezone-aware"):
+        MeterReading("a", stamp, 1, end=naive)
 
 
 def test_partition_point_reading_lands_in_its_slot(month_grid):
@@ -504,6 +517,110 @@ def test_shift_rejects_bad_arguments(kepco, month_grid, month_matrix):
         what_if_shift(month_matrix, kepco, month_grid, "c2", 2, 0, 1)
     with pytest.raises(SimulationError, match="unknown consumer"):
         what_if_shift(month_matrix, kepco, month_grid, "zz", 0, 1, 0)
+
+
+def _shift_schedule(rng, days):
+    """KEPCO, a random convex schedule, or one with a falling rate, all
+    quoted for *days* days."""
+    kind = rng.choice(["kepco", "kepco", "random", "falling"])
+    if kind == "kepco":
+        return make_schedule(KEPCO_TIERS, base_days=days)
+    if kind == "falling":
+        return make_schedule(
+            [(50, "100"), (150, "20"), (None, "1")],
+            base_days=days,
+            allow_rate_decrease=True,
+        )
+    tiers, bound, rate = [], Fraction(0), Fraction(rng.randint(0, 90), rng.randint(1, 7))
+    for _ in range(rng.randint(0, 4)):
+        bound += Fraction(rng.randint(1, 150), rng.randint(1, 9))
+        tiers.append((bound, rate))
+        rate += Fraction(rng.randint(0, 300), rng.randint(1, 9))
+    return make_schedule([*tiers, (None, rate)], base_days=days)
+
+
+def _shift_cell(rng, scale):
+    """A slot cell up to about six first-tier slot bounds: zero, p/q or
+    three decimals."""
+    style = rng.random()
+    if style < 0.2:
+        return Fraction(0)
+    den = rng.randint(1, 60) if style < 0.6 else 1000
+    return Fraction(rng.randint(0, math.ceil(6 * scale * den)), den)
+
+
+def _random_shift_case(rng, kind):
+    slot_hours = rng.choice([1, 6, 8, 24])
+    days = rng.randint(1, 3 if slot_hours == 1 else 5)
+    grid = SlotGrid(Fraction(slot_hours), days, ts())
+    slots = grid.slot_count
+    # About the KEPCO first-tier bound of one slot.
+    scale = Fraction(100 * slot_hours, 24 * days)
+    ids = rng.sample([f"m{i:02d}" for i in range(20)], rng.randint(1, 8))
+    rows = {c: [_shift_cell(rng, scale) for _ in range(slots)] for c in ids}
+    for slot in rng.sample(range(slots), rng.randint(0, slots // 3)):
+        for row in rows.values():
+            row[slot] = Fraction(0)
+    consumer = rng.choice(ids)
+    from_slot = rng.randrange(slots)
+    to_slot = from_slot if kind == "same" else rng.randrange(slots)
+    if kind == "idle":
+        # Nobody but the mover uses energy in the target slot.
+        for other, row in rows.items():
+            if other != consumer:
+                row[to_slot] = Fraction(0)
+    if kind in ("random", "idle") and rows[consumer][from_slot] == 0:
+        rows[consumer][from_slot] = Fraction(rng.randint(1, 5000), 1000)
+    available = rows[consumer][from_slot]
+    if kind == "zero":
+        amount = Fraction(0)
+    elif kind == "whole":
+        amount = available
+    else:
+        amount = available * Fraction(rng.randint(0, 1000), 1000)
+    matrix = SlotUsageMatrix.from_rows(rows)
+    policy = rng.choice(["exact-sum", "independent"])
+    schedule = _shift_schedule(rng, days)
+    return matrix, schedule, grid, consumer, from_slot, to_slot, amount, policy
+
+
+def test_shift_matches_whole_matrix_oracle():
+    rng = random.Random(44)
+    kinds = ["random", "random", "same", "zero", "whole", "idle"]
+    for case in range(330):
+        args = _random_shift_case(rng, kinds[case % len(kinds)])
+        *rest, policy = args
+        assert what_if_shift(*rest, policy=policy) == desk_shift(*args), case
+
+
+def _shift_error(shift, args):
+    *rest, policy = args
+    with pytest.raises(Exception) as caught:
+        shift(*rest, policy=policy)
+    return type(caught.value), str(caught.value)
+
+
+def test_shift_errors_match_whole_matrix_oracle():
+    rng = random.Random(45)
+    for case in range(90):
+        matrix, schedule, grid, consumer, from_slot, to_slot, _, policy = (
+            _random_shift_case(rng, "random")
+        )
+        fault = case % 3
+        amount = matrix.row(consumer)[from_slot] + Fraction(1, rng.randint(1, 1000))
+        if fault == 1:
+            amount = Fraction(0)
+            bad = rng.choice([-1, matrix.slots, matrix.slots + 7])
+            from_slot, to_slot = rng.choice([(bad, to_slot), (from_slot, bad)])
+        elif fault == 2:
+            consumer = "nobody"
+        if rng.random() < 0.3:
+            # A grid mismatch must not mask the shift's own error.
+            schedule = make_schedule(KEPCO_TIERS, base_days=grid.period_days + 1)
+        args = (matrix, schedule, grid, consumer, from_slot, to_slot, amount, policy)
+        error = _shift_error(what_if_shift, args)
+        assert error == _shift_error(desk_shift, args), case
+        assert error[0] is SimulationError
 
 
 # ----------------------------------------------------------------------
