@@ -8,9 +8,11 @@ half-up to 2 decimals for money, 4 decimals for energy.
 
 from __future__ import annotations
 
+import math
 import sys
 from decimal import Decimal
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Union
 
 ExactLike = Union[int, str, Fraction, Decimal]
@@ -34,7 +36,7 @@ def _echo(text: str) -> str:
     return f"{text[:_ECHO_CHARS]!r}... ({len(text)} characters)"
 
 
-def _too_large() -> ValueError:
+def too_large_error() -> ValueError:
     """The error for a value with more digits than Python converts to text.
 
     ``str(int)`` refuses integers longer than ``sys.int_max_str_digits``.
@@ -53,7 +55,7 @@ def fraction_str(value: Fraction) -> str:
     try:
         return str(value)
     except ValueError:
-        raise _too_large() from None
+        raise too_large_error() from None
 
 
 def _check_exponent(exponent: int, value: str) -> None:
@@ -130,15 +132,14 @@ def scale_value(value: ExactLike) -> Fraction:
     return factor
 
 
-def _half_up_units(value: Fraction, places: int) -> int:
-    """|value| in units of 10**-places, rounded half up, on integers alone."""
-    den = value.denominator
-    return (2 * abs(value.numerator) * 10**places + den) // (2 * den)
+def _half_up_units(num: int, den: int, places: int) -> int:
+    """|num/den| (den > 0) in units of 10**-places, rounded half up."""
+    return (2 * abs(num) * 10**places + den) // (2 * den)
 
 
 def round_half_up(value: Fraction, places: int = MONEY_PLACES) -> Fraction:
     """Round to *places* decimals, halves away from zero, still exact."""
-    units = _half_up_units(value, places)
+    units = _half_up_units(value.numerator, value.denominator, places)
     return Fraction(-units if value.numerator < 0 else units, 10**places)
 
 
@@ -147,17 +148,78 @@ def round_money(value: ExactLike) -> Fraction:
     return round_half_up(exact(value), MONEY_PLACES)
 
 
-def format_fixed(value: Fraction, places: int) -> str:
-    """Render with exactly *places* decimals, rounding half away from zero."""
-    units = _half_up_units(value, places)
-    sign = "-" if (value.numerator < 0 and units > 0) else ""
+def fixed_text(num: int, den: int, places: int) -> str:
+    """``num/den`` with exactly *places* decimals, rounding half away from zero.
+
+    ``den`` must be positive; the ratio need not be in lowest terms, so a
+    report can render integer numerators over a shared denominator
+    without building a Fraction per value.
+    """
+    units = _half_up_units(num, den, places)
+    sign = "-" if (num < 0 and units > 0) else ""
     try:
         if places == 0:
             return f"{sign}{units}"
         whole, frac = divmod(units, 10**places)
-        return f"{sign}{whole}.{frac:0{places}d}"
+        return f"{sign}{whole}.{str(frac).zfill(places)}"
     except ValueError:
-        raise _too_large() from None
+        raise too_large_error() from None
+
+
+@lru_cache(maxsize=256)
+def _decimal_form(den: int) -> tuple[int, int]:
+    """Split ``den`` > 0 into its part prime to 10 and the decimal places
+    its 2s and 5s ask for.
+
+    Cached: a report's charges share a few denominators, so each is
+    factored once rather than once per charge.
+    """
+    rest = den
+    twos = 0
+    while rest % 2 == 0:
+        rest //= 2
+        twos += 1
+    fives = 0
+    while rest % 5 == 0:
+        rest //= 5
+        fives += 1
+    return rest, max(twos, fives)
+
+
+def exact_text(num: int, den: int) -> str:
+    """Lossless text of ``num/den``: a terminating decimal when one exists,
+    else ``p/q`` in lowest terms.
+
+    ``den`` must be positive and the ratio need not be in lowest terms:
+    the text depends only on the value. The ratio terminates exactly when
+    the part of ``den`` prime to 10 divides ``num``, so a terminating
+    value is rendered without a gcd.
+    """
+    rest, places = _decimal_form(den)
+    try:
+        if num % rest:
+            common = math.gcd(num, den)
+            return f"{num // common}/{den // common}"
+        quantum = 10**places
+        units = num * quantum // den
+        sign = "-" if units < 0 else ""
+        whole, frac = divmod(abs(units), quantum)
+        # An unreduced den can ask for more places than the value needs;
+        # those trailing zeros go, and with them the point of an integer.
+        digits = str(frac).zfill(places).rstrip("0")
+        return f"{sign}{whole}.{digits}" if digits else f"{sign}{whole}"
+    except ValueError:
+        # Unneeded places can exceed the digit limit where the value's own
+        # do not: retry in lowest terms before giving up.
+        common = math.gcd(num, den)
+        if common > 1:
+            return exact_text(num // common, den // common)
+        raise too_large_error() from None
+
+
+def format_fixed(value: Fraction, places: int) -> str:
+    """Render with exactly *places* decimals, rounding half away from zero."""
+    return fixed_text(value.numerator, value.denominator, places)
 
 
 def format_money(value: ExactLike) -> str:
@@ -187,25 +249,4 @@ def exact_str(value: Fraction) -> str:
 
     Round-trips through :func:`exact` for every rational.
     """
-    den = value.denominator
-    twos = 0
-    while den % 2 == 0:
-        den //= 2
-        twos += 1
-    fives = 0
-    while den % 5 == 0:
-        den //= 5
-        fives += 1
-    places = max(twos, fives)
-    try:
-        if den != 1:
-            return f"{value.numerator}/{value.denominator}"
-        if places == 0:
-            return str(value.numerator)
-        quantum = 10**places
-        units = value.numerator * (quantum // value.denominator)
-        sign = "-" if units < 0 else ""
-        whole, frac = divmod(abs(units), quantum)
-        return f"{sign}{whole}.{frac:0{places}d}"
-    except ValueError:
-        raise _too_large() from None
+    return exact_text(value.numerator, value.denominator)

@@ -30,11 +30,15 @@ from pathlib import Path
 from typing import Optional, Union
 
 from .amounts import (
+    MONEY_PLACES,
     energy_amount,
     exact_str,
+    exact_text,
+    fixed_text,
     format_energy,
     format_fixed,
     format_money,
+    too_large_error,
 )
 from .errors import ScheduleError, TraceError
 from .grouping import AllocationResult, GroupPricingResult
@@ -135,9 +139,7 @@ def schedule_to_dict(schedule: TariffSchedule, precision: int = 6) -> dict:
 
 def emit_schedule(schedule: TariffSchedule, path: PathLike, precision: int = 6):
     Path(path).write_text(
-        json.dumps(schedule_to_dict(schedule, precision), indent=2, sort_keys=True)
-        + "\n",
-        encoding="utf-8",
+        to_json(schedule_to_dict(schedule, precision)), encoding="utf-8"
     )
 
 
@@ -238,6 +240,9 @@ def demand_dict(report: BillingReport) -> dict:
 
 
 def report_to_dict(report: BillingReport) -> dict:
+    # Rendered from the integers: reading slot_charges would build a
+    # Fraction per cell.
+    dens = report.slot_denominators
     consumers = []
     for consumer in report.consumers:
         entry: dict = {"id": consumer}
@@ -245,13 +250,12 @@ def report_to_dict(report: BillingReport) -> dict:
             "billed": format_money(report.billed_totals[consumer]),
             "exact": exact_str(report.consumer_totals[consumer]),
         }
-        if report.slot_charges is not None:
+        if report.slot_numerators is not None:
+            row = report.slot_numerators[consumer]
             entry["slot_charges"] = [
-                format_money(charge) for charge in report.slot_charges[consumer]
+                fixed_text(num, den, MONEY_PLACES) for num, den in zip(row, dens)
             ]
-            entry["slot_charges_exact"] = [
-                exact_str(charge) for charge in report.slot_charges[consumer]
-            ]
+            entry["slot_charges_exact"] = list(map(exact_text, row, dens))
         consumers.append(entry)
     out = {
         "scheme": report.scheme.value,
@@ -361,7 +365,13 @@ def allocation_to_dict(result: AllocationResult) -> dict:
 
 
 def to_json(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    try:
+        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    except ValueError:
+        # A payload holds only dicts, lists, strings, ints, bools and None,
+        # so the one ValueError left is an int with more digits than
+        # Python converts to text, such as a whole 1e4300 tier bound.
+        raise too_large_error() from None
 
 
 # ----------------------------------------------------------------------

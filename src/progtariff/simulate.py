@@ -252,11 +252,20 @@ class BillingReport:
 
     ``consumer_totals`` are exact sums of the consumer's slot charges;
     ``billed_totals`` round each total to minor units, and
-    ``aggregate_billed`` sums the rounded bills. ``slot_charges`` is None
-    for the monthly scheme, which has no per-slot structure. For the
-    group scheme ``group_slot_prices`` holds the exact collective price
-    of every slot (before allocation) and ``policy`` names the
-    allocation policy used.
+    ``aggregate_billed`` sums the rounded bills. For the group scheme
+    ``group_slot_prices`` holds the exact collective price of every slot
+    (before allocation) and ``policy`` names the allocation policy used.
+
+    Slot charges are kept as the integers the billing run computed them
+    on: ``slot_numerators`` holds one row of numerators per consumer and
+    ``slot_denominators`` one denominator per slot, so the charge of
+    consumer ``c`` in slot ``s`` is ``slot_numerators[c][s] /
+    slot_denominators[s]``, not necessarily in lowest terms. Under
+    ``slotted-individual`` a slot's denominator is its column's price
+    denominator; under ``slotted-group`` it is ``10**MONEY_PLACES``, and
+    the numerators are allocated shares in minor units. ``slot_charges``
+    is derived from them as Fractions on first read. All three are None
+    for the monthly scheme, which has no per-slot structure.
 
     Under ``slotted-group`` each slot charge is the consumer's allocated
     share of that slot's collective price, already rounded to minor
@@ -270,7 +279,8 @@ class BillingReport:
     currency: str
     grid: SlotGrid
     consumers: tuple[str, ...]
-    slot_charges: Optional[dict[str, tuple[Fraction, ...]]]
+    slot_numerators: Optional[dict[str, tuple[int, ...]]]
+    slot_denominators: Optional[tuple[int, ...]]
     consumer_totals: dict[str, Fraction]
     billed_totals: dict[str, Fraction]
     aggregate_billed: Fraction
@@ -279,6 +289,17 @@ class BillingReport:
     policy: Optional[AllocationPolicy]
     demand: DemandMetrics
     zero_filled: Optional[int]
+
+    @cached_property
+    def slot_charges(self) -> Optional[dict[str, tuple[Fraction, ...]]]:
+        """Every consumer's exact charge in every slot."""
+        if self.slot_numerators is None:
+            return None
+        dens = self.slot_denominators
+        return {
+            consumer: tuple(map(Fraction, row, dens))
+            for consumer, row in self.slot_numerators.items()
+        }
 
 
 @dataclass(frozen=True)
@@ -473,6 +494,9 @@ def _zero_filled(matrix: SlotUsageMatrix) -> Optional[int]:
 # on the slot schedule is numerators[i] / denominator.
 _Column = tuple[int, int, list[int], int]
 
+# A report's slot charge numerators, one row per consumer.
+_Numerators = dict[str, tuple[int, ...]]
+
 
 class _Billing:
     """One usage matrix billed under one schedule on one grid.
@@ -562,50 +586,66 @@ class _Billing:
             for consumer, row in zip(matrix.consumers, matrix.usage)
         }
 
-    def _slotted(self) -> dict[str, tuple[Fraction, ...]]:
-        rows: list[list[Fraction]] = [[] for _ in self.matrix.consumers]
-        for _, _, numerators, denominator in self.columns:
-            for row, numerator in zip(rows, numerators):
-                row.append(Fraction(numerator, denominator))
-        return {consumer: tuple(row) for consumer, row in zip(self.matrix.consumers, rows)}
+    def _slotted(self) -> tuple[_Numerators, tuple[int, ...], list[Fraction]]:
+        """Individual slot prices as rows of numerators over one denominator
+        per slot, and every consumer's exact total.
+
+        Columns that share a denominator are summed as integers first, so
+        a total costs one Fraction per distinct denominator.
+        """
+        columns = self.columns
+        rows = zip(*(numerators for _, _, numerators, _ in columns))
+        groups: dict[int, list[list[int]]] = {}
+        for _, _, numerators, denominator in columns:
+            groups.setdefault(denominator, []).append(numerators)
+        shared = list(groups)
+        sums = zip(*(map(sum, zip(*group)) for group in groups.values()))
+        totals = [exact_sum(map(Fraction, row, shared)) for row in sums]
+        return (
+            dict(zip(self.matrix.consumers, rows)),
+            tuple(column[3] for column in columns),
+            totals,
+        )
 
     def _grouped(
         self, policy: AllocationPolicy
-    ) -> tuple[dict[str, tuple[Fraction, ...]], tuple[Fraction, ...]]:
-        """Allocated slot charges and the collective price of every slot."""
+    ) -> tuple[_Numerators, tuple[int, ...], list[Fraction], tuple[Fraction, ...]]:
+        """Allocated shares as rows of minor units, their denominators,
+        every consumer's total, and the collective price of every slot."""
         consumers = self.matrix.consumers
-        if not consumers:
-            return {}, (Fraction(0),) * self.matrix.slots
-        rows, prices = self.allocated(policy)
+        slots = self.matrix.slots
         minor = 10**MONEY_PLACES
-        charges = {
-            consumer: tuple(Fraction(share, minor) for share in row)
-            for consumer, row in zip(consumers, rows)
-        }
-        return charges, tuple(prices)
+        if not consumers:
+            return {}, (minor,) * slots, [], (Fraction(0),) * slots
+        rows, prices = self.allocated(policy)
+        shares = dict(zip(consumers, map(tuple, rows)))
+        totals = [Fraction(sum(row), minor) for row in rows]
+        return shares, (minor,) * slots, totals, tuple(prices)
 
     def report(
         self, scheme: SchemeKind, policy: AllocationPolicy = AllocationPolicy.EXACT_SUM
     ) -> BillingReport:
-        slot_charges: Optional[dict[str, tuple[Fraction, ...]]] = None
+        numerators: Optional[_Numerators] = None
+        dens: Optional[tuple[int, ...]] = None
         group_prices: Optional[tuple[Fraction, ...]] = None
         used_policy: Optional[AllocationPolicy] = None
         if scheme is SchemeKind.MONTHLY_INDIVIDUAL:
             totals = self._monthly()
         else:
             if scheme is SchemeKind.SLOTTED_INDIVIDUAL:
-                slot_charges = self._slotted()
+                numerators, dens, sums = self._slotted()
             else:
                 used_policy = policy
-                slot_charges, group_prices = self._grouped(policy)
-            totals = {consumer: exact_sum(row) for consumer, row in slot_charges.items()}
+                numerators, dens, sums, group_prices = self._grouped(policy)
+            totals = dict(zip(self.matrix.consumers, sums))
         billed = {consumer: round_money(total) for consumer, total in totals.items()}
         return BillingReport(
             scheme=scheme,
             currency=self.schedule.currency,
             grid=self.grid,
             consumers=self.matrix.consumers,
-            slot_charges=slot_charges,
+            slot_numerators=numerators,
+            slot_denominators=dens,
             consumer_totals=totals,
             billed_totals=billed,
             aggregate_billed=exact_sum(billed.values()),

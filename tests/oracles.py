@@ -7,12 +7,14 @@ calculator prices via the cumulative clip formula, and the remainder
 allocator repeatedly scans for the largest remainder instead of sorting
 once. The partition oracle measures time in Fraction seconds, where the
 package counts integer microseconds. The shift oracle bills both whole
-matrices, where the package reprices only the two changed columns. If
-the package and these agree, both routes would have to be wrong in the
-same way.
+matrices, where the package reprices only the two changed columns. The
+text oracles render a reduced Fraction, where the package renders integer
+numerators over unreduced, shared denominators. If the package and these
+agree, both routes would have to be wrong in the same way.
 """
 
 import math
+import sys
 from fractions import Fraction
 
 from progtariff import (
@@ -232,3 +234,50 @@ def desk_shift(matrix, schedule, grid, consumer, from_slot, to_slot, amount,
         par_before=demand_before.par,
         par_after=demand_after.par,
     )
+
+
+def _too_large():
+    return ValueError(
+        "amount too large to display: more than "
+        f"{sys.get_int_max_str_digits()} digits"
+    )
+
+
+def desk_format_fixed(value, places):
+    """A Fraction with exactly *places* decimals, rounding half away from zero."""
+    den = value.denominator
+    units = (2 * abs(value.numerator) * 10**places + den) // (2 * den)
+    sign = "-" if (value.numerator < 0 and units > 0) else ""
+    try:
+        if places == 0:
+            return f"{sign}{units}"
+        whole, frac = divmod(units, 10**places)
+        return f"{sign}{whole}.{frac:0{places}d}"
+    except ValueError:
+        raise _too_large() from None
+
+
+def desk_exact_str(value):
+    """A Fraction as a terminating decimal when one exists, else p/q."""
+    den = value.denominator
+    twos = 0
+    while den % 2 == 0:
+        den //= 2
+        twos += 1
+    fives = 0
+    while den % 5 == 0:
+        den //= 5
+        fives += 1
+    places = max(twos, fives)
+    try:
+        if den != 1:
+            return f"{value.numerator}/{value.denominator}"
+        if places == 0:
+            return str(value.numerator)
+        quantum = 10**places
+        units = value.numerator * (quantum // value.denominator)
+        sign = "-" if units < 0 else ""
+        whole, frac = divmod(abs(units), quantum)
+        return f"{sign}{whole}.{frac:0{places}d}"
+    except ValueError:
+        raise _too_large() from None

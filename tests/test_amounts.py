@@ -1,0 +1,103 @@
+"""The integer text routines against the Fraction-based oracles.
+
+``fixed_text`` and ``exact_text`` render ``num/den`` straight from
+integers, with ``den`` shared and not reduced; the oracles render a
+reduced Fraction. Both must give the same text, or the same error, for
+every value. The examples are derandomized, so every run checks the same
+cases.
+"""
+
+import sys
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from progtariff.amounts import exact_str, exact_text, fixed_text, format_fixed
+
+from oracles import desk_exact_str, desk_format_fixed
+
+LIMIT = sys.get_int_max_str_digits()
+
+numerators = st.integers(-(10**30), 10**30)
+# 2**a * 5**b * r: terminating when r == 1 or r divides the numerator.
+denominators = st.builds(
+    lambda a, b, r: 2**a * 5**b * r,
+    st.integers(0, 12),
+    st.integers(0, 12),
+    st.sampled_from([1, 3, 7, 9, 21, 999983]),
+)
+places = st.sampled_from([0, 2, 4])
+# Multiplies numerator and denominator alike: the value stays, the
+# representation moves further from lowest terms.
+common = st.sampled_from([1, 2, 3, 5, 10, 21, 999983])
+
+
+def outcome(render, *args):
+    try:
+        return "text", render(*args)
+    except ValueError as err:
+        return "error", str(err)
+
+
+def pairs(num, den, factor):
+    value = Fraction(num, den)
+    return value, [
+        (num, den),
+        (value.numerator, value.denominator),
+        (num * factor, den * factor),
+    ]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(numerators, denominators, places, common)
+def test_integer_renderers_match_fraction_oracles(num, den, digits, factor):
+    value, forms = pairs(num, den, factor)
+    fixed = desk_format_fixed(value, digits)
+    lossless = desk_exact_str(value)
+    for n, d in forms:
+        assert fixed_text(n, d, digits) == fixed
+        assert exact_text(n, d) == lossless
+    assert format_fixed(value, digits) == fixed
+    assert exact_str(value) == lossless
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    numerators,
+    denominators,
+    places,
+    st.sampled_from(["whole", "denominator", "unreduced"]),
+    st.integers(LIMIT - 40, LIMIT + 60),
+)
+def test_integer_renderers_match_oracles_past_the_digit_limit(
+    num, den, digits, where, exponent
+):
+    """Near and past ``sys.int_max_str_digits``: the same text or the same
+    display-limit error. An unreduced pair whose value prints must print."""
+    scale = 10**exponent
+    if where == "whole":
+        num *= scale
+    elif where == "denominator":
+        den *= scale
+    else:
+        num, den = num * scale, den * scale
+    value = Fraction(num, den)
+    for n, d in ((num, den), (value.numerator, value.denominator)):
+        assert outcome(fixed_text, n, d, digits) == outcome(
+            desk_format_fixed, value, digits
+        )
+        assert outcome(exact_text, n, d) == outcome(desk_exact_str, value)
+
+
+def test_display_limit_examples():
+    """Values too large to print fail; an unreduced pair whose value
+    prints does not."""
+    limit_error = f"amount too large to display: more than {LIMIT} digits"
+    assert outcome(exact_text, 3 * 10 ** (LIMIT + 5), 1) == ("error", limit_error)
+    assert outcome(exact_text, 1, 3 * 10 ** (LIMIT + 5)) == ("error", limit_error)
+    assert outcome(fixed_text, 10 ** (LIMIT + 5), 1, 2) == ("error", limit_error)
+    # 303.5 on a denominator whose 2s and 5s ask for thousands of places.
+    huge = 10 ** (LIMIT + 5)
+    assert exact_text(3035 * huge, 10 * huge) == "303.5"
+    assert fixed_text(3035 * huge, 10 * huge, 2) == "303.50"

@@ -208,6 +208,21 @@ def test_value_too_large_to_display_is_input_error(capsys, tmp_path):
     assert status == 0 and len(out.splitlines()[0]) == 1006
 
 
+def test_schedule_bound_too_large_to_display_is_input_error(capsys, tmp_path):
+    # 1e4300 is accepted as a tier bound. The summary renders it as a
+    # decimal, the JSON form as a whole int; both have more digits than
+    # Python converts to text.
+    huge = tmp_path / "huge.json"
+    huge.write_text(
+        '{"currency": "KRW", "tiers": [{"upper_kwh": 1e4300, "rate": "60.7"},'
+        ' {"upper_kwh": null, "rate": "70"}]}'
+    )
+    limit = "amount too large to display: more than 4300 digits"
+    for extra in ([], ["--json"]):
+        status, out, err = run(capsys, "validate", "--schedule", str(huge), *extra)
+        assert (status, out, err) == (1, "", f"error: {limit}\n")
+
+
 def test_empty_trace_needs_period_start(capsys, tmp_path):
     trace = tmp_path / "empty.csv"
     trace.write_text("consumer_id,interval_start,energy_kwh\n")

@@ -13,12 +13,19 @@ from progtariff import (
     SlotUsageMatrix,
     compare_schemes,
     demand_metrics,
+    exact_str,
     format_money,
+    group_slot_price,
     parse_trace_csv,
+    progressive_price,
+    proportional_allocation,
     run_scheme,
+    scale_schedule,
     slot_partition,
     what_if_shift,
 )
+from progtariff.amounts import exact_sum
+from progtariff.fileio import report_to_dict
 
 from conftest import FIXTURES, KEPCO_TIERS, make_schedule
 from oracles import desk_partition, desk_schemes, desk_shift
@@ -621,6 +628,86 @@ def test_shift_errors_match_whole_matrix_oracle():
         error = _shift_error(what_if_shift, args)
         assert error == _shift_error(desk_shift, args), case
         assert error[0] is SimulationError
+
+
+# ----------------------------------------------------------------------
+# slot charges kept as integers, against a per-cell recomputation
+# ----------------------------------------------------------------------
+
+
+def _slot_charge_case(rng, kind):
+    """A random matrix and day-based schedule; *kind* picks the cells."""
+    days = rng.randint(1, 2)
+    slots = 4 * days
+    grid = SlotGrid(Fraction(6), days, ts())
+    first = Fraction(rng.randint(5, 30), rng.choice([1, 3]))
+    second = first + Fraction(rng.randint(1, 60), rng.choice([1, 7]))
+    top_rate = rng.choice(["187.9", "709.5", "1000/3"])
+    schedule = make_schedule(
+        [(first, "60.7"), (second, "125.9"), (None, top_rate)], base_days=days
+    )
+    consumers = 0 if kind == "empty" else rng.randint(1, 5)
+    rows = {}
+    for i in range(consumers):
+        if kind == "decimal":
+            row = [Fraction(rng.randint(0, 40000), 1000) for _ in range(slots)]
+        else:
+            row = [Fraction(rng.randint(0, 60), rng.randint(1, 12)) for _ in range(slots)]
+        rows[f"c{i}"] = row
+    if kind == "zero-columns":
+        for slot in rng.sample(range(slots), rng.randint(1, slots - 1)):
+            for row in rows.values():
+                row[slot] = Fraction(0)
+    matrix = (
+        SlotUsageMatrix.from_rows(rows)
+        if rows
+        else SlotUsageMatrix(consumers=(), slots=slots, usage=())
+    )
+    return matrix, schedule, grid
+
+
+def test_slot_charges_match_per_cell_recomputation():
+    """The integer slot charges, their totals and their text agree with
+    pricing, pooling and allocating every cell on its own."""
+    rng = random.Random(46)
+    kinds = ["p/q", "decimal", "zero-columns", "empty"]
+    seen_ratio_text = seen_decimal_text = 0
+    for case in range(120):
+        kind = kinds[case % len(kinds)]
+        matrix, schedule, grid = _slot_charge_case(rng, kind)
+        slot_schedule = scale_schedule(schedule, grid.factor)
+        consumers = matrix.consumers
+        slotted = run_scheme(matrix, schedule, grid, "slotted-individual")
+        for consumer, row in zip(consumers, matrix.usage):
+            assert slotted.slot_charges[consumer] == tuple(
+                progressive_price(slot_schedule, cell) for cell in row
+            ), case
+        reports = [slotted]
+        for policy in ("exact-sum", "independent"):
+            grouped = run_scheme(matrix, schedule, grid, "slotted-group", policy)
+            reports.append(grouped)
+            if not consumers:
+                assert grouped.group_slot_prices == (Fraction(0),) * matrix.slots
+                continue
+            for slot, cells in enumerate(zip(*matrix.usage)):
+                column = dict(zip(consumers, cells))
+                price = group_slot_price(slot_schedule, column)
+                assert grouped.group_slot_prices[slot] == price, case
+                solo = {c: progressive_price(slot_schedule, u) for c, u in column.items()}
+                shares = proportional_allocation(price, solo, policy).shares
+                assert {c: grouped.slot_charges[c][slot] for c in consumers} == shares
+        for report in reports:
+            assert set(report.slot_charges) == set(consumers)
+            entries = report_to_dict(report)["consumers"]
+            for consumer, entry in zip(consumers, entries):
+                charges = report.slot_charges[consumer]
+                assert report.consumer_totals[consumer] == exact_sum(charges), case
+                assert entry["slot_charges"] == [format_money(c) for c in charges]
+                texts = [exact_str(charge) for charge in charges]
+                assert entry["slot_charges_exact"] == texts
+                seen_ratio_text += sum("/" in text for text in texts)
+                seen_decimal_text += sum("." in text for text in texts)
+    assert seen_ratio_text and seen_decimal_text
 
 
 # ----------------------------------------------------------------------
