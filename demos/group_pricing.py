@@ -11,6 +11,7 @@ from progtariff import (
     group_saving,
     parse_schedule_file,
     proportional_allocation,
+    round_money,
     scale_schedule,
     slot_factor,
 )
@@ -25,11 +26,15 @@ result = group_saving(slot_schedule, usages)
 print("\nPriced individually:")
 for consumer, price in result.individual_prices.items():
     print(f"  {consumer}: {format_money(price)} {result.currency}")
-print(f"  total: {format_money(result.billed_individual_total)} {result.currency}")
+# Each consumer pays a bill rounded to minor units; the comparison adds
+# up those bills, not the exact prices.
+billed_total = sum(round_money(price) for price in result.individual_prices.values())
+billed_group = round_money(result.group_price)
+print(f"  total: {format_money(billed_total)} {result.currency}")
 
 print("\nPriced as one group of three (tier ranges widened by 3), the pooled")
-print(f"5 kWh cost {format_money(result.billed_group_price)} {result.currency}: "
-      f"the group saves {format_money(result.billed_saving)}.")
+print(f"5 kWh cost {format_money(billed_group)} {result.currency}: "
+      f"the group saves {format_money(billed_total - billed_group)}.")
 print("Convexity guarantees the collective price never exceeds the sum of")
 print("the individual ones, whatever the usage pattern.")
 

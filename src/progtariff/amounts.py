@@ -30,10 +30,20 @@ MAX_DECIMAL_EXPONENT = 4300
 _ECHO_CHARS = 40
 
 
-def _echo(text: str) -> str:
+def _echo(text: str, show=repr) -> str:
     if len(text) <= _ECHO_CHARS:
-        return repr(text)
-    return f"{text[:_ECHO_CHARS]!r}... ({len(text)} characters)"
+        return show(text)
+    return f"{show(text[:_ECHO_CHARS])}... ({len(text)} characters)"
+
+
+def echo_value(value: Fraction) -> str:
+    """*value* for an error message: clipped, or its size if unprintable."""
+    try:
+        text = str(value)
+    except ValueError:
+        sign = "-" if value < 0 else ""
+        return f"{sign}<more than {sys.get_int_max_str_digits()} digits>"
+    return _echo(text, str)
 
 
 def too_large_error() -> ValueError:
@@ -112,7 +122,7 @@ def energy_amount(value: ExactLike) -> Fraction:
     """Exact non-negative kWh quantity."""
     amount = exact(value)
     if amount.numerator < 0:
-        raise ValueError(f"energy must be >= 0, got {amount}")
+        raise ValueError(f"energy must be >= 0, got {echo_value(amount)}")
     return amount
 
 
@@ -120,7 +130,7 @@ def money_amount(value: ExactLike) -> Fraction:
     """Exact non-negative currency quantity."""
     amount = exact(value)
     if amount.numerator < 0:
-        raise ValueError(f"money must be >= 0, got {amount}")
+        raise ValueError(f"money must be >= 0, got {echo_value(amount)}")
     return amount
 
 
@@ -128,7 +138,7 @@ def scale_value(value: ExactLike) -> Fraction:
     """Exact positive multiplier."""
     factor = exact(value)
     if factor.numerator <= 0:
-        raise ValueError(f"scale factor must be > 0, got {factor}")
+        raise ValueError(f"scale factor must be > 0, got {echo_value(factor)}")
     return factor
 
 

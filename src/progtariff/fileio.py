@@ -41,7 +41,7 @@ from .amounts import (
     too_large_error,
 )
 from .errors import ScheduleError, TraceError
-from .grouping import AllocationResult, GroupPricingResult
+from .grouping import AllocationResult
 from .simulate import (
     BillingReport,
     MeterReading,
@@ -496,17 +496,3 @@ def render_shift(report: ShiftReport) -> str:
         ]
     )
 
-
-def render_group_result(result: GroupPricingResult) -> str:
-    lines = []
-    for consumer, price in result.individual_prices.items():
-        lines.append(f"{consumer}: {format_money(price)} {result.currency}")
-    lines.append(
-        f"individual total: {format_money(result.billed_individual_total)} "
-        f"{result.currency}"
-    )
-    lines.append(
-        f"group price: {format_money(result.billed_group_price)} {result.currency}"
-    )
-    lines.append(f"saving: {format_money(result.billed_saving)} {result.currency}")
-    return "\n".join(lines)

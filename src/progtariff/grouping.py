@@ -2,10 +2,13 @@
 
 For one time slot, a group of N consumers can be billed as a single
 virtual consumer: widen the slot tariff's ranges by N and price the
-pooled usage. Because the price function is convex, the collective
-price never exceeds the sum of stand-alone individual prices, the gap
-is the group's saving, and inactive members still matter since their
-unused low-tier range is what the active members absorb.
+pooled usage u. That price is exactly N * P(u / N) on the unwidened
+tariff P, so ``price_group`` computes it on the slot's own table, next to
+the stand-alone prices from ``price_column``. Because the price function
+is convex, the collective price never exceeds the sum of stand-alone
+individual prices, the gap is the group's saving, and inactive members
+still matter since their unused low-tier range is what the active
+members absorb.
 
 The collective price is then split back across consumers in proportion
 to their stand-alone prices. Two rounding policies are provided:
@@ -23,11 +26,11 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Mapping, Sequence, Union
+from typing import Callable, Mapping, Sequence, Union
 
-from .amounts import MONEY_PLACES, ExactLike, energy_amount, money_amount, round_money
+from .amounts import MONEY_PLACES, ExactLike, energy_amount, money_amount
 from .errors import AllocationError
-from .tariff import TariffSchedule, progressive_price, scale_schedule
+from .tariff import TariffSchedule, TierTable
 
 UsageVectorLike = Union[Mapping[str, ExactLike], Sequence[tuple[str, ExactLike]]]
 
@@ -61,10 +64,7 @@ class GroupPricingResult:
 
     All three are exact, unrounded amounts; ``saving`` is the exact
     sum-of-individuals minus the group price and is non-negative for
-    every progressive schedule. The ``billed_*`` properties give the
-    minor-unit view, where the individual total is the sum of the
-    individually rounded bills (the number a published comparison adds
-    up to) and the saving is the difference of the billed totals.
+    every progressive schedule.
     """
 
     individual_prices: dict[str, Fraction]
@@ -76,47 +76,73 @@ class GroupPricingResult:
     def individual_total(self) -> Fraction:
         return sum(self.individual_prices.values(), Fraction(0))
 
-    @property
-    def billed_individual_total(self) -> Fraction:
-        return sum(
-            (round_money(price) for price in self.individual_prices.values()),
-            Fraction(0),
-        )
 
-    @property
-    def billed_group_price(self) -> Fraction:
-        return round_money(self.group_price)
-
-    @property
-    def billed_saving(self) -> Fraction:
-        return self.billed_individual_total - self.billed_group_price
+# One slot column on its own quantum: (quantum, pooled units, price
+# numerators, their denominator). Cell i is units_i / quantum kWh, the
+# column's pooled usage is pooled / quantum kWh, and consumer i's price
+# on the slot schedule is numerators[i] / denominator.
+Column = tuple[int, int, list[int], int]
 
 
-def _normalize_usages(usages: UsageVectorLike) -> list[tuple[str, Fraction]]:
-    if isinstance(usages, Mapping):
-        pairs = list(usages.items())
-    else:
-        pairs = [(consumer, amount) for consumer, amount in usages]
+def price_column(table: TierTable, cells: Sequence[Fraction]) -> Column:
+    """Put one slot column's cells on one quantum and price each alone.
+
+    The quantum is the lcm of the column's denominators. Each column
+    picks its own: one lcm over a whole matrix of unrelated denominators
+    would make every integer in it huge.
+    """
+    quantum = math.lcm(*(cell.denominator for cell in cells))
+    units = [cell.numerator * (quantum // cell.denominator) for cell in cells]
+    numerators, denominator = table.prices(units, quantum)
+    return quantum, sum(units), numerators, denominator
+
+
+def price_group(table: TierTable, column: Column, size: int) -> tuple[int, int]:
+    """Collective price of a priced column for a group of *size* consumers.
+
+    Returns a numerator and a denominator. The price of the pooled usage
+    u on the table widened by *size* is exactly size * P(u / size) on the
+    table itself, and u / size is pooled / (quantum * size) kWh.
+    """
+    quantum, pooled, _, _ = column
+    (numerator,), denominator = table.prices((pooled,), quantum * size)
+    return size * numerator, denominator
+
+
+def _members(
+    pairs: UsageVectorLike, convert: Callable[[ExactLike], Fraction]
+) -> tuple[list[str], list[Fraction]]:
+    """Distinct non-empty consumer ids and their amounts, each checked by
+    *convert* (``energy_amount`` or ``money_amount``), in input order."""
+    ids: list[str] = []
+    amounts = []
     seen = set()
-    normalized = []
-    for consumer, amount in pairs:
+    for consumer, amount in pairs.items() if isinstance(pairs, Mapping) else pairs:
         if not isinstance(consumer, str) or not consumer:
             raise ValueError(f"consumer id must be a non-empty string, got {consumer!r}")
         if consumer in seen:
             raise ValueError(f"duplicate consumer id {consumer!r}")
         seen.add(consumer)
-        normalized.append((consumer, energy_amount(amount)))
-    return normalized
+        ids.append(consumer)
+        amounts.append(convert(amount))
+    return ids, amounts
+
+
+def _price_slot(
+    slot_schedule: TariffSchedule, usages: UsageVectorLike
+) -> tuple[dict[str, Fraction], Column]:
+    """Every member's stand-alone price, and the priced slot column."""
+    ids, cells = _members(usages, energy_amount)
+    column = price_column(slot_schedule.table, cells)
+    _, _, numerators, denominator = column
+    return {c: Fraction(n, denominator) for c, n in zip(ids, numerators)}, column
 
 
 def individual_slot_prices(
     slot_schedule: TariffSchedule, usages: UsageVectorLike
 ) -> dict[str, Fraction]:
     """Price every consumer's slot usage on its own, exactly."""
-    return {
-        consumer: progressive_price(slot_schedule, amount)
-        for consumer, amount in _normalize_usages(usages)
-    }
+    return _price_slot(slot_schedule, usages)[0]
 
 
 def group_slot_price(
@@ -128,12 +154,7 @@ def group_slot_price(
     members with zero usage in this slot; their idle tier range is
     exactly what grouping lets the others use.
     """
-    members = _normalize_usages(usages)
-    if not members:
-        raise ValueError("group must contain at least one consumer")
-    pooled = sum((amount for _, amount in members), Fraction(0))
-    widened = scale_schedule(slot_schedule, len(members))
-    return progressive_price(widened, pooled)
+    return group_saving(slot_schedule, usages).group_price
 
 
 def allocate_units(
@@ -187,7 +208,7 @@ def allocate_units(
 
 def proportional_allocation(
     group_price: ExactLike,
-    individual_prices: Mapping[str, ExactLike] | Sequence[tuple[str, ExactLike]],
+    individual_prices: UsageVectorLike,
     policy: AllocationPolicy | str = AllocationPolicy.EXACT_SUM,
 ) -> AllocationResult:
     """Split *group_price* across consumers in proportion to their prices.
@@ -204,18 +225,9 @@ def proportional_allocation(
     """
     policy = AllocationPolicy(policy)
     group = money_amount(group_price)
-    if isinstance(individual_prices, Mapping):
-        pairs = list(individual_prices.items())
-    else:
-        pairs = list(individual_prices)
-    prices = {}
-    for consumer, price in pairs:
-        if consumer in prices:
-            raise ValueError(f"duplicate consumer id {consumer!r}")
-        prices[consumer] = money_amount(price)
-    ids = list(prices)
-    scale = math.lcm(*(price.denominator for price in prices.values()))
-    weights = [price.numerator * (scale // price.denominator) for price in prices.values()]
+    ids, prices = _members(individual_prices, money_amount)
+    scale = math.lcm(*(price.denominator for price in prices))
+    weights = [price.numerator * (scale // price.denominator) for price in prices]
     units, extra = allocate_units(group.numerator, group.denominator, weights, ids, policy)
     minor = 10**MONEY_PLACES
     return AllocationResult(
@@ -229,15 +241,13 @@ def group_saving(
     slot_schedule: TariffSchedule, usages: UsageVectorLike
 ) -> GroupPricingResult:
     """Individual prices, collective price, and the resulting saving."""
-    members = _normalize_usages(usages)
-    if not members:
+    individual, column = _price_slot(slot_schedule, usages)
+    if not individual:
         raise ValueError("group must contain at least one consumer")
-    individual = individual_slot_prices(slot_schedule, members)
-    group = group_slot_price(slot_schedule, members)
-    total = sum(individual.values(), Fraction(0))
+    group = Fraction(*price_group(slot_schedule.table, column, len(individual)))
     return GroupPricingResult(
         individual_prices=individual,
         group_price=group,
-        saving=total - group,
+        saving=sum(individual.values(), Fraction(0)) - group,
         currency=slot_schedule.currency,
     )

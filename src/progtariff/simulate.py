@@ -30,6 +30,7 @@ from typing import Mapping, Optional, Sequence
 from .amounts import (
     MONEY_PLACES,
     ExactLike,
+    echo_value,
     energy_amount,
     exact,
     exact_sum,
@@ -37,11 +38,10 @@ from .amounts import (
     scale_value,
 )
 from .errors import InternalCheckError, SimulationError
-from .grouping import AllocationPolicy, allocate_units
+from .grouping import AllocationPolicy, Column, allocate_units, price_column, price_group
 from .tariff import (
     HOURS_PER_DAY,
     TariffSchedule,
-    TierTable,
     progressive_price,
     scale_schedule,
     slot_factor,
@@ -57,6 +57,10 @@ def _require_utc(stamp: datetime, label: str) -> datetime:
 
 
 _MICROSECOND = timedelta(microseconds=1)
+
+# Most slots a grid may hold; without a cap "--slot-hours 1e-30" asks for
+# 2.4e31 cells per consumer. A one-minute grid over 366 days fits.
+MAX_SLOTS = 10**6
 
 
 @dataclass(frozen=True)
@@ -106,6 +110,15 @@ class SlotGrid:
         object.__setattr__(
             self, "period_start", _require_utc(self.period_start, "period start")
         )
+        try:
+            self.period_end
+        except OverflowError:
+            raise ValueError(
+                f"a {self.period_days}-day period from "
+                f"{self.period_start.isoformat()} ends past the last datetime"
+            ) from None
+        if self.slot_count > MAX_SLOTS:
+            raise ValueError(f"the grid would hold more than {MAX_SLOTS} slots")
 
     @property
     def slots_per_day(self) -> int:
@@ -208,8 +221,8 @@ class SlotUsageMatrix:
         available = self.usage[row_index][from_slot]
         if moved > available:
             raise SimulationError(
-                f"cannot shift {moved} kWh out of slot {from_slot}: only "
-                f"{available} available"
+                f"cannot shift {echo_value(moved)} kWh out of slot {from_slot}: "
+                f"only {echo_value(available)} available"
             )
         row = list(self.usage[row_index])
         row[from_slot] -= moved
@@ -473,8 +486,8 @@ def demand_metrics(matrix: SlotUsageMatrix) -> DemandMetrics:
 def _check_grid(matrix: SlotUsageMatrix, schedule: TariffSchedule, grid: SlotGrid):
     if schedule.base_hours != HOURS_PER_DAY * grid.period_days:
         raise SimulationError(
-            f"schedule is quoted for {schedule.base_hours} hours but the grid "
-            f"covers {HOURS_PER_DAY * grid.period_days}"
+            f"schedule is quoted for {echo_value(schedule.base_hours)} hours but "
+            f"the grid covers {HOURS_PER_DAY * grid.period_days}"
         )
     if matrix.slots != grid.slot_count:
         raise SimulationError(
@@ -488,12 +501,6 @@ def _zero_filled(matrix: SlotUsageMatrix) -> Optional[int]:
     return matrix.slots * len(matrix.consumers) - len(matrix.observed)
 
 
-# One slot column on its own quantum: (quantum, pooled units, price
-# numerators, their denominator). Cell i is units_i / quantum kWh, the
-# column's pooled usage is pooled / quantum kWh, and consumer i's price
-# on the slot schedule is numerators[i] / denominator.
-_Column = tuple[int, int, list[int], int]
-
 # A report's slot charge numerators, one row per consumer.
 _Numerators = dict[str, tuple[int, ...]]
 
@@ -502,8 +509,8 @@ class _Billing:
     """One usage matrix billed under one schedule on one grid.
 
     Each piece is computed at most once and shared by every scheme that
-    reads it: the demand metrics, the slot schedule and its group-widened
-    form, and every slot column with the price of each of its cells.
+    reads it: the demand metrics, the compiled slot schedule, and every
+    slot column with the price of each of its cells.
     """
 
     def __init__(self, matrix: SlotUsageMatrix, schedule: TariffSchedule, grid: SlotGrid):
@@ -513,35 +520,15 @@ class _Billing:
         self.grid = grid
         self.progressive = schedule.is_progressive
         self.demand = demand_metrics(matrix)
+        self.table = scale_schedule(schedule, grid.factor).table
 
     @cached_property
-    def slot_schedule(self) -> TariffSchedule:
-        return scale_schedule(self.schedule, self.grid.factor)
-
-    @cached_property
-    def group_table(self) -> TierTable:
-        """The slot schedule widened by the group size, compiled."""
-        return scale_schedule(self.slot_schedule, len(self.matrix.consumers)).table
-
-    def price_column(self, cells: Sequence[Fraction]) -> _Column:
-        """Put one slot column's cells on one quantum and price each alone.
-
-        The quantum is the lcm of the column's denominators. Each column
-        picks its own: one lcm over a whole matrix of unrelated
-        denominators would make every integer in it huge.
-        """
-        quantum = math.lcm(*(cell.denominator for cell in cells))
-        units = [cell.numerator * (quantum // cell.denominator) for cell in cells]
-        numerators, denominator = self.slot_schedule.table.prices(units, quantum)
-        return quantum, sum(units), numerators, denominator
-
-    @cached_property
-    def columns(self) -> list[_Column]:
+    def columns(self) -> list[Column]:
         """Every slot column of the matrix, priced."""
-        return [self.price_column(cells) for cells in _slot_columns(self.matrix)]
+        return [price_column(self.table, cells) for cells in _slot_columns(self.matrix)]
 
     def bill_slot(
-        self, slot: int, column: _Column, policy: AllocationPolicy
+        self, slot: int, column: Column, policy: AllocationPolicy
     ) -> tuple[list[int], int, int]:
         """Collective price of one priced slot column, allocated.
 
@@ -550,8 +537,8 @@ class _Billing:
         the collective price is checked against the sum of the individual
         prices.
         """
-        quantum, pooled, numerators, denominator = column
-        (group_num,), group_den = self.group_table.prices((pooled,), quantum)
+        _, _, numerators, denominator = column
+        group_num, group_den = price_group(self.table, column, len(self.matrix.consumers))
         if self.progressive and group_num * denominator > sum(numerators) * group_den:
             raise InternalCheckError(
                 f"slot {slot}: collective price {Fraction(group_num, group_den)} "
@@ -744,7 +731,7 @@ def what_if_shift(
     index = matrix.consumers.index(consumer)
     own = rows[index]
 
-    def solo(column: _Column) -> Fraction:
+    def solo(column: Column) -> Fraction:
         _, _, numerators, denominator = column
         return Fraction(numerators[index], denominator)
 
@@ -754,7 +741,7 @@ def what_if_shift(
     allocated_after, group_after = allocated_before, group_before
     individual_after = individual_before
     for slot in sorted({from_slot, to_slot}):
-        column = billing.price_column([row[slot] for row in shifted.usage])
+        column = price_column(billing.table, [row[slot] for row in shifted.usage])
         shares, _, _ = billing.bill_slot(slot, column, policy)
         allocated_after += shares[index] - own[slot]
         group_after += sum(shares) - sum(row[slot] for row in rows)

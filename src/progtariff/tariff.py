@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
-from .amounts import ExactLike, energy_amount, exact, scale_value
+from .amounts import ExactLike, echo_value, energy_amount, exact, scale_value
 from .errors import ScheduleError
 
 HOURS_PER_DAY = 24
@@ -50,7 +50,7 @@ class TariffTier:
             object.__setattr__(self, "upper_bound", bound)
         rate = exact(self.rate)
         if rate < 0:
-            raise ScheduleError(f"tier rate must be >= 0, got {rate}")
+            raise ScheduleError(f"tier rate must be >= 0, got {echo_value(rate)}")
         object.__setattr__(self, "rate", rate)
 
 
@@ -139,8 +139,8 @@ class TariffSchedule:
             else:
                 if tier.upper_bound <= previous:
                     raise ScheduleError(
-                        f"tier {index}: bound {tier.upper_bound} does not increase "
-                        f"past {previous}"
+                        f"tier {index}: bound {echo_value(tier.upper_bound)} does not "
+                        f"increase past {echo_value(previous)}"
                     )
                 previous = tier.upper_bound
         if tiers[-1].upper_bound is not None:
@@ -149,7 +149,7 @@ class TariffSchedule:
             for index in range(1, len(tiers)):
                 if tiers[index].rate < tiers[index - 1].rate:
                     raise ScheduleError(
-                        f"tier {index + 1}: rate {tiers[index].rate} decreases; "
+                        f"tier {index + 1}: rate {echo_value(tiers[index].rate)} decreases; "
                         "pass allow_rate_decrease=True to accept a "
                         "non-progressive schedule"
                     )
@@ -295,7 +295,7 @@ def slot_factor(slot_hours: ExactLike, days_per_period: int) -> Fraction:
     """
     hours = scale_value(slot_hours)
     if (Fraction(HOURS_PER_DAY) / hours).denominator != 1:
-        raise ValueError(f"slot_hours must divide 24 evenly, got {hours}")
+        raise ValueError(f"slot_hours must divide 24 evenly, got {echo_value(hours)}")
     if isinstance(days_per_period, bool) or not isinstance(days_per_period, int):
         raise TypeError("days_per_period must be an integer")
     if days_per_period < 1:

@@ -9,8 +9,11 @@ once. The partition oracle measures time in Fraction seconds, where the
 package counts integer microseconds. The shift oracle bills both whole
 matrices, where the package reprices only the two changed columns. The
 text oracles render a reduced Fraction, where the package renders integer
-numerators over unreduced, shared denominators. If the package and these
-agree, both routes would have to be wrong in the same way.
+numerators over unreduced, shared denominators. The group price oracle
+builds the schedule widened by the group size and prices the pooled
+usage on it, where the package prices the pooled usage over N on the
+unwidened table and multiplies by N. If the package and these agree,
+both routes would have to be wrong in the same way.
 """
 
 import math
@@ -23,7 +26,9 @@ from progtariff import (
     ShiftReport,
     demand_metrics,
     energy_amount,
+    progressive_price,
     run_scheme,
+    scale_schedule,
 )
 
 MINOR = 100  # minor currency units per whole unit
@@ -61,6 +66,17 @@ def clip_price(bounds, rates, usage):
         if bound is not None:
             previous = bound
     return total
+
+
+def widened_group_price(slot_schedule, usages):
+    """Collective price of a slot's usages on the schedule widened by N.
+
+    usages is a list of exact Fractions, one per group member, idle
+    members included. Builds a whole new schedule whose tier ranges are
+    N times wider and prices the pooled usage on it.
+    """
+    widened = scale_schedule(slot_schedule, len(usages))
+    return progressive_price(widened, sum(usages, Fraction(0)))
 
 
 def round_half_up_minor(value):

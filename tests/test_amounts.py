@@ -101,3 +101,12 @@ def test_display_limit_examples():
     huge = 10 ** (LIMIT + 5)
     assert exact_text(3035 * huge, 10 * huge) == "303.5"
     assert fixed_text(3035 * huge, 10 * huge, 2) == "303.50"
+
+
+def test_echo_value_clips_long_and_unprintable_values():
+    from progtariff.amounts import echo_value
+
+    assert echo_value(Fraction(-5)) == "-5"
+    assert echo_value(Fraction(10**49)) == "1" + "0" * 39 + "... (50 characters)"
+    assert echo_value(Fraction(1, 10**LIMIT)) == f"<more than {LIMIT} digits>"
+    assert echo_value(Fraction(-(10**LIMIT))) == f"-<more than {LIMIT} digits>"

@@ -264,3 +264,47 @@ def test_cli_output_byte_identical_across_runs(capsys):
     _, out1, _ = run(capsys, *args)
     _, out2, _ = run(capsys, *args)
     assert out1 == out2
+
+
+def test_grid_past_datetime_range_or_slot_cap_is_input_error(capsys):
+    base = ["compare", "--schedule", SCHEDULE, "--trace", SLOT_TRACE]
+    cases = [
+        (["--period-start", "9999-12-20T00:00:00Z"], "ends past the last datetime"),
+        (["--period-days", "100000000"], "ends past the last datetime"),
+        (["--slot-hours", "1e-30"], "more than 1000000 slots"),
+    ]
+    for flags, reason in cases:
+        status, out, err = run(capsys, *base, *flags)
+        assert (status, out) == (1, ""), flags
+        assert err.startswith("error: ") and reason in err, flags
+
+
+def test_huge_rejected_value_keeps_its_reason(capsys, tmp_path):
+    # Each value has more digits than Python converts to text; the error
+    # must still say why the value was refused.
+    trace = tmp_path / "negative.csv"
+    trace.write_text("consumer_id,interval_start,energy_kwh\na,2025-01-01T00:00:00Z,-1e4300\n")
+    huge = "<more than 4300 digits>"
+    cases = [
+        (["bill", "--schedule", SCHEDULE, "--usage=-1e4300"], f"energy must be >= 0, got -{huge}"),
+        (
+            ["compare", "--schedule", SCHEDULE, "--trace", SLOT_TRACE, "--slot-hours=-1e4300"],
+            f"scale factor must be > 0, got -{huge}",
+        ),
+        (["allocate", "--group=-1e4300", "--individual", "1,2"], f"money must be >= 0, got -{huge}"),
+        (
+            ["compare", "--schedule", SCHEDULE, "--trace", str(trace)],
+            f"negative.csv:2: energy must be >= 0, got -{huge}",
+        ),
+        (
+            [
+                "shift", "--schedule", SCHEDULE, "--trace", SLOT_TRACE, "--consumer", "c1",
+                "--from-slot", "0", "--to-slot", "1", "--amount", "1e4300",
+            ],
+            f"cannot shift {huge} kWh out of slot 0: only",
+        ),
+    ]
+    for argv, reason in cases:
+        status, out, err = run(capsys, *argv)
+        assert (status, out) == (1, ""), argv
+        assert reason in err and "Exceeds the limit" not in err, argv

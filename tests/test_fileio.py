@@ -274,12 +274,3 @@ def test_values_too_large_to_display_say_so(value):
         with pytest.raises(ValueError, match=r"^amount too large to display: more than 4300 digits$"):
             render(value)
 
-
-def test_render_group_result(kepco_slot, slot_usages):
-    from progtariff import group_saving
-    from progtariff.fileio import render_group_result
-
-    text = render_group_result(group_saving(kepco_slot, slot_usages))
-    assert "individual total: 518.16 KRW" in text
-    assert "group price: 466.50 KRW" in text
-    assert "saving: 51.66 KRW" in text

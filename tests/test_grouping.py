@@ -13,11 +13,10 @@ from progtariff import (
     progressive_price,
     proportional_allocation,
     round_money,
-    scale_schedule,
 )
 
-from conftest import random_fraction, random_progressive_schedule
-from oracles import remainder_allocate
+from conftest import make_schedule, random_fraction, random_progressive_schedule
+from oracles import remainder_allocate, widened_group_price
 
 PUBLISHED_PRICES = [("1", "312.08"), ("2", "155.50"), ("3", "50.58")]
 
@@ -96,6 +95,43 @@ def test_group_never_exceeds_sum_of_individuals(rng):
         assert group <= sum(individual.values(), Fraction(0))
 
 
+def _random_falling_schedule(rng):
+    """A random schedule whose rates may fall from tier to tier."""
+    tier_count = rng.randint(2, 6)
+    level = Fraction(0)
+    tiers = []
+    for _ in range(tier_count - 1):
+        level += Fraction(rng.randint(1, 120), rng.randint(1, 12))
+        tiers.append((level, Fraction(rng.randint(0, 2000), rng.randint(1, 10))))
+    tiers.append((None, Fraction(rng.randint(0, 2000), rng.randint(1, 10))))
+    return make_schedule(tiers, allow_rate_decrease=True)
+
+
+def test_group_price_matches_widened_schedule_oracle(rng):
+    """group_slot_price and group_saving price the group on the unwidened
+    table; the oracle builds the schedule widened by N. Both agree on
+    convex schedules and on schedules with falling rates."""
+    falling = 0
+    for case in range(400):
+        if case % 2:
+            schedule = _random_falling_schedule(rng)
+            falling += not schedule.is_progressive
+        else:
+            schedule = random_progressive_schedule(rng)
+        count = rng.randint(1, 60)
+        max_den = rng.choice([1, 24, 997])
+        usages = [(f"c{i}", random_fraction(rng, max_den=max_den)) for i in range(count)]
+        expected = widened_group_price(schedule, [usage for _, usage in usages])
+        assert group_slot_price(schedule, usages) == expected, case
+        result = group_saving(schedule, usages)
+        assert result.group_price == expected, case
+        assert result.individual_prices == {
+            consumer: progressive_price(schedule, usage) for consumer, usage in usages
+        }
+        assert result.saving == result.individual_total - expected
+    assert falling > 100
+
+
 def test_group_equality_when_usages_share_a_tier_segment(kepco_slot):
     # All usages inside tier 2 of the slot schedule: [5/6, 5/3].
     usages = {"a": Fraction(9, 10), "b": Fraction(6, 5), "c": Fraction(8, 5)}
@@ -143,6 +179,13 @@ def test_allocation_policies_differ_by_at_most_one_minor_unit():
     ]
     assert sum(1 for d in diffs if d != 0) == 1
     assert max(diffs) == Fraction(1, 100)
+
+
+def test_allocation_rejects_empty_and_duplicate_ids():
+    with pytest.raises(ValueError, match="non-empty string"):
+        proportional_allocation("10", [("a", "5"), ("", "5")])
+    with pytest.raises(ValueError, match="duplicate"):
+        proportional_allocation("10", [("a", "5"), ("a", "5")])
 
 
 def test_allocation_zero_group_zero_prices():
@@ -228,9 +271,6 @@ def test_group_saving_three_consumer_slot(kepco_slot, slot_usages):
     result = group_saving(kepco_slot, slot_usages)
     assert result.group_price == Fraction(933, 2)
     assert result.saving == result.individual_total - result.group_price
-    assert format_money(result.billed_individual_total) == "518.16"
-    assert format_money(result.billed_group_price) == "466.50"
-    assert format_money(result.billed_saving) == "51.66"
 
 
 def test_group_saving_zero_inside_first_tier(kepco_slot):
@@ -242,8 +282,7 @@ def test_group_saving_zero_inside_first_tier(kepco_slot):
 def test_group_saving_positive_when_tier_crossed(kepco_slot):
     usage = Fraction(3, 2)  # crosses the 5/6 bound alone, not pooled
     result = group_saving(kepco_slot, {"idle": Fraction(0), "busy": usage})
-    widened = scale_schedule(kepco_slot, 2)
-    assert result.group_price == progressive_price(widened, usage)
+    assert result.group_price == widened_group_price(kepco_slot, [Fraction(0), usage])
     assert result.saving > 0
 
 

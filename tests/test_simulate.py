@@ -15,7 +15,6 @@ from progtariff import (
     demand_metrics,
     exact_str,
     format_money,
-    group_slot_price,
     parse_trace_csv,
     progressive_price,
     proportional_allocation,
@@ -28,7 +27,7 @@ from progtariff.amounts import exact_sum
 from progtariff.fileio import report_to_dict
 
 from conftest import FIXTURES, KEPCO_TIERS, make_schedule
-from oracles import desk_partition, desk_schemes, desk_shift
+from oracles import desk_partition, desk_schemes, desk_shift, widened_group_price
 
 UTC = timezone.utc
 
@@ -52,6 +51,22 @@ def month_matrix():
 # ----------------------------------------------------------------------
 # slot_partition
 # ----------------------------------------------------------------------
+
+
+def test_grid_admits_one_minute_slots_for_a_leap_year():
+    from progtariff.simulate import MAX_SLOTS
+
+    assert SlotGrid(Fraction(1, 60), 366, ts()).slot_count == 527040 <= MAX_SLOTS
+    with pytest.raises(ValueError, match=f"more than {MAX_SLOTS} slots"):
+        SlotGrid(Fraction(24, MAX_SLOTS + 1), 1, ts())
+    assert SlotGrid(Fraction(24, MAX_SLOTS), 1, ts()).slot_count == MAX_SLOTS
+
+
+def test_grid_refuses_a_period_past_the_last_datetime():
+    last = datetime(9999, 12, 1, tzinfo=UTC)
+    assert SlotGrid(Fraction(6), 30, last).period_end == datetime(9999, 12, 31, tzinfo=UTC)
+    with pytest.raises(ValueError, match="ends past the last datetime"):
+        SlotGrid(Fraction(6), 31, last)
 
 
 def test_partition_single_point_reading(month_grid):
@@ -507,6 +522,32 @@ def test_shift_into_idle_slot_cuts_allocated_cost(kepco, month_grid, month_matri
     assert report.group_billed_delta < 0
 
 
+def test_shift_into_quietest_slot_can_raise_shifters_allocated_bill():
+    """Shifting into the group's quiet slot does not always help the shifter.
+
+    c1 moves part of its peak slot into the group's quietest slot, which
+    stays the quietest. The group's billed aggregate falls by 550.26, yet
+    c1's allocated bill rises by 23.35: shares are weighted by stand-alone
+    prices, and the move raises c1's weight in the slot it moves into.
+    """
+    schedule = make_schedule(KEPCO_TIERS, base_days=1)
+    grid = SlotGrid(Fraction(6), 1, ts())
+    matrix = SlotUsageMatrix.from_rows(
+        {
+            "c0": ["94.32", "96.55", "20.35", "88.51"],
+            "c1": ["14.27", "21.63", "9.44", "6.33"],
+        }
+    )
+    amount = Fraction("4.326")
+    assert matrix.row("c1").index(max(matrix.row("c1"))) == 1
+    for usage in (matrix, matrix.with_shift("c1", 1, 2, amount)):
+        slot_loads = demand_metrics(usage).slot_loads
+        assert min(slot_loads) == slot_loads[2]
+    report = what_if_shift(matrix, schedule, grid, "c1", 1, 2, amount)
+    assert report.allocated_delta == Fraction("23.35")
+    assert report.group_billed_delta == Fraction("-550.26")
+
+
 def test_shift_within_one_tier_is_free_individually(kepco, month_grid, month_matrix):
     # 1.2 -> 1.0 and 1.2 -> 1.4 both stay inside the slot tier (5/6, 5/3],
     # so under individual slot pricing the move costs exactly nothing.
@@ -691,7 +732,7 @@ def test_slot_charges_match_per_cell_recomputation():
                 continue
             for slot, cells in enumerate(zip(*matrix.usage)):
                 column = dict(zip(consumers, cells))
-                price = group_slot_price(slot_schedule, column)
+                price = widened_group_price(slot_schedule, list(cells))
                 assert grouped.group_slot_prices[slot] == price, case
                 solo = {c: progressive_price(slot_schedule, u) for c, u in column.items()}
                 shares = proportional_allocation(price, solo, policy).shares

@@ -87,6 +87,30 @@ def test_validate_rejects_malformed_tiers(tiers, message):
         validate_schedule({"tiers": tiers})
 
 
+def test_schedule_errors_keep_their_reason_for_unprintable_values():
+    # 1e4300 has more digits than Python converts to text.
+    huge = "<more than 4300 digits>"
+    cases = [
+        ([{"upper_kwh": None, "rate": "-1e4300"}], f"rate must be >= 0, got -{huge}"),
+        (
+            [{"upper_kwh": "2e4300", "rate": 1}, {"upper_kwh": "1e4300", "rate": 1},
+             {"upper_kwh": None, "rate": 1}],
+            f"bound {huge} does not increase past {huge}",
+        ),
+        (
+            [{"upper_kwh": 1, "rate": "3e4300"}, {"upper_kwh": None, "rate": "2e4300"}],
+            f"tier 2: rate {huge} decreases",
+        ),
+    ]
+    for tiers, message in cases:
+        with pytest.raises(ScheduleError) as caught:
+            validate_schedule({"tiers": tiers})
+        assert message in str(caught.value)
+    with pytest.raises(ValueError) as caught:
+        slot_factor("7e4300", 30)
+    assert str(caught.value) == f"slot_hours must divide 24 evenly, got {huge}"
+
+
 def test_validate_rejects_decreasing_rates_without_override():
     raw = {
         "tiers": [
