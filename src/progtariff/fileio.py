@@ -149,34 +149,45 @@ def emit_schedule(schedule: TariffSchedule, path: PathLike, precision: int = 6):
 
 
 def parse_trace_csv(path: PathLike) -> list[MeterReading]:
-    """Read meter readings from a trace CSV, in file order."""
+    """Read meter readings from a trace CSV, in file order.
+
+    Every row is checked once, here, in this order: blank rows are
+    skipped, then the field count, the consumer id, the start stamp, the
+    energy, the end stamp and ``end > start`` are checked. The readings
+    are then built without running MeterReading's checks a second time.
+    """
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as err:
         raise TraceError(f"{path}: {err.strerror or err}") from err
-    rows = list(csv.reader(text.splitlines()))
-    if not rows:
+    rows = csv.reader(text.splitlines())
+    first = next(rows, None)
+    if first is None:
         raise TraceError(f"{path}: missing header")
-    header = [cell.strip() for cell in rows[0]]
+    header = [cell.strip() for cell in first]
     if header not in (TRACE_HEADER, TRACE_HEADER + ["interval_end"]):
         raise TraceError(
             f"{path}:1: bad header {header!r}, expected {','.join(TRACE_HEADER)}"
             " with optional interval_end"
         )
-    has_end = len(header) == 4
-    readings = []
+    width = len(header)
+    has_end = width == 4
+    readings: list[MeterReading] = []
+    append = readings.append
+    make_reading = MeterReading._checked
     # Each distinct energy string is parsed and checked once per file.
     energies: dict[str, Fraction] = {}
-    for line_no, row in enumerate(rows[1:], start=2):
-        if not "".join(row).strip():
-            continue
-        if len(row) != len(header):
-            raise TraceError(
-                f"{path}:{line_no}: expected {len(header)} fields, got {len(row)}"
-            )
-        consumer = row[0].strip()
-        if not consumer:
+    for line_no, row in enumerate(rows, start=2):
+        # A row of the right width with a consumer id is neither blank nor
+        # short; anything else takes the slower checks, in the same order.
+        if len(row) != width or not (consumer := row[0].strip()):
+            if not "".join(row).strip():
+                continue
+            if len(row) != width:
+                raise TraceError(
+                    f"{path}:{line_no}: expected {width} fields, got {len(row)}"
+                )
             raise TraceError(f"{path}:{line_no}: empty consumer_id")
         try:
             start = parse_rfc3339(row[1])
@@ -194,12 +205,11 @@ def parse_trace_csv(path: PathLike) -> list[MeterReading]:
                 end = parse_rfc3339(row[3])
             except ValueError as err:
                 raise TraceError(f"{path}:{line_no}: {err}") from err
-        try:
-            readings.append(
-                MeterReading(consumer=consumer, start=start, energy=energy, end=end)
-            )
-        except ValueError as err:
-            raise TraceError(f"{path}:{line_no}: {err}") from err
+            if end <= start:
+                raise TraceError(
+                    f"{path}:{line_no}: reading end must be after its start"
+                )
+        append(make_reading(consumer, start, energy, end))
     return readings
 
 
@@ -364,14 +374,56 @@ def allocation_to_dict(result: AllocationResult) -> dict:
     }
 
 
+_escape = json.encoder.encode_basestring_ascii
+
+
+def _write_json(value, indent: str, out: list[str]) -> None:
+    """Append the ``json.dumps(indent=2, sort_keys=True)`` text of *value*.
+
+    *indent* is the indentation of the line *value* starts on. Strings
+    are escaped by the routine ``json.dumps`` uses, and ``json.dumps``
+    itself writes the few other leaves and empty containers.
+    """
+    if isinstance(value, str):
+        out.append(_escape(value))
+    elif isinstance(value, dict) and value:
+        inner = indent + "  "
+        separator = "{\n" + inner
+        for key in sorted(value):
+            out.append(separator + _escape(key) + ": ")
+            _write_json(value[key], inner, out)
+            separator = ",\n" + inner
+        out.append("\n" + indent + "}")
+    elif isinstance(value, (list, tuple)) and value:
+        inner = indent + "  "
+        separator = ",\n" + inner
+        out.append("[\n" + inner)
+        try:
+            # Slot charges and loads are long lists of strings: one join.
+            out.append(separator.join(map(_escape, value)))
+        except TypeError:
+            for index, item in enumerate(value):
+                if index:
+                    out.append(separator)
+                _write_json(item, inner, out)
+        out.append("\n" + indent + "]")
+    else:
+        out.append(json.dumps(value))
+
+
 def to_json(payload: dict) -> str:
+    """*payload* as ``json.dumps(payload, indent=2, sort_keys=True)``, plus
+    a newline. Dict keys must be strings."""
+    out: list[str] = []
     try:
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        _write_json(payload, "", out)
     except ValueError:
         # A payload holds only dicts, lists, strings, ints, bools and None,
         # so the one ValueError left is an int with more digits than
         # Python converts to text, such as a whole 1e4300 tier bound.
         raise too_large_error() from None
+    out.append("\n")
+    return "".join(out)
 
 
 # ----------------------------------------------------------------------

@@ -61,15 +61,23 @@ _MICROSECOND = timedelta(microseconds=1)
 # Most slots a grid may hold; without a cap "--slot-hours 1e-30" asks for
 # 2.4e31 cells per consumer. A one-minute grid over 366 days fits.
 MAX_SLOTS = 10**6
+# Most consumer-slot cells a partition may hold: a grid under MAX_SLOTS
+# can still ask for 10**6 zero-filled cells per consumer. A month of
+# 2,000 consumers on 6-hour slots holds 240,000.
+MAX_CELLS = 10**6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MeterReading:
     """One meter delta: energy consumed starting at a UTC timestamp.
 
     ``end`` is optional; when present the energy is spread over
     [start, end) and may be split across slot boundaries, otherwise the
     reading is a point delta assigned to the slot containing ``start``.
+
+    The constructor checks every field. ``fileio.parse_trace_csv`` checks
+    each row itself and builds its readings with ``_checked``, so no
+    field is checked twice.
     """
 
     consumer: str
@@ -87,6 +95,30 @@ class MeterReading:
             if end <= self.start:
                 raise ValueError("reading end must be after its start")
             object.__setattr__(self, "end", end)
+
+    @classmethod
+    def _checked(
+        cls, consumer: str, start: datetime, energy: Fraction, end: Optional[datetime]
+    ) -> "MeterReading":
+        """A reading from fields the caller has already checked.
+
+        The caller guarantees what the constructor would check: a
+        non-empty ``str`` consumer id, ``start`` and ``end`` in UTC with
+        ``end`` after ``start`` or None, and a non-negative Fraction.
+        """
+        reading = object.__new__(cls)
+        _set_consumer(reading, consumer)
+        _set_start(reading, start)
+        _set_energy(reading, energy)
+        _set_end(reading, end)
+        return reading
+
+
+# The slot setters bypass the frozen __setattr__ and the checks.
+_set_consumer = MeterReading.consumer.__set__
+_set_start = MeterReading.start.__set__
+_set_energy = MeterReading.energy.__set__
+_set_end = MeterReading.end.__set__
 
 
 @dataclass(frozen=True)
@@ -373,7 +405,9 @@ def slot_partition(
     readings are split across slots in proportion to time overlap. Every
     reading must lie inside the billing period, and one consumer's
     interval readings must not overlap each other. Cells that received
-    no reading are zero-filled and tracked via ``observed``.
+    no reading are zero-filled and tracked via ``observed``. A partition
+    of more than MAX_CELLS cells (consumers times slots) is refused
+    before any row is built.
 
     Time is counted in integer microseconds from the period start, the
     resolution of ``datetime``. A slot lasts ``num/den`` microseconds, so
@@ -384,11 +418,17 @@ def slot_partition(
     integer numerator over the lcm of their denominators and becomes a
     single Fraction at the end.
     """
+    consumers = sorted({reading.consumer for reading in readings})
+    slot_count = grid.slot_count
+    if len(consumers) * slot_count > MAX_CELLS:
+        raise SimulationError(
+            f"{len(consumers)} consumers on {slot_count} slots would need "
+            f"more than {MAX_CELLS} cells"
+        )
     origin = grid.period_start
     period = (grid.period_end - origin) // _MICROSECOND
     slot_length = grid.slot_seconds * 10**6
     num, den = slot_length.numerator, slot_length.denominator
-    slot_count = grid.slot_count
     # (consumer, slot) -> energy of the cell's first point reading
     points: dict[tuple[str, int], Fraction] = {}
     # (consumer, slot) -> (numerator, denominator) of every other share
@@ -448,7 +488,6 @@ def slot_partition(
                     f"overlapping interval readings for consumer {consumer!r}"
                 )
 
-    consumers = sorted({reading.consumer for reading in readings})
     rows = {consumer: [Fraction(0)] * slot_count for consumer in consumers}
     for (consumer, slot), energy in points.items():
         rows[consumer][slot] = energy

@@ -12,20 +12,30 @@ text oracles render a reduced Fraction, where the package renders integer
 numerators over unreduced, shared denominators. The group price oracle
 builds the schedule widened by the group size and prices the pooled
 usage on it, where the package prices the pooled usage over N on the
-unwidened table and multiplies by N. If the package and these agree,
-both routes would have to be wrong in the same way.
+unwidened table and multiplies by N. The trace parser oracle builds every
+reading through MeterReading's checking constructor, where the package
+checks each row once and builds its readings unchecked. The JSON oracle
+is ``json.dumps``, where the package writes reports with its own writer.
+If the package and these agree, both routes would have to be wrong in
+the same way.
 """
 
+import csv
+import json
 import math
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 from progtariff import (
     AllocationPolicy,
+    MeterReading,
     SchemeKind,
     ShiftReport,
+    TraceError,
     demand_metrics,
     energy_amount,
+    parse_rfc3339,
     progressive_price,
     run_scheme,
     scale_schedule,
@@ -297,3 +307,64 @@ def desk_exact_str(value):
         return f"{sign}{whole}.{frac:0{places}d}"
     except ValueError:
         raise _too_large() from None
+
+
+TRACE_HEADER = ["consumer_id", "interval_start", "energy_kwh"]
+
+
+def desk_parse_trace_csv(path):
+    """Read a trace CSV row by row, building each reading through the
+    checking MeterReading constructor. Raises TraceError with the
+    package's messages, in the package's order."""
+    path = Path(path)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except OSError as err:
+        raise TraceError(f"{path}: {err.strerror or err}") from err
+    rows = list(csv.reader(text.splitlines()))
+    if not rows:
+        raise TraceError(f"{path}: missing header")
+    header = [cell.strip() for cell in rows[0]]
+    if header not in (TRACE_HEADER, TRACE_HEADER + ["interval_end"]):
+        raise TraceError(
+            f"{path}:1: bad header {header!r}, expected {','.join(TRACE_HEADER)}"
+            " with optional interval_end"
+        )
+    has_end = len(header) == 4
+    readings = []
+    for line_no, row in enumerate(rows[1:], start=2):
+        if not "".join(row).strip():
+            continue
+        if len(row) != len(header):
+            raise TraceError(
+                f"{path}:{line_no}: expected {len(header)} fields, got {len(row)}"
+            )
+        consumer = row[0].strip()
+        if not consumer:
+            raise TraceError(f"{path}:{line_no}: empty consumer_id")
+        try:
+            start = parse_rfc3339(row[1])
+        except ValueError as err:
+            raise TraceError(f"{path}:{line_no}: {err}") from err
+        try:
+            energy = energy_amount(row[2].strip())
+        except ValueError as err:
+            raise TraceError(f"{path}:{line_no}: {err}") from err
+        end = None
+        if has_end and row[3].strip():
+            try:
+                end = parse_rfc3339(row[3])
+            except ValueError as err:
+                raise TraceError(f"{path}:{line_no}: {err}") from err
+        try:
+            readings.append(
+                MeterReading(consumer=consumer, start=start, energy=energy, end=end)
+            )
+        except ValueError as err:
+            raise TraceError(f"{path}:{line_no}: {err}") from err
+    return readings
+
+
+def desk_to_json(payload):
+    """A report payload as the CLI prints it with --json."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"

@@ -279,6 +279,17 @@ def test_grid_past_datetime_range_or_slot_cap_is_input_error(capsys):
         assert err.startswith("error: ") and reason in err, flags
 
 
+def test_grid_past_cell_cap_is_input_error(capsys):
+    # 3 consumers on 1/463 h slots: 333,360 slots, under the slot cap, but
+    # 1,000,080 cells, over the cell cap. Refused before any row is built.
+    status, out, err = run(
+        capsys, "compare", "--schedule", SCHEDULE, "--trace", SLOT_TRACE,
+        "--slot-hours", "1/463", "--json",
+    )
+    assert (status, out) == (1, "")
+    assert err == "error: 3 consumers on 333360 slots would need more than 1000000 cells\n"
+
+
 def test_huge_rejected_value_keeps_its_reason(capsys, tmp_path):
     # Each value has more digits than Python converts to text; the error
     # must still say why the value was refused.

@@ -1,10 +1,11 @@
 import json
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 from fractions import Fraction
 
 import pytest
 
 from progtariff import (
+    MeterReading,
     ScheduleError,
     TraceError,
     emit_schedule,
@@ -16,10 +17,11 @@ from progtariff import (
     schedule_to_dict,
     slot_factor,
 )
-from progtariff.fileio import report_to_dict, to_json
+from progtariff.fileio import TRACE_HEADER, report_to_dict, to_json
 from progtariff.simulate import SlotGrid, SlotUsageMatrix, run_scheme
 
 from conftest import FIXTURES
+from oracles import desk_parse_trace_csv
 
 
 # ----------------------------------------------------------------------
@@ -222,6 +224,93 @@ def test_parse_rfc3339_forms():
     assert parse_rfc3339("2025-01-01T00:00:00+00:00") == utc
     with pytest.raises(ValueError, match="offset"):
         parse_rfc3339("2025-01-01T00:00:00")
+
+
+_BASE = datetime(2025, 1, 1, tzinfo=timezone.utc)
+_KST = timezone(timedelta(hours=9))
+_FORMS = [
+    lambda t: t.strftime("%Y-%m-%dT%H:%M:%SZ"),
+    lambda t: t.strftime("%Y-%m-%dT%H:%M:%Sz"),
+    lambda t: " " + t.astimezone(_KST).isoformat() + " ",
+    lambda t: t.strftime("%Y-%m-%dT%H:%M:%S.250000Z"),
+]
+_BAD_STAMPS = ["yesterday", "2025-01-01T00:00:00", "2025-13-01T00:00:00Z", "", " "]
+_GOOD_ENERGIES = ["1.5", "5/3", " 2 ", "0", "1e2", "0.001", "-0"]
+_BAD_ENERGIES = ["-1", "abc", "", "1/0", "1e5000", "--2"]
+_BLANK_ROWS = [[], [""], ["  "], ["", "", ""], [" ", "\t", ""], ["", "", "", "", ""]]
+
+
+def _stamp(rng, minutes):
+    return rng.choice(_FORMS)(_BASE + timedelta(minutes=minutes))
+
+
+def _cell(text, rng):
+    """One CSV field, sometimes quoted."""
+    if "," in text or '"' in text or rng.random() < 0.1:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _trace_rows(rng, has_end, clean):
+    """Rows of field texts; a clean trace has only good or blank rows."""
+    def pick(good, bad, rate=0.06):
+        return rng.choice(bad) if not clean and rng.random() < rate else good
+
+    rows = []
+    for _ in range(rng.randint(0, 12)):
+        if rng.random() < 0.12:
+            rows.append(list(rng.choice(_BLANK_ROWS)))
+            continue
+        minutes = rng.randint(0, 60 * 24 * 30)
+        consumer = pick(rng.choice(["c1", " c2 ", "c,3", 'c"4', "\u00e9"]), ["", "  "])
+        start = pick(_stamp(rng, minutes), _BAD_STAMPS)
+        energy = pick(rng.choice(_GOOD_ENERGIES), _BAD_ENERGIES)
+        row = [consumer, start, energy]
+        if has_end:
+            if rng.random() < 0.3:
+                end = rng.choice(["", "  "])
+            else:
+                end = _stamp(rng, minutes + rng.randint(1, 600))
+            # An end equal to the start, or before it, in any offset form.
+            wrong = [_stamp(rng, minutes), _stamp(rng, minutes - 60), *_BAD_STAMPS[:2]]
+            row.append(pick(end, wrong, rate=0.15))
+        if not clean and rng.random() < 0.05:
+            row = row[:-1] if rng.random() < 0.5 else row + ["extra"]
+        rows.append(row)
+    return rows
+
+
+def _outcome(parse, path):
+    try:
+        return "readings", parse(path)
+    except TraceError as err:
+        return "error", str(err)
+
+
+def test_trace_parser_matches_checked_oracle(tmp_path, rng):
+    checked_traces = 0
+    for case in range(400):
+        has_end = rng.random() < 0.5
+        header = TRACE_HEADER + ["interval_end"] if has_end else TRACE_HEADER
+        rows = _trace_rows(rng, has_end, clean=rng.random() < 0.4)
+        newline = rng.choice(["\n", "\r\n"])
+        lines = [",".join(header)] + [",".join(_cell(f, rng) for f in row) for row in rows]
+        path = tmp_path / f"trace{case}.csv"
+        path.write_bytes((newline.join(lines) + newline).encode("utf-8"))
+
+        got = _outcome(parse_trace_csv, path)
+        assert got == _outcome(desk_parse_trace_csv, path), path.read_text()
+        kind, readings = got
+        if kind == "readings":
+            checked_traces += 1
+            rebuilt = [MeterReading(r.consumer, r.start, r.energy, r.end) for r in readings]
+            assert readings == rebuilt
+            for reading in readings:
+                assert type(reading.energy) is Fraction
+                assert reading.start.tzinfo is timezone.utc
+                assert reading.end is None or reading.end.tzinfo is timezone.utc
+    # Both outcomes are exercised often.
+    assert 100 < checked_traces < 300
 
 
 # ----------------------------------------------------------------------

@@ -1,9 +1,12 @@
+import itertools
 import math
 import random
 from datetime import datetime, timedelta, timezone
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from progtariff import (
     MeterReading,
@@ -15,11 +18,13 @@ from progtariff import (
     demand_metrics,
     exact_str,
     format_money,
+    group_slot_price,
     parse_trace_csv,
     progressive_price,
     proportional_allocation,
     run_scheme,
     scale_schedule,
+    simulate,
     slot_partition,
     what_if_shift,
 )
@@ -137,6 +142,15 @@ def test_partition_rejects_reading_past_period_end(month_grid):
             [MeterReading("a", ts(day=30, hour=23), 1, end=ts(day=31, hour=1))],
             month_grid,
         )
+
+
+def test_partition_cell_cap_counts_consumers_times_slots(month_grid, monkeypatch):
+    monkeypatch.setattr(simulate, "MAX_CELLS", 2 * month_grid.slot_count)
+    readings = [MeterReading("a", ts(), 1), MeterReading("b", ts(day=2), 1)]
+    assert slot_partition(readings, month_grid).total() == 2
+    readings.append(MeterReading("c", ts(day=3), 1))
+    with pytest.raises(SimulationError, match="^3 consumers on 120 slots would need more than 240 cells$"):
+        slot_partition(readings, month_grid)
 
 
 def test_partition_rejects_overlapping_intervals(month_grid):
@@ -546,6 +560,52 @@ def test_shift_into_quietest_slot_can_raise_shifters_allocated_bill():
     report = what_if_shift(matrix, schedule, grid, "c1", 1, 2, amount)
     assert report.allocated_delta == Fraction("23.35")
     assert report.group_billed_delta == Fraction("-550.26")
+
+
+def _ratios(top):
+    return st.builds(Fraction, st.integers(0, top), st.integers(1, 12))
+
+
+@st.composite
+def progressive_schedules(draw):
+    """A convex schedule: rising bounds, rates that never fall."""
+    count = draw(st.integers(1, 5))
+    steps = draw(st.lists(_ratios(120).filter(bool), min_size=count - 1, max_size=count - 1))
+    rises = draw(st.lists(_ratios(300), min_size=count, max_size=count))
+    bounds = list(itertools.accumulate(steps))
+    rates = list(itertools.accumulate(rises))
+    return make_schedule([*zip(bounds, rates), (None, rates[-1])])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(progressive_schedules(), st.lists(_ratios(400), min_size=1, max_size=5), st.data())
+def test_group_shift_toward_balance_never_raises_group_price(schedule, source, data):
+    """Paper claim 3 at the group level.
+
+    One member moves ``a`` kWh from slot s to slot t, where the pooled
+    usages satisfy ``P_t + a <= P_s``. Both pooled usages stay within
+    [P_t, P_s] and their sum is unchanged, so by convexity the exact group
+    price of the two slots cannot rise.
+    """
+    size = len(source)
+    ids = [f"c{index}" for index in range(size)]
+    shifter = data.draw(st.integers(0, size - 1))
+    amount = source[shifter] * data.draw(_ratios(12)) / 12
+    # The target slot's usages fill at most what the source keeps.
+    room = sum(source) - amount
+    weights = data.draw(st.lists(st.integers(0, 12), min_size=size, max_size=size))
+    target = [room * weight / (12 * size) for weight in weights]
+    assert sum(target) + amount <= sum(source)
+
+    def pair_price(from_cells, to_cells):
+        return group_slot_price(schedule, dict(zip(ids, from_cells))) + group_slot_price(
+            schedule, dict(zip(ids, to_cells))
+        )
+
+    moved_source, moved_target = list(source), list(target)
+    moved_source[shifter] -= amount
+    moved_target[shifter] += amount
+    assert pair_price(moved_source, moved_target) <= pair_price(source, target)
 
 
 def test_shift_within_one_tier_is_free_individually(kepco, month_grid, month_matrix):
