@@ -13,7 +13,7 @@ import sys
 from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Union
+from typing import Union
 
 ExactLike = Union[int, str, Fraction, Decimal]
 
@@ -142,14 +142,14 @@ def scale_value(value: ExactLike) -> Fraction:
     return factor
 
 
-def _half_up_units(num: int, den: int, places: int) -> int:
+def half_up_units(num: int, den: int, places: int) -> int:
     """|num/den| (den > 0) in units of 10**-places, rounded half up."""
     return (2 * abs(num) * 10**places + den) // (2 * den)
 
 
 def round_half_up(value: Fraction, places: int = MONEY_PLACES) -> Fraction:
     """Round to *places* decimals, halves away from zero, still exact."""
-    units = _half_up_units(value.numerator, value.denominator, places)
+    units = half_up_units(value.numerator, value.denominator, places)
     return Fraction(-units if value.numerator < 0 else units, 10**places)
 
 
@@ -165,7 +165,7 @@ def fixed_text(num: int, den: int, places: int) -> str:
     report can render integer numerators over a shared denominator
     without building a Fraction per value.
     """
-    units = _half_up_units(num, den, places)
+    units = half_up_units(num, den, places)
     sign = "-" if (num < 0 and units > 0) else ""
     try:
         if places == 0:
@@ -238,20 +238,6 @@ def format_money(value: ExactLike) -> str:
 
 def format_energy(value: ExactLike) -> str:
     return format_fixed(exact(value), ENERGY_PLACES)
-
-
-def exact_sum(values: Iterable[Fraction]) -> Fraction:
-    """Exact sum of rationals.
-
-    Numerators that share a denominator are added as plain integers
-    first, so a long sum of values on a few denominators costs a few
-    Fraction additions instead of one per value.
-    """
-    numerators: dict[int, int] = {}
-    for value in values:
-        den = value.denominator
-        numerators[den] = numerators.get(den, 0) + value.numerator
-    return sum((Fraction(num, den) for den, num in numerators.items()), Fraction(0))
 
 
 def exact_str(value: Fraction) -> str:

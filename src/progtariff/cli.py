@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 from datetime import timezone
+from functools import partial
 
 from .amounts import exact, format_money, fraction_str
 from .errors import BillingError, InternalCheckError
@@ -34,12 +35,13 @@ from .grouping import AllocationPolicy, proportional_allocation
 from .simulate import (
     SchemeKind,
     SlotGrid,
+    SlotUsageMatrix,
     compare_schemes,
     run_scheme,
     slot_partition,
     what_if_shift,
 )
-from .tariff import progressive_price, tier_breakdown
+from .tariff import TariffSchedule, progressive_price, tier_breakdown
 
 
 class _CliError(BillingError):
@@ -145,62 +147,61 @@ def _grid_from_args(args, readings) -> SlotGrid:
     )
 
 
+def _emit(args, result, to_dict, render) -> int:
+    """Print *result* as ``to_json(to_dict(result))`` under --json, else as
+    ``render(result)``."""
+    if args.json:
+        print(to_json(to_dict(result)), end="")
+    else:
+        print(render(result))
+    return 0
+
+
+def _load(args) -> tuple[TariffSchedule, SlotGrid, SlotUsageMatrix]:
+    """The schedule, the grid and the partitioned trace that *args* name."""
+    schedule = parse_schedule_file(args.schedule)
+    readings = parse_trace_csv(args.trace)
+    grid = _grid_from_args(args, readings)
+    return schedule, grid, slot_partition(readings, grid)
+
+
 def _cmd_validate(args) -> int:
     schedule = parse_schedule_file(args.schedule)
-    if args.json:
-        print(to_json(schedule_to_dict(schedule)), end="")
-    else:
-        print(render_schedule_summary(schedule))
-    return 0
+    return _emit(args, schedule, schedule_to_dict, render_schedule_summary)
+
+
+def _bill_dict(schedule: TariffSchedule, usage) -> dict:
+    rows = tier_breakdown(schedule, usage)
+    return {
+        "currency": schedule.currency,
+        "price": format_money(progressive_price(schedule, usage)),
+        "breakdown": [
+            {"tier": number, "energy_kwh": fraction_str(span), "charge": format_money(charge)}
+            for number, span, charge in rows
+        ],
+    }
 
 
 def _cmd_bill(args) -> int:
     schedule = parse_schedule_file(args.schedule)
     usage = exact(args.usage)
-    if args.json:
-        rows = tier_breakdown(schedule, usage)
-        payload = {
-            "currency": schedule.currency,
-            "price": format_money(progressive_price(schedule, usage)),
-            "breakdown": [
-                {
-                    "tier": number,
-                    "energy_kwh": fraction_str(span),
-                    "charge": format_money(charge),
-                }
-                for number, span, charge in rows
-            ],
-        }
-        print(to_json(payload), end="")
-    else:
-        print(render_bill(schedule, usage))
-    return 0
+    return _emit(args, usage, partial(_bill_dict, schedule), partial(render_bill, schedule))
 
 
 def _cmd_simulate(args) -> int:
-    schedule = parse_schedule_file(args.schedule)
-    readings = parse_trace_csv(args.trace)
-    grid = _grid_from_args(args, readings)
-    matrix = slot_partition(readings, grid)
+    schedule, grid, matrix = _load(args)
     report = run_scheme(matrix, schedule, grid, args.scheme, args.policy)
-    if args.json:
-        print(to_json(report_to_dict(report)), end="")
-    else:
-        print(render_report(report))
-    return 0
+    return _emit(args, report, report_to_dict, render_report)
 
 
 def _cmd_compare(args) -> int:
-    schedule = parse_schedule_file(args.schedule)
-    readings = parse_trace_csv(args.trace)
-    grid = _grid_from_args(args, readings)
-    matrix = slot_partition(readings, grid)
+    schedule, grid, matrix = _load(args)
     comparison = compare_schemes(matrix, schedule, grid, args.policy)
-    if args.json:
-        print(to_json(comparison_to_dict(comparison)), end="")
-    else:
-        print(render_comparison(comparison))
-    return 0
+    return _emit(args, comparison, comparison_to_dict, render_comparison)
+
+
+def _render_shares(result) -> str:
+    return ",".join(format_money(share) for share in result.shares.values())
 
 
 def _cmd_allocate(args) -> int:
@@ -211,33 +212,16 @@ def _cmd_allocate(args) -> int:
     width = len(str(len(prices)))
     pairs = [(f"{index:0{width}d}", price) for index, price in enumerate(prices, start=1)]
     result = proportional_allocation(args.group, pairs, args.policy)
-    if args.json:
-        print(to_json(allocation_to_dict(result)), end="")
-    else:
-        print(",".join(format_money(share) for share in result.shares.values()))
-    return 0
+    return _emit(args, result, allocation_to_dict, _render_shares)
 
 
 def _cmd_shift(args) -> int:
-    schedule = parse_schedule_file(args.schedule)
-    readings = parse_trace_csv(args.trace)
-    grid = _grid_from_args(args, readings)
-    matrix = slot_partition(readings, grid)
+    schedule, grid, matrix = _load(args)
     report = what_if_shift(
-        matrix,
-        schedule,
-        grid,
-        consumer=args.consumer,
-        from_slot=args.from_slot,
-        to_slot=args.to_slot,
-        amount=exact(args.amount),
-        policy=args.policy,
+        matrix, schedule, grid, args.consumer, args.from_slot, args.to_slot,
+        exact(args.amount), args.policy,
     )
-    if args.json:
-        print(to_json(shift_to_dict(report)), end="")
-    else:
-        print(render_shift(report))
-    return 0
+    return _emit(args, report, shift_to_dict, render_shift)
 
 
 def run_cli(argv=None) -> int:

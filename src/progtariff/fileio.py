@@ -9,7 +9,7 @@ Schedule files are JSON::
 
 Rates and bounds are read as exact rationals; "60.7" becomes 607/10, not
 a float. On emission, values whose decimal form does not terminate are
-written at a configurable precision together with a lossless
+written to SCHEDULE_PLACES decimals together with a lossless
 ``*_exact`` p/q field, which the parser prefers when present. Parsing an
 emitted file therefore reproduces the schedule exactly.
 
@@ -40,7 +40,7 @@ from .amounts import (
     format_money,
     too_large_error,
 )
-from .errors import ScheduleError, TraceError
+from .errors import BillingError, ScheduleError, TraceError
 from .grouping import AllocationResult
 from .simulate import (
     BillingReport,
@@ -54,6 +54,10 @@ from .tariff import HOURS_PER_DAY, TariffSchedule, tier_breakdown, validate_sche
 PathLike = Union[str, Path]
 
 TRACE_HEADER = ["consumer_id", "interval_start", "energy_kwh"]
+
+# Decimals of the display form of a schedule number that does not
+# terminate; its lossless p/q form is written beside it.
+SCHEDULE_PLACES = 6
 
 
 def parse_rfc3339(text: str) -> datetime:
@@ -82,6 +86,17 @@ def format_rfc3339(stamp: datetime) -> str:
 # ----------------------------------------------------------------------
 
 
+def _read_text(path: Path, error: type[BillingError]) -> str:
+    """The UTF-8 text of *path*; a file that cannot be read or decoded
+    raises *error* naming the path."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except OSError as err:
+        raise error(f"{path}: {err.strerror or err}") from err
+    except UnicodeDecodeError as err:
+        raise error(f"{path}: not UTF-8 text ({err.reason} at byte {err.start})") from err
+
+
 def parse_schedule_file(path: PathLike) -> TariffSchedule:
     """Load and validate a schedule JSON file.
 
@@ -89,10 +104,7 @@ def parse_schedule_file(path: PathLike) -> TariffSchedule:
     validate_schedule pass through unchanged.
     """
     path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as err:
-        raise ScheduleError(f"{path}: {err.strerror or err}") from err
+    text = _read_text(path, ScheduleError)
     try:
         # Floats never enter: JSON number literals are kept as strings and
         # re-parsed exactly.
@@ -102,19 +114,19 @@ def parse_schedule_file(path: PathLike) -> TariffSchedule:
     return validate_schedule(raw)
 
 
-def _number_fields(name: str, value: Fraction, places: int) -> dict:
+def _number_fields(name: str, value: Fraction) -> dict:
     """A schedule number: JSON int, decimal string, or display + p/q pair."""
     if value.denominator == 1:
         return {name: int(value)}
     lossless = exact_str(value)
     fields = {name: lossless}
     if "/" in lossless:
-        fields[name] = format_fixed(value, places)
+        fields[name] = format_fixed(value, SCHEDULE_PLACES)
         fields[f"{name}_exact"] = lossless
     return fields
 
 
-def schedule_to_dict(schedule: TariffSchedule, precision: int = 6) -> dict:
+def schedule_to_dict(schedule: TariffSchedule) -> dict:
     """JSON-ready description of a schedule, losslessly round-trippable."""
     tiers = []
     for tier in schedule.tiers:
@@ -122,14 +134,12 @@ def schedule_to_dict(schedule: TariffSchedule, precision: int = 6) -> dict:
         if tier.upper_bound is None:
             entry["upper_kwh"] = None
         else:
-            entry.update(_number_fields("upper_kwh", tier.upper_bound, precision))
-        entry.update(_number_fields("rate", tier.rate, precision))
+            entry.update(_number_fields("upper_kwh", tier.upper_bound))
+        entry.update(_number_fields("rate", tier.rate))
         tiers.append(entry)
     out = {
         "currency": schedule.currency,
-        **_number_fields(
-            "base_period_days", schedule.base_hours / HOURS_PER_DAY, precision
-        ),
+        **_number_fields("base_period_days", schedule.base_hours / HOURS_PER_DAY),
         "tiers": tiers,
     }
     if schedule.allow_rate_decrease:
@@ -137,15 +147,23 @@ def schedule_to_dict(schedule: TariffSchedule, precision: int = 6) -> dict:
     return out
 
 
-def emit_schedule(schedule: TariffSchedule, path: PathLike, precision: int = 6):
-    Path(path).write_text(
-        to_json(schedule_to_dict(schedule, precision)), encoding="utf-8"
-    )
+def emit_schedule(schedule: TariffSchedule, path: PathLike):
+    Path(path).write_text(to_json(schedule_to_dict(schedule)), encoding="utf-8")
 
 
 # ----------------------------------------------------------------------
 # Trace CSV
 # ----------------------------------------------------------------------
+
+
+def _csv_rows(path: Path, text: str):
+    """The CSV rows of *text*; a row the csv module refuses, such as one
+    with a field past ``csv.field_size_limit()``, raises TraceError."""
+    rows = csv.reader(text.splitlines())
+    try:
+        yield from rows
+    except csv.Error as err:
+        raise TraceError(f"{path}:{rows.line_num}: {err}") from err
 
 
 def parse_trace_csv(path: PathLike) -> list[MeterReading]:
@@ -157,11 +175,7 @@ def parse_trace_csv(path: PathLike) -> list[MeterReading]:
     are then built without running MeterReading's checks a second time.
     """
     path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as err:
-        raise TraceError(f"{path}: {err.strerror or err}") from err
-    rows = csv.reader(text.splitlines())
+    rows = _csv_rows(path, _read_text(path, TraceError))
     first = next(rows, None)
     if first is None:
         raise TraceError(f"{path}: missing header")

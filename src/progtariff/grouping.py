@@ -28,7 +28,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence, Union
 
-from .amounts import MONEY_PLACES, ExactLike, energy_amount, money_amount
+from .amounts import MONEY_PLACES, ExactLike, energy_amount, half_up_units, money_amount
 from .errors import AllocationError
 from .tariff import TariffSchedule, TierTable
 
@@ -77,24 +77,32 @@ class GroupPricingResult:
         return sum(self.individual_prices.values(), Fraction(0))
 
 
-# One slot column on its own quantum: (quantum, pooled units, price
-# numerators, their denominator). Cell i is units_i / quantum kWh, the
-# column's pooled usage is pooled / quantum kWh, and consumer i's price
-# on the slot schedule is numerators[i] / denominator.
-Column = tuple[int, int, list[int], int]
+def quantize(values: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """Put *values* on one quantum, the lcm of their denominators.
+
+    Returns the quantum and every value as an integer count of it, so
+    value i is ``units[i] / quantum``.
+    """
+    quantum = math.lcm(*(value.denominator for value in values))
+    return quantum, [value.numerator * (quantum // value.denominator) for value in values]
+
+
+# One slot column on its own quantum: (quantum, units, price numerators,
+# their denominator). Cell i is units[i] / quantum kWh, the column's
+# pooled usage is sum(units) / quantum kWh, and consumer i's price on the
+# slot schedule is numerators[i] / denominator.
+Column = tuple[int, list[int], list[int], int]
 
 
 def price_column(table: TierTable, cells: Sequence[Fraction]) -> Column:
     """Put one slot column's cells on one quantum and price each alone.
 
-    The quantum is the lcm of the column's denominators. Each column
-    picks its own: one lcm over a whole matrix of unrelated denominators
-    would make every integer in it huge.
+    Each column picks its own quantum: one lcm over a whole matrix of
+    unrelated denominators would make every integer in it huge.
     """
-    quantum = math.lcm(*(cell.denominator for cell in cells))
-    units = [cell.numerator * (quantum // cell.denominator) for cell in cells]
+    quantum, units = quantize(cells)
     numerators, denominator = table.prices(units, quantum)
-    return quantum, sum(units), numerators, denominator
+    return quantum, units, numerators, denominator
 
 
 def price_group(table: TierTable, column: Column, size: int) -> tuple[int, int]:
@@ -102,10 +110,10 @@ def price_group(table: TierTable, column: Column, size: int) -> tuple[int, int]:
 
     Returns a numerator and a denominator. The price of the pooled usage
     u on the table widened by *size* is exactly size * P(u / size) on the
-    table itself, and u / size is pooled / (quantum * size) kWh.
+    table itself, and u / size is sum(units) / (quantum * size) kWh.
     """
-    quantum, pooled, _, _ = column
-    (numerator,), denominator = table.prices((pooled,), quantum * size)
+    quantum, units, _, _ = column
+    (numerator,), denominator = table.prices((sum(units),), quantum * size)
     return size * numerator, denominator
 
 
@@ -172,7 +180,6 @@ def allocate_units(
     exact-sum reconciliation; ``ids`` break ties between equal
     remainders. Implements proportional_allocation on integers alone.
     """
-    minor = 10**MONEY_PLACES
     total = sum(weights)
     if total == 0:
         if group_num != 0:
@@ -181,18 +188,18 @@ def allocate_units(
                 "individual prices"
             )
         return [0] * len(weights), []
-    # Raw share i, in minor units, is minor * group * w_i / total, which
-    # is the integer (minor * group_num * w_i) over ``scale``.
+    # Raw share i is group * w_i / total, the integer group_num * w_i over
+    # ``scale``; in minor units it is (minor * group_num * w_i) / scale.
     scale = group_den * total
-    scaled = minor * group_num
     if policy is AllocationPolicy.INDEPENDENT:
-        return [(2 * scaled * weight + scale) // (2 * scale) for weight in weights], []
+        return [half_up_units(group_num * weight, scale, MONEY_PLACES) for weight in weights], []
+    scaled = 10**MONEY_PLACES * group_num
     shares, remainders = [], []
     for weight in weights:
         share, remainder = divmod(scaled * weight, scale)
         shares.append(share)
         remainders.append(remainder)
-    target = (2 * scaled + group_den) // (2 * group_den)
+    target = half_up_units(group_num, group_den, MONEY_PLACES)
     # The floors fall short of the rounded group price by fewer units
     # than there are consumers, so nobody receives two.
     shortfall = target - sum(shares)
@@ -226,8 +233,7 @@ def proportional_allocation(
     policy = AllocationPolicy(policy)
     group = money_amount(group_price)
     ids, prices = _members(individual_prices, money_amount)
-    scale = math.lcm(*(price.denominator for price in prices))
-    weights = [price.numerator * (scale // price.denominator) for price in prices]
+    _, weights = quantize(prices)
     units, extra = allocate_units(group.numerator, group.denominator, weights, ids, policy)
     minor = 10**MONEY_PLACES
     return AllocationResult(

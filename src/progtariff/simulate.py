@@ -25,7 +25,7 @@ from datetime import datetime, timedelta, timezone
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .amounts import (
     MONEY_PLACES,
@@ -33,12 +33,11 @@ from .amounts import (
     echo_value,
     energy_amount,
     exact,
-    exact_sum,
     round_money,
     scale_value,
 )
 from .errors import InternalCheckError, SimulationError
-from .grouping import AllocationPolicy, Column, allocate_units, price_column, price_group
+from .grouping import AllocationPolicy, Column, allocate_units, price_column, price_group, quantize
 from .tariff import (
     HOURS_PER_DAY,
     TariffSchedule,
@@ -516,10 +515,27 @@ def _load_metrics(loads: tuple[Fraction, ...], mean: Fraction) -> DemandMetrics:
     return DemandMetrics(slot_loads=loads, peak=peak, mean=mean, par=par)
 
 
+def _demand(columns: Iterable[tuple[int, Sequence[int]]]) -> DemandMetrics:
+    """Demand metrics of slot columns given as (quantum, units) pairs."""
+    loads = tuple(Fraction(sum(units), quantum) for quantum, units in columns)
+    return _load_metrics(loads, sum(loads, Fraction(0)) / len(loads))
+
+
 def demand_metrics(matrix: SlotUsageMatrix) -> DemandMetrics:
     """Aggregate slot loads and the peak-to-average ratio."""
-    loads = tuple(exact_sum(cells) for cells in _slot_columns(matrix))
-    return _load_metrics(loads, sum(loads, Fraction(0)) / len(loads))
+    return _demand(map(quantize, _slot_columns(matrix)))
+
+
+def _row_sums(columns: Iterable[tuple[Sequence[int], int]]) -> list[Fraction]:
+    """Exact row sums of columns given as (integers, their denominator).
+    Columns that share a denominator are added as integers first, so a
+    row sum costs one Fraction per distinct denominator."""
+    groups: dict[int, list[Sequence[int]]] = {}
+    for values, denominator in columns:
+        groups.setdefault(denominator, []).append(values)
+    dens = list(groups)
+    sums = zip(*(map(sum, zip(*group)) for group in groups.values()))
+    return [sum(map(Fraction, row, dens), Fraction(0)) for row in sums]
 
 
 def _check_grid(matrix: SlotUsageMatrix, schedule: TariffSchedule, grid: SlotGrid):
@@ -548,8 +564,9 @@ class _Billing:
     """One usage matrix billed under one schedule on one grid.
 
     Each piece is computed at most once and shared by every scheme that
-    reads it: the demand metrics, the compiled slot schedule, and every
-    slot column with the price of each of its cells.
+    reads it: the compiled slot schedule, and every slot column on its
+    quantum with the price of each cell. The demand, the monthly usages
+    and the slotted totals are all read off those columns.
     """
 
     def __init__(self, matrix: SlotUsageMatrix, schedule: TariffSchedule, grid: SlotGrid):
@@ -558,13 +575,16 @@ class _Billing:
         self.schedule = schedule
         self.grid = grid
         self.progressive = schedule.is_progressive
-        self.demand = demand_metrics(matrix)
         self.table = scale_schedule(schedule, grid.factor).table
 
     @cached_property
     def columns(self) -> list[Column]:
         """Every slot column of the matrix, priced."""
         return [price_column(self.table, cells) for cells in _slot_columns(self.matrix)]
+
+    @cached_property
+    def demand(self) -> DemandMetrics:
+        return _demand((quantum, units) for quantum, units, _, _ in self.columns)
 
     def bill_slot(
         self, slot: int, column: Column, policy: AllocationPolicy
@@ -605,28 +625,21 @@ class _Billing:
                 row.append(share)
         return rows, prices
 
-    def _monthly(self) -> dict[str, Fraction]:
-        matrix = self.matrix
-        return {
-            consumer: progressive_price(self.schedule, exact_sum(row))
-            for consumer, row in zip(matrix.consumers, matrix.usage)
-        }
+    def _monthly(self) -> list[Fraction]:
+        """Every consumer's period usage, priced with the schedule as quoted.
+
+        Each consumer is priced on its own: one quantum for all period
+        usages would be the lcm of every cell denominator in the matrix.
+        """
+        usages = _row_sums((units, quantum) for quantum, units, _, _ in self.columns)
+        return [progressive_price(self.schedule, usage) for usage in usages]
 
     def _slotted(self) -> tuple[_Numerators, tuple[int, ...], list[Fraction]]:
         """Individual slot prices as rows of numerators over one denominator
-        per slot, and every consumer's exact total.
-
-        Columns that share a denominator are summed as integers first, so
-        a total costs one Fraction per distinct denominator.
-        """
+        per slot, and every consumer's exact total."""
         columns = self.columns
         rows = zip(*(numerators for _, _, numerators, _ in columns))
-        groups: dict[int, list[list[int]]] = {}
-        for _, _, numerators, denominator in columns:
-            groups.setdefault(denominator, []).append(numerators)
-        shared = list(groups)
-        sums = zip(*(map(sum, zip(*group)) for group in groups.values()))
-        totals = [exact_sum(map(Fraction, row, shared)) for row in sums]
+        totals = _row_sums((numerators, den) for _, _, numerators, den in columns)
         return (
             dict(zip(self.matrix.consumers, rows)),
             tuple(column[3] for column in columns),
@@ -656,14 +669,13 @@ class _Billing:
         group_prices: Optional[tuple[Fraction, ...]] = None
         used_policy: Optional[AllocationPolicy] = None
         if scheme is SchemeKind.MONTHLY_INDIVIDUAL:
-            totals = self._monthly()
+            sums = self._monthly()
+        elif scheme is SchemeKind.SLOTTED_INDIVIDUAL:
+            numerators, dens, sums = self._slotted()
         else:
-            if scheme is SchemeKind.SLOTTED_INDIVIDUAL:
-                numerators, dens, sums = self._slotted()
-            else:
-                used_policy = policy
-                numerators, dens, sums, group_prices = self._grouped(policy)
-            totals = dict(zip(self.matrix.consumers, sums))
+            used_policy = policy
+            numerators, dens, sums, group_prices = self._grouped(policy)
+        totals = dict(zip(self.matrix.consumers, sums))
         billed = {consumer: round_money(total) for consumer, total in totals.items()}
         return BillingReport(
             scheme=scheme,
@@ -674,8 +686,8 @@ class _Billing:
             slot_denominators=dens,
             consumer_totals=totals,
             billed_totals=billed,
-            aggregate_billed=exact_sum(billed.values()),
-            aggregate_exact=exact_sum(totals.values()),
+            aggregate_billed=sum(billed.values(), Fraction(0)),
+            aggregate_exact=sum(totals.values(), Fraction(0)),
             group_slot_prices=group_prices,
             policy=used_policy,
             demand=self.demand,
@@ -776,7 +788,7 @@ def what_if_shift(
 
     allocated_before = sum(own)
     group_before = sum(map(sum, rows))
-    individual_before = exact_sum(solo(column) for column in billing.columns)
+    (individual_before,) = _row_sums(((nums[index],), den) for _, _, nums, den in billing.columns)
     allocated_after, group_after = allocated_before, group_before
     individual_after = individual_before
     for slot in sorted({from_slot, to_slot}):

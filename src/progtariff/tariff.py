@@ -80,11 +80,6 @@ class TierTable:
             self.charges.append(self.charges[-1] + rate * (bound - lower))
             lower = bound
 
-    def tier(self, usage: Fraction) -> int:
-        """0-based index of the tier that *usage* ends in (usage >= 0)."""
-        edges = [bound * usage.denominator for bound in self.bounds]
-        return bisect_left(edges, usage.numerator * self.bound_scale)
-
     def prices(self, units: Sequence[int], quantum: int) -> tuple[list[int], int]:
         """Exact prices of the usages ``units[i] / quantum`` kWh.
 
@@ -167,9 +162,7 @@ class TariffSchedule:
         return all(a <= b for a, b in zip(rates, rates[1:]))
 
 
-def validate_schedule(
-    raw: Mapping, *, allow_rate_decrease: bool = False
-) -> TariffSchedule:
+def validate_schedule(raw: Mapping) -> TariffSchedule:
     """Build a TariffSchedule from a plain description mapping.
 
     Expected shape::
@@ -182,7 +175,8 @@ def validate_schedule(
     Bounds and rates may be ints or decimal / p-over-q strings; they are
     parsed to exact rationals. A tier may carry ``upper_kwh_exact`` (a
     lossless p/q string) which takes precedence over ``upper_kwh``; the
-    same goes for ``rate_exact``. Raises ScheduleError on any violation.
+    same goes for ``rate_exact``. ``"allow_rate_decrease": true`` accepts
+    a non-progressive schedule. Raises ScheduleError on any violation.
     """
     if not isinstance(raw, Mapping):
         raise ScheduleError(f"schedule description must be a mapping, got {type(raw).__name__}")
@@ -196,7 +190,6 @@ def validate_schedule(
     if unknown:
         raise ScheduleError(f"unknown schedule fields: {sorted(unknown)}")
     currency = raw.get("currency", "KRW")
-    override = bool(raw.get("allow_rate_decrease", False)) or allow_rate_decrease
     try:
         base_days = scale_value(
             raw.get("base_period_days_exact", raw.get("base_period_days", 30))
@@ -225,7 +218,7 @@ def validate_schedule(
         tiers=tuple(tiers),
         currency=currency,
         base_hours=base_days * HOURS_PER_DAY,
-        allow_rate_decrease=override,
+        allow_rate_decrease=bool(raw.get("allow_rate_decrease", False)),
     )
 
 
@@ -251,11 +244,11 @@ def tier_breakdown(
     progressive_price, both exactly.
     """
     amount = energy_amount(usage)
-    last = schedule.table.tier(amount)
     rows = []
     lower = Fraction(0)
-    for number, tier in enumerate(schedule.tiers[: last + 1], start=1):
-        upper = amount if number == last + 1 else tier.upper_bound
+    for number, tier in enumerate(schedule.tiers, start=1):
+        bound = tier.upper_bound
+        upper = amount if bound is None else min(amount, bound)
         if upper > lower:
             rows.append((number, upper - lower, tier.rate * (upper - lower)))
         lower = upper

@@ -6,8 +6,10 @@ the price oracle walks one minimal energy quantum at a time, the desk
 calculator prices via the cumulative clip formula, and the remainder
 allocator repeatedly scans for the largest remainder instead of sorting
 once. The partition oracle measures time in Fraction seconds, where the
-package counts integer microseconds. The shift oracle bills both whole
-matrices, where the package reprices only the two changed columns. The
+package counts integer microseconds. The demand oracle adds a slot's
+cells one Fraction at a time, where the package puts each slot column on
+one integer quantum. The shift oracle bills both whole matrices, where
+the package reprices only the two changed columns. The
 text oracles render a reduced Fraction, where the package renders integer
 numerators over unreduced, shared denominators. The group price oracle
 builds the schedule widened by the group size and prices the pooled
@@ -29,11 +31,11 @@ from pathlib import Path
 
 from progtariff import (
     AllocationPolicy,
+    DemandMetrics,
     MeterReading,
     SchemeKind,
     ShiftReport,
     TraceError,
-    demand_metrics,
     energy_amount,
     parse_rfc3339,
     progressive_price,
@@ -220,13 +222,27 @@ def desk_partition(readings, grid):
     return tuple(consumers), usage, observed
 
 
+def desk_demand(matrix):
+    """Slot loads, peak, mean and peak-to-average ratio of a usage matrix,
+    each load a Fraction sum of its slot's cells. The ratio is None when
+    the matrix holds no load."""
+    loads = tuple(
+        sum((row[slot] for row in matrix.usage), Fraction(0))
+        for slot in range(matrix.slots)
+    )
+    peak = max(loads)
+    mean = sum(loads, Fraction(0)) / matrix.slots
+    par = None if mean == 0 else peak / mean
+    return DemandMetrics(slot_loads=loads, peak=peak, mean=mean, par=par)
+
+
 def desk_shift(matrix, schedule, grid, consumer, from_slot, to_slot, amount,
                policy="exact-sum"):
     """A what-if shift priced on both whole matrices.
 
     Bills the input matrix and the shifted one under the slotted-group
-    and slotted-individual schemes, and takes each one's demand metrics,
-    then reads the consumer's figures off the four reports. Raises the
+    and slotted-individual schemes, and takes each one's demand metrics
+    with desk_demand, then reads the consumer's figures off the four reports. Raises the
     same errors as the engine, in the same order: the amount, then the
     shift itself, then the policy, then the grid.
     """
@@ -237,7 +253,7 @@ def desk_shift(matrix, schedule, grid, consumer, from_slot, to_slot, amount,
     for billed in (matrix, shifted):
         group = run_scheme(billed, schedule, grid, SchemeKind.SLOTTED_GROUP, policy)
         solo = run_scheme(billed, schedule, grid, SchemeKind.SLOTTED_INDIVIDUAL)
-        sides.append((group, solo, demand_metrics(billed)))
+        sides.append((group, solo, desk_demand(billed)))
     (group_before, solo_before, demand_before), (group_after, solo_after, demand_after) = sides
     allocated_before = group_before.billed_totals[consumer]
     allocated_after = group_after.billed_totals[consumer]

@@ -319,3 +319,32 @@ def test_huge_rejected_value_keeps_its_reason(capsys, tmp_path):
         status, out, err = run(capsys, *argv)
         assert (status, out) == (1, ""), argv
         assert reason in err and "Exceeds the limit" not in err, argv
+
+
+def test_trace_field_past_csv_limit_is_reported_with_line(capsys, tmp_path):
+    trace = tmp_path / "wide.csv"
+    trace.write_text(
+        "consumer_id,interval_start,energy_kwh\n"
+        "a,2025-01-01T00:00:00Z,1\n"
+        f"a,2025-01-01T06:00:00Z,{'1' * 200_000}\n"
+    )
+    status, out, err = run(capsys, "compare", "--schedule", SCHEDULE, "--trace", str(trace))
+    assert (status, out) == (1, "")
+    assert err.startswith(f"error: {trace}:3: field larger than field limit")
+    assert "Traceback" not in err
+
+
+def test_non_utf8_trace_or_schedule_names_the_file(capsys, tmp_path):
+    # 0xff starts no UTF-8 sequence.
+    trace = tmp_path / "bad.csv"
+    trace.write_bytes(b"consumer_id,interval_start,energy_kwh\n\xff,2025-01-01T00:00:00Z,1\n")
+    schedule = tmp_path / "bad.json"
+    schedule.write_bytes(b'{"currency": "\xff", "tiers": []}')
+    cases = [
+        (["compare", "--schedule", SCHEDULE, "--trace", str(trace)], trace, 38),
+        (["validate", "--schedule", str(schedule)], schedule, 14),
+    ]
+    for argv, path, byte in cases:
+        status, out, err = run(capsys, *argv)
+        assert (status, out) == (1, ""), argv
+        assert err == f"error: {path}: not UTF-8 text (invalid start byte at byte {byte})\n"

@@ -28,11 +28,16 @@ from progtariff import (
     slot_partition,
     what_if_shift,
 )
-from progtariff.amounts import exact_sum
 from progtariff.fileio import report_to_dict
 
 from conftest import FIXTURES, KEPCO_TIERS, make_schedule
-from oracles import desk_partition, desk_schemes, desk_shift, widened_group_price
+from oracles import (
+    desk_demand,
+    desk_partition,
+    desk_schemes,
+    desk_shift,
+    widened_group_price,
+)
 
 UTC = timezone.utc
 
@@ -343,6 +348,45 @@ def test_demand_empty_consumer_set_is_zero_load():
     metrics = demand_metrics(matrix)
     assert metrics.slot_loads == (Fraction(0),) * 4
     assert metrics.par is None
+
+
+def _demand_case(rng, kind):
+    """A random matrix with a schedule and grid that fit it."""
+    days = rng.randint(1, 3)
+    slots = 4 * days
+    consumers = 0 if kind == "empty" else rng.randint(1, 12)
+    rows = {}
+    for i in range(consumers):
+        if kind == "decimal":
+            row = [Fraction(rng.randint(0, 40000), 1000) for _ in range(slots)]
+        elif kind == "p/q":
+            # Unrelated denominators put each column on a large quantum.
+            row = [Fraction(rng.randint(0, 10**7), rng.randint(1, 10**6 - 1)) for _ in range(slots)]
+        else:
+            row = [Fraction(0)] * slots
+        rows[f"c{i}"] = row
+    matrix = (
+        SlotUsageMatrix.from_rows(rows)
+        if rows
+        else SlotUsageMatrix(consumers=(), slots=slots, usage=())
+    )
+    grid = SlotGrid(Fraction(6), days, ts())
+    return matrix, make_schedule(KEPCO_TIERS, base_days=days), grid
+
+
+def test_demand_matches_desk_oracle():
+    """Every route to the demand metrics agrees with Fraction column sums."""
+    rng = random.Random(47)
+    kinds = ["decimal", "p/q", "all-zero", "empty"]
+    for case in range(80):
+        kind = kinds[case % len(kinds)]
+        matrix, schedule, grid = _demand_case(rng, kind)
+        expected = desk_demand(matrix)
+        assert (expected.par is None) == (kind in ("all-zero", "empty")), case
+        assert demand_metrics(matrix) == expected, case
+        assert compare_schemes(matrix, schedule, grid).demand == expected, case
+        for scheme in SchemeKind:
+            assert run_scheme(matrix, schedule, grid, scheme).demand == expected, case
 
 
 # ----------------------------------------------------------------------
@@ -802,7 +846,7 @@ def test_slot_charges_match_per_cell_recomputation():
             entries = report_to_dict(report)["consumers"]
             for consumer, entry in zip(consumers, entries):
                 charges = report.slot_charges[consumer]
-                assert report.consumer_totals[consumer] == exact_sum(charges), case
+                assert report.consumer_totals[consumer] == sum(charges, Fraction(0)), case
                 assert entry["slot_charges"] == [format_money(c) for c in charges]
                 texts = [exact_str(charge) for charge in charges]
                 assert entry["slot_charges_exact"] == texts

@@ -120,7 +120,7 @@ def test_validate_rejects_decreasing_rates_without_override():
     }
     with pytest.raises(ScheduleError, match="decreases"):
         validate_schedule(raw)
-    schedule = validate_schedule(raw, allow_rate_decrease=True)
+    schedule = validate_schedule({**raw, "allow_rate_decrease": True})
     assert not schedule.is_progressive
 
 
