@@ -85,6 +85,30 @@ def exact(value: ExactLike) -> Fraction:
     than MAX_DECIMAL_EXPONENT is refused before any power of ten is
     built.
     """
+    if isinstance(value, str):
+        text = value.strip()
+        # A plain ASCII decimal ("12" or "12.345"), the usual trace energy,
+        # is read from its digits without Fraction's regex. Every other
+        # string, and one with more digits than int() reads, takes the
+        # general path below, which sets the error messages.
+        whole, point, frac = text.partition(".")
+        if text.isascii() and whole.isdecimal() and (frac.isdecimal() or not point):
+            try:
+                return Fraction(int(whole + frac), 10 ** len(frac))
+            except ValueError:
+                pass
+        mark = max(text.rfind("e"), text.rfind("E"))
+        if mark >= 0:
+            try:
+                exponent = int(text[mark + 1 :])
+            except ValueError:
+                pass  # not an exponent; Fraction rejects the text below
+            else:
+                _check_exponent(exponent, value)
+        try:
+            return Fraction(text)
+        except (ValueError, ZeroDivisionError) as err:
+            raise ValueError(f"not a decimal or p/q number: {_echo(value)}") from err
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
@@ -101,20 +125,6 @@ def exact(value: ExactLike) -> Fraction:
         if isinstance(exponent, int):  # "n", "N" or "F" for NaN and infinity
             _check_exponent(exponent, str(value))
         return Fraction(value)
-    if isinstance(value, str):
-        text = value.strip()
-        mark = max(text.rfind("e"), text.rfind("E"))
-        if mark >= 0:
-            try:
-                exponent = int(text[mark + 1 :])
-            except ValueError:
-                pass  # not an exponent; Fraction rejects the text below
-            else:
-                _check_exponent(exponent, value)
-        try:
-            return Fraction(text)
-        except (ValueError, ZeroDivisionError) as err:
-            raise ValueError(f"not a decimal or p/q number: {_echo(value)}") from err
     raise TypeError(f"cannot convert {type(value).__name__} to an exact number")
 
 

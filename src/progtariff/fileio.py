@@ -23,11 +23,12 @@ strings, parsed exactly.
 from __future__ import annotations
 
 import csv
+import io
 import json
 from datetime import datetime, timezone
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 from .amounts import (
     MONEY_PLACES,
@@ -49,7 +50,13 @@ from .simulate import (
     ShiftReport,
     SlotGrid,
 )
-from .tariff import HOURS_PER_DAY, TariffSchedule, tier_breakdown, validate_schedule
+from .tariff import (
+    HOURS_PER_DAY,
+    TariffSchedule,
+    progressive_price,
+    tier_breakdown,
+    validate_schedule,
+)
 
 PathLike = Union[str, Path]
 
@@ -63,13 +70,16 @@ SCHEDULE_PLACES = 6
 def parse_rfc3339(text: str) -> datetime:
     """Parse an RFC 3339 timestamp with an explicit offset, as UTC."""
     raw = text.strip()
-    if raw.endswith(("Z", "z")):
+    if raw[-1:] in ("Z", "z"):
         raw = raw[:-1] + "+00:00"
     try:
         stamp = datetime.fromisoformat(raw)
     except ValueError as err:
         raise ValueError(f"not an RFC 3339 timestamp: {text!r}") from err
-    if stamp.tzinfo is None:
+    zone = stamp.tzinfo
+    if zone is timezone.utc:
+        return stamp
+    if zone is None:
         raise ValueError(f"timestamp {text!r} has no UTC offset")
     return stamp.astimezone(timezone.utc)
 
@@ -158,8 +168,13 @@ def emit_schedule(schedule: TariffSchedule, path: PathLike):
 
 def _csv_rows(path: Path, text: str):
     """The CSV rows of *text*; a row the csv module refuses, such as one
-    with a field past ``csv.field_size_limit()``, raises TraceError."""
-    rows = csv.reader(text.splitlines())
+    with a field past ``csv.field_size_limit()``, raises TraceError.
+
+    Rows end only at CR or LF, as in a file opened with ``newline=""``:
+    ``str.splitlines`` would also end them at form feeds, U+2028 and the
+    other Unicode line boundaries.
+    """
+    rows = csv.reader(io.StringIO(text, newline=""))
     try:
         yield from rows
     except csv.Error as err:
@@ -263,10 +278,29 @@ def demand_dict(report: BillingReport) -> dict:
     }
 
 
+def _slot_charge_texts(report: BillingReport) -> Iterator[Iterator[tuple[str, ...]]]:
+    """Each consumer's slot charges, in ``report.consumers`` order, as a
+    (display texts, lossless texts) pair.
+
+    Rendered from the integers, one column at a time: a slot charge
+    repeats often, so each distinct numerator of a denominator is
+    rendered once.
+    """
+    rows = [report.slot_numerators[consumer] for consumer in report.consumers]
+    texts: dict[int, dict[int, tuple[str, str]]] = {}
+    columns = []
+    for den, column in zip(report.slot_denominators, zip(*rows)):
+        memo = texts.setdefault(den, {})
+        for num in set(column).difference(memo):
+            memo[num] = (fixed_text(num, den, MONEY_PLACES), exact_text(num, den))
+        columns.append(map(memo.__getitem__, column))
+    return (zip(*pairs) for pairs in zip(*columns))
+
+
 def report_to_dict(report: BillingReport) -> dict:
-    # Rendered from the integers: reading slot_charges would build a
-    # Fraction per cell.
-    dens = report.slot_denominators
+    charges = None
+    if report.slot_numerators is not None:
+        charges = _slot_charge_texts(report)
     consumers = []
     for consumer in report.consumers:
         entry: dict = {"id": consumer}
@@ -274,12 +308,10 @@ def report_to_dict(report: BillingReport) -> dict:
             "billed": format_money(report.billed_totals[consumer]),
             "exact": exact_str(report.consumer_totals[consumer]),
         }
-        if report.slot_numerators is not None:
-            row = report.slot_numerators[consumer]
-            entry["slot_charges"] = [
-                fixed_text(num, den, MONEY_PLACES) for num, den in zip(row, dens)
-            ]
-            entry["slot_charges_exact"] = list(map(exact_text, row, dens))
+        if charges is not None:
+            fixed, lossless = next(charges)
+            entry["slot_charges"] = list(fixed)
+            entry["slot_charges_exact"] = list(lossless)
         consumers.append(entry)
     out = {
         "scheme": report.scheme.value,
@@ -465,8 +497,7 @@ def render_schedule_summary(schedule: TariffSchedule) -> str:
 def render_bill(schedule: TariffSchedule, usage) -> str:
     """Price line plus one row per tier that received energy."""
     rows = tier_breakdown(schedule, usage)
-    total = sum((charge for _, _, charge in rows), Fraction(0))
-    lines = [format_money(total)]
+    lines = [format_money(progressive_price(schedule, usage))]
     for number, span, charge in rows:
         rate = schedule.tiers[number - 1].rate
         lines.append(

@@ -25,6 +25,7 @@ from datetime import datetime, timedelta, timezone
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
+from itertools import repeat
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .amounts import (
@@ -180,6 +181,9 @@ class SlotUsageMatrix:
     downstream report is deterministic. ``observed`` optionally records
     which cells received at least one reading; cells outside it were
     zero-filled for lack of data.
+
+    The constructor checks every cell. ``slot_partition`` builds its
+    matrix from cells it has already checked, with ``_checked``.
     """
 
     consumers: tuple[str, ...]
@@ -219,6 +223,17 @@ class SlotUsageMatrix:
             slots = len(rows[consumers[0]])
         usage = tuple(tuple(exact(cell) for cell in rows[c]) for c in consumers)
         return cls(consumers=consumers, slots=slots, usage=usage)
+
+    @classmethod
+    def _checked(
+        cls, consumers: tuple[str, ...], slots: int, usage: tuple, observed: frozenset
+    ) -> "SlotUsageMatrix":
+        """A matrix from fields the caller has already checked: at least one
+        slot, unique consumer ids in sorted order, and one tuple of
+        ``slots`` non-negative Fractions per consumer."""
+        matrix = object.__new__(cls)
+        matrix.__dict__.update(consumers=consumers, slots=slots, usage=usage, observed=observed)
+        return matrix
 
     def index_of(self, consumer: str) -> int:
         try:
@@ -428,8 +443,10 @@ def slot_partition(
     period = (grid.period_end - origin) // _MICROSECOND
     slot_length = grid.slot_seconds * 10**6
     num, den = slot_length.numerator, slot_length.denominator
-    # (consumer, slot) -> energy of the cell's first point reading
-    points: dict[tuple[str, int], Fraction] = {}
+    # consumer -> row holding each cell's first point reading, None if none
+    rows: dict[str, list[Optional[Fraction]]] = {
+        consumer: [None] * slot_count for consumer in consumers
+    }
     # (consumer, slot) -> (numerator, denominator) of every other share
     shares: dict[tuple[str, int], tuple[int, int]] = {}
     intervals: dict[str, list[tuple[int, int]]] = {}
@@ -457,11 +474,12 @@ def slot_partition(
                 "lies outside the billing period"
             )
         if reading.end is None:
-            cell = (consumer, offset * den // num)
-            if cell in points:
-                add_share(cell, energy.numerator, energy.denominator)
+            row = rows[consumer]
+            slot = offset * den // num
+            if row[slot] is None:
+                row[slot] = energy
             else:
-                points[cell] = energy
+                add_share((consumer, slot), energy.numerator, energy.denominator)
             continue
         end = (reading.end - origin) // _MICROSECOND
         if end > period:
@@ -487,19 +505,23 @@ def slot_partition(
                     f"overlapping interval readings for consumer {consumer!r}"
                 )
 
-    rows = {consumer: [Fraction(0)] * slot_count for consumer in consumers}
-    for (consumer, slot), energy in points.items():
-        rows[consumer][slot] = energy
-    for cell, (share_num, share_den) in shares.items():
+    for (consumer, slot), (share_num, share_den) in shares.items():
         share = Fraction(share_num, share_den)
-        point = points.get(cell)
-        consumer, slot = cell
-        rows[consumer][slot] = share if point is None else point + share
-    return SlotUsageMatrix(
-        consumers=tuple(consumers),
-        slots=slot_count,
-        usage=tuple(tuple(rows[consumer]) for consumer in consumers),
-        observed=frozenset(points.keys() | shares.keys()),
+        row = rows[consumer]
+        point = row[slot]
+        row[slot] = share if point is None else point + share
+    observed = []
+    usage = []
+    zero = Fraction(0)
+    for consumer in consumers:
+        row = rows[consumer]
+        seen = [slot for slot, cell in enumerate(row) if cell is not None]
+        observed.extend(zip(repeat(consumer), seen))
+        if len(seen) < slot_count:
+            row = [zero if cell is None else cell for cell in row]
+        usage.append(tuple(row))
+    return SlotUsageMatrix._checked(
+        tuple(consumers), slot_count, tuple(usage), frozenset(observed)
     )
 
 

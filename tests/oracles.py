@@ -18,11 +18,16 @@ unwidened table and multiplies by N. The trace parser oracle builds every
 reading through MeterReading's checking constructor, where the package
 checks each row once and builds its readings unchecked. The JSON oracle
 is ``json.dumps``, where the package writes reports with its own writer.
+The energy oracle reads every string with ``Fraction(str)``, where the
+package reads plain decimals from their digits. The slot-charge text
+oracles render each cell on its own, where the package renders each
+distinct charge of a denominator once.
 If the package and these agree, both routes would have to be wrong in
 the same way.
 """
 
 import csv
+import io
 import json
 import math
 import sys
@@ -42,6 +47,7 @@ from progtariff import (
     run_scheme,
     scale_schedule,
 )
+from progtariff.amounts import MAX_DECIMAL_EXPONENT
 
 MINOR = 100  # minor currency units per whole unit
 
@@ -325,6 +331,35 @@ def desk_exact_str(value):
         raise _too_large() from None
 
 
+def _desk_echo(text):
+    if len(text) <= 40:
+        return repr(text)
+    return f"{text[:40]!r}... ({len(text)} characters)"
+
+
+def desk_exact(text):
+    """A string read as an exact number by Fraction's own parser, every
+    string alike: the exponent cap first, then ``Fraction(str)``. Raises
+    ValueError with the package's messages."""
+    stripped = text.strip()
+    mark = max(stripped.rfind("e"), stripped.rfind("E"))
+    if mark >= 0:
+        try:
+            exponent = int(stripped[mark + 1 :])
+        except ValueError:
+            pass
+        else:
+            if abs(exponent) > MAX_DECIMAL_EXPONENT:
+                raise ValueError(
+                    f"decimal exponent beyond +/-{MAX_DECIMAL_EXPONENT}: "
+                    f"{_desk_echo(text)}"
+                )
+    try:
+        return Fraction(stripped)
+    except (ValueError, ZeroDivisionError) as err:
+        raise ValueError(f"not a decimal or p/q number: {_desk_echo(text)}") from err
+
+
 TRACE_HEADER = ["consumer_id", "interval_start", "energy_kwh"]
 
 
@@ -337,7 +372,7 @@ def desk_parse_trace_csv(path):
         text = path.read_text(encoding="utf-8")
     except OSError as err:
         raise TraceError(f"{path}: {err.strerror or err}") from err
-    rows = list(csv.reader(text.splitlines()))
+    rows = list(csv.reader(io.StringIO(text, newline="")))
     if not rows:
         raise TraceError(f"{path}: missing header")
     header = [cell.strip() for cell in rows[0]]

@@ -1,21 +1,22 @@
-"""The integer text routines against the Fraction-based oracles.
+"""The integer text routines and the energy reader against their oracles.
 
 ``fixed_text`` and ``exact_text`` render ``num/den`` straight from
 integers, with ``den`` shared and not reduced; the oracles render a
 reduced Fraction. Both must give the same text, or the same error, for
-every value. The examples are derandomized, so every run checks the same
-cases.
+every value. ``exact`` reads plain decimals from their digits; its
+oracle reads every string with ``Fraction(str)``. The examples are
+derandomized, so every run checks the same cases.
 """
 
 import sys
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from progtariff.amounts import exact_str, exact_text, fixed_text, format_fixed
+from progtariff.amounts import exact, exact_str, exact_text, fixed_text, format_fixed
 
-from oracles import desk_exact_str, desk_format_fixed
+from oracles import desk_exact, desk_exact_str, desk_format_fixed
 
 LIMIT = sys.get_int_max_str_digits()
 
@@ -110,3 +111,64 @@ def test_echo_value_clips_long_and_unprintable_values():
     assert echo_value(Fraction(10**49)) == "1" + "0" * 39 + "... (50 characters)"
     assert echo_value(Fraction(1, 10**LIMIT)) == f"<more than {LIMIT} digits>"
     assert echo_value(Fraction(-(10**LIMIT))) == f"-<more than {LIMIT} digits>"
+
+
+def read_outcome(read, text):
+    try:
+        return "value", read(text)
+    except Exception as err:
+        return type(err), str(err)
+
+
+ARABIC_INDIC = "\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669"
+number_chars = "0123456789" + ARABIC_INDIC
+digit_runs = st.text(alphabet=number_chars + "_", max_size=6)
+# Shaped like a number, so that most draws reach a parser's value path.
+shaped = st.builds(
+    lambda pad, sign, whole, point, frac, exponent, ratio: (
+        f"{pad}{sign}{whole}{point}{frac}{exponent}{ratio}{pad}"
+    ),
+    st.sampled_from(["", " ", "  "]),
+    st.sampled_from(["", "+", "-"]),
+    digit_runs,
+    st.sampled_from(["", ".", ".."]),
+    digit_runs,
+    st.one_of(
+        st.just(""),
+        st.builds(
+            lambda mark, sign, digits: mark + sign + digits,
+            st.sampled_from("eE"),
+            st.sampled_from(["", "+", "-"]),
+            st.text(alphabet="0123456789", min_size=1, max_size=5),
+        ),
+    ),
+    st.one_of(st.just(""), digit_runs.map(lambda digits: "/" + digits)),
+)
+scrambled = st.text(alphabet=number_chars + "._eE+-/ ", max_size=12)
+# Plain ASCII decimals, and near misses such as "1." and ".5".
+ascii_runs = st.text(alphabet="0123456789", max_size=8)
+plain = st.builds(
+    lambda whole, point, frac: whole + point + frac,
+    ascii_runs,
+    st.sampled_from(["", "."]),
+    ascii_runs,
+)
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(st.one_of(plain, shaped, scrambled))
+@example("1.")
+@example(".5")
+@example("007.250")
+@example("1" * (LIMIT + 1))
+@example("1." + "0" * LIMIT)
+@example("0" * (LIMIT + 1) + ".5")
+@example("1e4300")
+@example("1e4301")
+@example("1_000.5")
+@example("\u0663.\u0665")
+@example(" 2 ")
+@example("5/3")
+def test_exact_reads_strings_as_the_fraction_oracle(text):
+    """The same value, or the same exception type and message."""
+    assert read_outcome(exact, text) == read_outcome(desk_exact, text)

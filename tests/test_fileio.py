@@ -1,8 +1,12 @@
+import dataclasses
 import json
+import sys
 from datetime import datetime, timedelta, timezone
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from progtariff import (
     MeterReading,
@@ -21,7 +25,7 @@ from progtariff.fileio import TRACE_HEADER, report_to_dict, to_json
 from progtariff.simulate import SlotGrid, SlotUsageMatrix, run_scheme
 
 from conftest import FIXTURES
-from oracles import desk_parse_trace_csv
+from oracles import desk_exact_str, desk_format_fixed, desk_parse_trace_csv
 
 
 # ----------------------------------------------------------------------
@@ -313,6 +317,26 @@ def test_trace_parser_matches_checked_oracle(tmp_path, rng):
     assert 100 < checked_traces < 300
 
 
+def _one_row_trace(tmp_path, row):
+    path = tmp_path / "trace.csv"
+    path.write_bytes(f"{','.join(TRACE_HEADER)}\n{row}\n".encode("utf-8"))
+    return path
+
+
+def test_form_feed_inside_an_unquoted_field_does_not_end_the_row(tmp_path):
+    path = _one_row_trace(tmp_path, "c\x0cd,2025-01-01T00:00:00Z,1")
+    readings = parse_trace_csv(path)
+    assert [r.consumer for r in readings] == ["c\x0cd"]
+    assert desk_parse_trace_csv(path) == readings
+
+
+def test_line_separator_inside_a_quoted_field_is_kept(tmp_path):
+    path = _one_row_trace(tmp_path, '"a\u2028b",2025-01-01T00:00:00Z,1')
+    readings = parse_trace_csv(path)
+    assert [r.consumer for r in readings] == ["a\u2028b"]
+    assert desk_parse_trace_csv(path) == readings
+
+
 # ----------------------------------------------------------------------
 # report JSON
 # ----------------------------------------------------------------------
@@ -363,3 +387,48 @@ def test_values_too_large_to_display_say_so(value):
         with pytest.raises(ValueError, match=r"^amount too large to display: more than 4300 digits$"):
             render(value)
 
+
+def _report_with_charges(kepco, numerators, denominators):
+    """A slotted-individual report on 30 daily slots whose slot charges
+    are replaced."""
+    grid = SlotGrid(Fraction(24), 30, datetime(2025, 1, 1, tzinfo=timezone.utc))
+    rows = {consumer: [1] * len(denominators) for consumer in numerators}
+    base = run_scheme(SlotUsageMatrix.from_rows(rows), kepco, grid, "slotted-individual")
+    return dataclasses.replace(
+        base,
+        slot_numerators={c: tuple(row) for c, row in numerators.items()},
+        slot_denominators=tuple(denominators),
+    )
+
+
+# Few distinct numerators, so that charges repeat across consumers and
+# slots; denominators shared across slots, terminating or not.
+charge_pools = st.lists(
+    st.integers(-(10**12), 10**12) | st.integers(0, 10**5), min_size=1, max_size=4
+)
+charge_denominators = st.sampled_from([60_000, 7, 100, 3 * 10**6, 1])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.data())
+def test_slot_charge_texts_match_per_cell_oracles(kepco, data):
+    slots = 30
+    pool = data.draw(charge_pools)
+    dens = data.draw(st.lists(charge_denominators, min_size=slots, max_size=slots))
+    numerators = {
+        f"c{index}": data.draw(st.lists(st.sampled_from(pool), min_size=slots, max_size=slots))
+        for index in range(data.draw(st.integers(1, 5)))
+    }
+    payload = report_to_dict(_report_with_charges(kepco, numerators, dens))
+    for entry in payload["consumers"]:
+        values = [Fraction(n, d) for n, d in zip(numerators[entry["id"]], dens)]
+        assert entry["slot_charges"] == [desk_format_fixed(v, 2) for v in values]
+        assert entry["slot_charges_exact"] == [desk_exact_str(v) for v in values]
+
+
+def test_slot_charge_past_display_limit_is_input_error(kepco):
+    huge = 10 ** (sys.get_int_max_str_digits() + 5)
+    numerators = {"a": [1] * 29 + [huge], "b": [huge] + [1] * 29}
+    report = _report_with_charges(kepco, numerators, [60_000] * 30)
+    with pytest.raises(ValueError, match=r"^amount too large to display: more than \d+ digits$"):
+        report_to_dict(report)
