@@ -12,8 +12,7 @@ import math
 import sys
 from decimal import Decimal
 from fractions import Fraction
-from functools import lru_cache
-from typing import Union
+from typing import Optional, Union
 
 ExactLike = Union[int, str, Fraction, Decimal]
 
@@ -186,14 +185,9 @@ def fixed_text(num: int, den: int, places: int) -> str:
         raise too_large_error() from None
 
 
-@lru_cache(maxsize=256)
-def _decimal_form(den: int) -> tuple[int, int]:
+def decimal_form(den: int) -> tuple[int, int]:
     """Split ``den`` > 0 into its part prime to 10 and the decimal places
-    its 2s and 5s ask for.
-
-    Cached: a report's charges share a few denominators, so each is
-    factored once rather than once per charge.
-    """
+    its 2s and 5s ask for."""
     rest = den
     twos = 0
     while rest % 2 == 0:
@@ -206,16 +200,17 @@ def _decimal_form(den: int) -> tuple[int, int]:
     return rest, max(twos, fives)
 
 
-def exact_text(num: int, den: int) -> str:
+def exact_text(num: int, den: int, form: Optional[tuple[int, int]] = None) -> str:
     """Lossless text of ``num/den``: a terminating decimal when one exists,
     else ``p/q`` in lowest terms.
 
     ``den`` must be positive and the ratio need not be in lowest terms:
     the text depends only on the value. The ratio terminates exactly when
     the part of ``den`` prime to 10 divides ``num``, so a terminating
-    value is rendered without a gcd.
+    value is rendered without a gcd. *form*, if given, is the caller's
+    ``decimal_form(den)``, so many values over one den factor it once.
     """
-    rest, places = _decimal_form(den)
+    rest, places = form or decimal_form(den)
     try:
         if num % rest:
             common = math.gcd(num, den)

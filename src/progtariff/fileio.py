@@ -32,6 +32,7 @@ from typing import Iterator, Optional, Union
 
 from .amounts import (
     MONEY_PLACES,
+    decimal_form,
     energy_amount,
     exact_str,
     exact_text,
@@ -284,15 +285,17 @@ def _slot_charge_texts(report: BillingReport) -> Iterator[Iterator[tuple[str, ..
 
     Rendered from the integers, one column at a time: a slot charge
     repeats often, so each distinct numerator of a denominator is
-    rendered once.
+    rendered once, and each denominator is factored once.
     """
     rows = [report.slot_numerators[consumer] for consumer in report.consumers]
-    texts: dict[int, dict[int, tuple[str, str]]] = {}
+    texts: dict[int, tuple[dict[int, tuple[str, str]], tuple[int, int]]] = {}
     columns = []
     for den, column in zip(report.slot_denominators, zip(*rows)):
-        memo = texts.setdefault(den, {})
+        if den not in texts:
+            texts[den] = ({}, decimal_form(den))
+        memo, form = texts[den]
         for num in set(column).difference(memo):
-            memo[num] = (fixed_text(num, den, MONEY_PLACES), exact_text(num, den))
+            memo[num] = (fixed_text(num, den, MONEY_PLACES), exact_text(num, den, form))
         columns.append(map(memo.__getitem__, column))
     return (zip(*pairs) for pairs in zip(*columns))
 

@@ -77,30 +77,42 @@ class GroupPricingResult:
         return sum(self.individual_prices.values(), Fraction(0))
 
 
-def quantize(values: Sequence[Fraction]) -> tuple[int, list[int]]:
-    """Put *values* on one quantum, the lcm of their denominators.
+def quantize_shares(size: int, shares: Sequence[tuple[int, int, int]]) -> tuple[int, tuple[int, ...]]:
+    """Sum ``(index, numerator, denominator)`` shares into *size* values,
+    each an integer count ``units[i]`` of one quantum.
 
-    Returns the quantum and every value as an integer count of it, so
-    value i is ``units[i] / quantum``.
+    The quantum is the lcm of the values' denominators in lowest terms:
+    the lcm of the shares' denominators divided by its gcd with every
+    count. Every such quantum in the engine is built here.
     """
-    quantum = math.lcm(*(value.denominator for value in values))
-    return quantum, [value.numerator * (quantum // value.denominator) for value in values]
+    common = math.lcm(*{den for _, _, den in shares})
+    units = [0] * size
+    for index, num, den in shares:
+        units[index] += num * (common // den)
+    divisor = math.gcd(common, *units)
+    if divisor > 1:
+        return common // divisor, tuple(unit // divisor for unit in units)
+    return common, tuple(units)
+
+
+def quantize(values: Sequence[Fraction]) -> tuple[int, tuple[int, ...]]:
+    """Put *values* on one quantum, the lcm of their denominators."""
+    return quantize_shares(len(values), [(i, v.numerator, v.denominator) for i, v in enumerate(values)])
 
 
 # One slot column on its own quantum: (quantum, units, price numerators,
 # their denominator). Cell i is units[i] / quantum kWh, the column's
 # pooled usage is sum(units) / quantum kWh, and consumer i's price on the
 # slot schedule is numerators[i] / denominator.
-Column = tuple[int, list[int], list[int], int]
+Column = tuple[int, Sequence[int], list[int], int]
 
 
-def price_column(table: TierTable, cells: Sequence[Fraction]) -> Column:
-    """Put one slot column's cells on one quantum and price each alone.
+def price_column(table: TierTable, quantum: int, units: Sequence[int]) -> Column:
+    """Price every cell of one slot column, ``units[i] / quantum`` kWh, alone.
 
-    Each column picks its own quantum: one lcm over a whole matrix of
+    Each column has its own quantum: one lcm over a whole matrix of
     unrelated denominators would make every integer in it huge.
     """
-    quantum, units = quantize(cells)
     numerators, denominator = table.prices(units, quantum)
     return quantum, units, numerators, denominator
 
@@ -141,7 +153,7 @@ def _price_slot(
 ) -> tuple[dict[str, Fraction], Column]:
     """Every member's stand-alone price, and the priced slot column."""
     ids, cells = _members(usages, energy_amount)
-    column = price_column(slot_schedule.table, cells)
+    column = price_column(slot_schedule.table, *quantize(cells))
     _, _, numerators, denominator = column
     return {c: Fraction(n, denominator) for c, n in zip(ids, numerators)}, column
 

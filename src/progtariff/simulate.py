@@ -33,12 +33,19 @@ from .amounts import (
     ExactLike,
     echo_value,
     energy_amount,
-    exact,
     round_money,
     scale_value,
 )
 from .errors import InternalCheckError, SimulationError
-from .grouping import AllocationPolicy, Column, allocate_units, price_column, price_group, quantize
+from .grouping import (
+    AllocationPolicy,
+    Column,
+    allocate_units,
+    price_column,
+    price_group,
+    quantize,
+    quantize_shares,
+)
 from .tariff import (
     HOURS_PER_DAY,
     TariffSchedule,
@@ -173,43 +180,58 @@ class SlotGrid:
         return slot_factor(self.slot_hours, self.period_days)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SlotUsageMatrix:
-    """Per-consumer, per-slot energy grid.
+    """Per-consumer, per-slot energy grid, stored as integer slot columns.
 
-    Rows are keyed by consumer id and kept in sorted id order so every
-    downstream report is deterministic. ``observed`` optionally records
-    which cells received at least one reading; cells outside it were
-    zero-filled for lack of data.
-
-    The constructor checks every cell. ``slot_partition`` builds its
-    matrix from cells it has already checked, with ``_checked``.
+    Consumers are in sorted id order. ``columns[s]`` is ``(quantum,
+    units)``: cell ``(i, s)`` is ``units[i] / quantum`` kWh, and the
+    quantum is the lcm of the column's cell denominators in lowest terms.
+    ``flags``, if recorded, holds one row of bytes per consumer: 1 where a
+    reading reached the cell, 0 where it was zero-filled. ``usage`` and
+    ``observed`` are derived from these on first read. The constructor
+    checks every id and cell; ``_checked`` builds from checked columns.
     """
 
     consumers: tuple[str, ...]
     slots: int
-    usage: tuple[tuple[Fraction, ...], ...]
-    observed: Optional[frozenset[tuple[str, int]]] = None
+    columns: tuple[tuple[int, tuple[int, ...]], ...]
+    flags: Optional[tuple[bytes, ...]]
 
-    def __post_init__(self):
-        if not isinstance(self.slots, int) or isinstance(self.slots, bool) or self.slots < 1:
+    def __init__(
+        self,
+        consumers: Sequence[str],
+        slots: int,
+        usage: Sequence[Sequence[ExactLike]],
+        observed: Optional[Iterable[tuple[str, int]]] = None,
+    ):
+        if not isinstance(slots, int) or isinstance(slots, bool) or slots < 1:
             raise SimulationError("matrix needs at least one slot")
-        if list(self.consumers) != sorted(set(self.consumers)):
+        consumers = tuple(consumers)
+        for consumer in consumers:
+            if not consumer or not isinstance(consumer, str):
+                raise SimulationError(f"consumer id must be a non-empty string, got {consumer!r}")
+        if list(consumers) != sorted(set(consumers)):
             raise SimulationError("consumer ids must be unique and sorted")
-        if len(self.usage) != len(self.consumers):
+        if len(usage) != len(consumers):
             raise SimulationError("one usage row per consumer required")
         rows = []
-        for consumer, row in zip(self.consumers, self.usage):
-            if len(row) != self.slots:
+        for consumer, row in zip(consumers, usage):
+            if len(row) != slots:
                 raise SimulationError(
-                    f"consumer {consumer!r}: expected {self.slots} slots, got {len(row)}"
+                    f"consumer {consumer!r}: expected {slots} slots, got {len(row)}"
                 )
-            if all(type(cell) is Fraction and cell.numerator >= 0 for cell in row):
-                rows.append(row if type(row) is tuple else tuple(row))
-            else:
-                rows.append(tuple(energy_amount(cell) for cell in row))
-        object.__setattr__(self, "usage", tuple(rows))
-        object.__setattr__(self, "consumers", tuple(self.consumers))
+            if not all(type(cell) is Fraction and cell.numerator >= 0 for cell in row):
+                row = [energy_amount(cell) for cell in row]
+            rows.append(row)
+        columns = tuple(map(quantize, zip(*rows))) if rows else ((1, ()),) * slots
+        flags = None
+        if observed is not None:
+            cells = frozenset(observed)
+            flags = tuple(bytes((c, s) in cells for s in range(slots)) for c in consumers)
+            if sum(row.count(1) for row in flags) != len(cells):
+                raise SimulationError("every observed cell must be a (consumer, slot) of the matrix")
+        self.__dict__.update(consumers=consumers, slots=slots, columns=columns, flags=flags)
 
     @classmethod
     def from_rows(
@@ -221,19 +243,38 @@ class SlotUsageMatrix:
             if not consumers:
                 raise SimulationError("empty matrix needs an explicit slot count")
             slots = len(rows[consumers[0]])
-        usage = tuple(tuple(exact(cell) for cell in rows[c]) for c in consumers)
-        return cls(consumers=consumers, slots=slots, usage=usage)
+        return cls(consumers=consumers, slots=slots, usage=[rows[c] for c in consumers])
 
     @classmethod
     def _checked(
-        cls, consumers: tuple[str, ...], slots: int, usage: tuple, observed: frozenset
+        cls, consumers: tuple[str, ...], slots: int, columns: tuple, flags: Optional[tuple]
     ) -> "SlotUsageMatrix":
         """A matrix from fields the caller has already checked: at least one
-        slot, unique consumer ids in sorted order, and one tuple of
-        ``slots`` non-negative Fractions per consumer."""
+        slot, unique non-empty consumer ids in sorted order, one column per
+        slot in lowest terms, and one row of flags per consumer or None."""
         matrix = object.__new__(cls)
-        matrix.__dict__.update(consumers=consumers, slots=slots, usage=usage, observed=observed)
+        matrix.__dict__.update(consumers=consumers, slots=slots, columns=columns, flags=flags)
         return matrix
+
+    @cached_property
+    def usage(self) -> tuple[tuple[Fraction, ...], ...]:
+        """Every consumer's cells as Fractions, one row per consumer."""
+        return tuple(zip(*(map(Fraction, units, repeat(quantum)) for quantum, units in self.columns)))
+
+    @cached_property
+    def observed(self) -> Optional[frozenset[tuple[str, int]]]:
+        """The cells that received at least one reading, if recorded."""
+        if self.flags is None:
+            return None
+        rows = zip(self.consumers, self.flags)
+        return frozenset((c, slot) for c, row in rows for slot, flag in enumerate(row) if flag)
+
+    @property
+    def zero_filled(self) -> Optional[int]:
+        """How many cells no reading reached, if observation is recorded."""
+        if self.flags is None:
+            return None
+        return self.slots * len(self.consumers) - sum(row.count(1) for row in self.flags)
 
     def index_of(self, consumer: str) -> int:
         try:
@@ -241,48 +282,36 @@ class SlotUsageMatrix:
         except ValueError:
             raise SimulationError(f"unknown consumer {consumer!r}") from None
 
-    def row(self, consumer: str) -> tuple[Fraction, ...]:
-        return self.usage[self.index_of(consumer)]
-
-    def row_total(self, consumer: str) -> Fraction:
-        return sum(self.row(consumer), Fraction(0))
-
     def column(self, slot: int) -> dict[str, Fraction]:
         if not 0 <= slot < self.slots:
             raise SimulationError(f"slot {slot} out of range 0..{self.slots - 1}")
-        return {c: self.usage[i][slot] for i, c in enumerate(self.consumers)}
-
-    def total(self) -> Fraction:
-        return sum((sum(row, Fraction(0)) for row in self.usage), Fraction(0))
+        quantum, units = self.columns[slot]
+        return {c: Fraction(unit, quantum) for c, unit in zip(self.consumers, units)}
 
     def with_shift(
         self, consumer: str, from_slot: int, to_slot: int, amount: ExactLike
     ) -> "SlotUsageMatrix":
-        """New matrix with *amount* moved between two of a consumer's slots."""
+        """New matrix with *amount* moved between two of a consumer's slots.
+        Only those two columns are rebuilt; the others are shared."""
         moved = energy_amount(amount)
-        row_index = self.index_of(consumer)
+        row = self.index_of(consumer)
         for label, slot in (("from_slot", from_slot), ("to_slot", to_slot)):
             if not isinstance(slot, int) or isinstance(slot, bool) or not 0 <= slot < self.slots:
                 raise SimulationError(f"{label} {slot} out of range 0..{self.slots - 1}")
-        available = self.usage[row_index][from_slot]
+        quantum, units = self.columns[from_slot]
+        available = Fraction(units[row], quantum)
         if moved > available:
             raise SimulationError(
                 f"cannot shift {echo_value(moved)} kWh out of slot {from_slot}: "
                 f"only {echo_value(available)} available"
             )
-        row = list(self.usage[row_index])
-        row[from_slot] -= moved
-        row[to_slot] += moved
-        usage = tuple(
-            tuple(row) if i == row_index else self.usage[i]
-            for i in range(len(self.consumers))
-        )
-        return SlotUsageMatrix(
-            consumers=self.consumers,
-            slots=self.slots,
-            usage=usage,
-            observed=self.observed,
-        )
+        columns = list(self.columns)
+        for slot, sign in ((from_slot, -1), (to_slot, 1)):
+            quantum, units = columns[slot]
+            shares = [(i, unit, quantum) for i, unit in enumerate(units)]
+            shares.append((row, sign * moved.numerator, moved.denominator))
+            columns[slot] = quantize_shares(len(units), shares)
+        return SlotUsageMatrix._checked(self.consumers, self.slots, tuple(columns), self.flags)
 
 
 class SchemeKind(Enum):
@@ -419,18 +448,18 @@ def slot_partition(
     readings are split across slots in proportion to time overlap. Every
     reading must lie inside the billing period, and one consumer's
     interval readings must not overlap each other. Cells that received
-    no reading are zero-filled and tracked via ``observed``. A partition
-    of more than MAX_CELLS cells (consumers times slots) is refused
-    before any row is built.
+    no reading hold zero, and the matrix's ``flags`` tell them apart. A
+    partition of more than MAX_CELLS cells (consumers times slots) is
+    refused before any column is built.
 
     Time is counted in integer microseconds from the period start, the
     resolution of ``datetime``. A slot lasts ``num/den`` microseconds, so
     a point reading at offset ``t`` lands in slot ``t * den // num``, and
     interval offsets scaled by ``den`` meet slot edges ``k * num`` on
-    integers. A cell whose only share is one point reading holds that
-    reading's energy as it is. Every other cell sums its shares as one
-    integer numerator over the lcm of their denominators and becomes a
-    single Fraction at the end.
+    integers. Every point reading and every piece of an interval becomes
+    one integer ``(row, numerator, denominator)`` share of its slot, and
+    each slot's shares are summed into its column by
+    ``grouping.quantize_shares``, with one lcm and one gcd per column.
     """
     consumers = sorted({reading.consumer for reading in readings})
     slot_count = grid.slot_count
@@ -443,30 +472,16 @@ def slot_partition(
     period = (grid.period_end - origin) // _MICROSECOND
     slot_length = grid.slot_seconds * 10**6
     num, den = slot_length.numerator, slot_length.denominator
-    # consumer -> row holding each cell's first point reading, None if none
-    rows: dict[str, list[Optional[Fraction]]] = {
-        consumer: [None] * slot_count for consumer in consumers
-    }
-    # (consumer, slot) -> (numerator, denominator) of every other share
-    shares: dict[tuple[str, int], tuple[int, int]] = {}
+    index = {consumer: row for row, consumer in enumerate(consumers)}
+    # slot -> (row, numerator, denominator) of every share it received
+    shares: list[list[tuple[int, int, int]]] = [[] for _ in range(slot_count)]
+    flags = [bytearray(slot_count) for _ in consumers]
     intervals: dict[str, list[tuple[int, int]]] = {}
-
-    def add_share(cell: tuple[str, int], share_num: int, share_den: int) -> None:
-        total = shares.get(cell)
-        if total is None:
-            shares[cell] = (share_num, share_den)
-            return
-        total_num, total_den = total
-        if total_den != share_den:
-            common = math.lcm(total_den, share_den)
-            total_num *= common // total_den
-            share_num *= common // share_den
-            total_den = common
-        shares[cell] = (total_num + share_num, total_den)
 
     for reading in readings:
         consumer = reading.consumer
         energy = reading.energy
+        row = index[consumer]
         offset = (reading.start - origin) // _MICROSECOND
         if offset < 0 or offset >= period:
             raise SimulationError(
@@ -474,12 +489,9 @@ def slot_partition(
                 "lies outside the billing period"
             )
         if reading.end is None:
-            row = rows[consumer]
             slot = offset * den // num
-            if row[slot] is None:
-                row[slot] = energy
-            else:
-                add_share((consumer, slot), energy.numerator, energy.denominator)
+            shares[slot].append((row, energy.numerator, energy.denominator))
+            flags[row][slot] = 1
             continue
         end = (reading.end - origin) // _MICROSECOND
         if end > period:
@@ -489,12 +501,16 @@ def slot_partition(
             )
         intervals.setdefault(consumer, []).append((offset, end))
         low, high = offset * den, end * den
-        share_den = energy.denominator * (high - low)
+        span = high - low
         slot = low // num
         while slot * num < high and slot < slot_count:
             overlap = min(high, (slot + 1) * num) - max(low, slot * num)
-            if overlap > 0:
-                add_share((consumer, slot), energy.numerator * overlap, share_den)
+            # overlap/span in lowest terms: a reading inside one slot keeps
+            # its own denominator, which keeps the column's lcm small.
+            common = math.gcd(overlap, span)
+            share = (row, energy.numerator * (overlap // common), energy.denominator * (span // common))
+            shares[slot].append(share)
+            flags[row][slot] = 1
             slot += 1
 
     for consumer, spans in intervals.items():
@@ -505,29 +521,8 @@ def slot_partition(
                     f"overlapping interval readings for consumer {consumer!r}"
                 )
 
-    for (consumer, slot), (share_num, share_den) in shares.items():
-        share = Fraction(share_num, share_den)
-        row = rows[consumer]
-        point = row[slot]
-        row[slot] = share if point is None else point + share
-    observed = []
-    usage = []
-    zero = Fraction(0)
-    for consumer in consumers:
-        row = rows[consumer]
-        seen = [slot for slot, cell in enumerate(row) if cell is not None]
-        observed.extend(zip(repeat(consumer), seen))
-        if len(seen) < slot_count:
-            row = [zero if cell is None else cell for cell in row]
-        usage.append(tuple(row))
-    return SlotUsageMatrix._checked(
-        tuple(consumers), slot_count, tuple(usage), frozenset(observed)
-    )
-
-
-def _slot_columns(matrix: SlotUsageMatrix):
-    """The matrix's cells slot by slot, one tuple per slot."""
-    return zip(*matrix.usage) if matrix.usage else [()] * matrix.slots
+    columns = tuple(quantize_shares(len(consumers), slot_shares) for slot_shares in shares)
+    return SlotUsageMatrix._checked(tuple(consumers), slot_count, columns, tuple(map(bytes, flags)))
 
 
 def _load_metrics(loads: tuple[Fraction, ...], mean: Fraction) -> DemandMetrics:
@@ -545,7 +540,7 @@ def _demand(columns: Iterable[tuple[int, Sequence[int]]]) -> DemandMetrics:
 
 def demand_metrics(matrix: SlotUsageMatrix) -> DemandMetrics:
     """Aggregate slot loads and the peak-to-average ratio."""
-    return _demand(map(quantize, _slot_columns(matrix)))
+    return _demand(matrix.columns)
 
 
 def _row_sums(columns: Iterable[tuple[Sequence[int], int]]) -> list[Fraction]:
@@ -572,12 +567,6 @@ def _check_grid(matrix: SlotUsageMatrix, schedule: TariffSchedule, grid: SlotGri
         )
 
 
-def _zero_filled(matrix: SlotUsageMatrix) -> Optional[int]:
-    if matrix.observed is None:
-        return None
-    return matrix.slots * len(matrix.consumers) - len(matrix.observed)
-
-
 # A report's slot charge numerators, one row per consumer.
 _Numerators = dict[str, tuple[int, ...]]
 
@@ -586,9 +575,9 @@ class _Billing:
     """One usage matrix billed under one schedule on one grid.
 
     Each piece is computed at most once and shared by every scheme that
-    reads it: the compiled slot schedule, and every slot column on its
-    quantum with the price of each cell. The demand, the monthly usages
-    and the slotted totals are all read off those columns.
+    reads it: the compiled slot schedule, and the price of each cell of
+    the matrix's integer columns. The demand, the monthly usages and the
+    slotted totals are all read off those columns.
     """
 
     def __init__(self, matrix: SlotUsageMatrix, schedule: TariffSchedule, grid: SlotGrid):
@@ -602,11 +591,11 @@ class _Billing:
     @cached_property
     def columns(self) -> list[Column]:
         """Every slot column of the matrix, priced."""
-        return [price_column(self.table, cells) for cells in _slot_columns(self.matrix)]
+        return [price_column(self.table, *column) for column in self.matrix.columns]
 
     @cached_property
     def demand(self) -> DemandMetrics:
-        return _demand((quantum, units) for quantum, units, _, _ in self.columns)
+        return _demand(self.matrix.columns)
 
     def bill_slot(
         self, slot: int, column: Column, policy: AllocationPolicy
@@ -713,7 +702,7 @@ class _Billing:
             group_slot_prices=group_prices,
             policy=used_policy,
             demand=self.demand,
-            zero_filled=_zero_filled(self.matrix),
+            zero_filled=self.matrix.zero_filled,
         )
 
 
@@ -814,7 +803,7 @@ def what_if_shift(
     allocated_after, group_after = allocated_before, group_before
     individual_after = individual_before
     for slot in sorted({from_slot, to_slot}):
-        column = price_column(billing.table, [row[slot] for row in shifted.usage])
+        column = price_column(billing.table, *shifted.columns[slot])
         shares, _, _ = billing.bill_slot(slot, column, policy)
         allocated_after += shares[index] - own[slot]
         group_after += sum(shares) - sum(row[slot] for row in rows)

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 from datetime import datetime, timedelta, timezone
 from fractions import Fraction
 
@@ -29,6 +30,7 @@ from progtariff import (
     what_if_shift,
 )
 from progtariff.fileio import report_to_dict
+from progtariff.grouping import quantize
 
 from conftest import FIXTURES, KEPCO_TIERS, make_schedule
 from oracles import (
@@ -84,7 +86,7 @@ def test_partition_single_point_reading(month_grid):
         [MeterReading("a", ts(), Fraction(5, 6))], month_grid
     )
     assert matrix.usage[0][0] == Fraction(5, 6)
-    assert matrix.total() == Fraction(5, 6)
+    assert sum(map(sum, matrix.usage), Fraction(0)) == Fraction(5, 6)
     assert matrix.observed == {("a", 0)}
     # A UTC stamp is kept as it is, an offset stamp is converted to UTC,
     # and a naive stamp is refused.
@@ -111,7 +113,7 @@ def test_partition_month_trace_repeats_daily_pattern(month_grid, month_matrix):
     matrix = slot_partition(readings, month_grid)
     assert matrix.consumers == ("c1", "c2")
     assert matrix.usage == month_matrix.usage
-    assert matrix.total() == 30 * Fraction(18, 5)
+    assert sum(map(sum, matrix.usage), Fraction(0)) == 30 * Fraction(18, 5)
     assert len(matrix.observed) == 120
 
 
@@ -152,7 +154,7 @@ def test_partition_rejects_reading_past_period_end(month_grid):
 def test_partition_cell_cap_counts_consumers_times_slots(month_grid, monkeypatch):
     monkeypatch.setattr(simulate, "MAX_CELLS", 2 * month_grid.slot_count)
     readings = [MeterReading("a", ts(), 1), MeterReading("b", ts(day=2), 1)]
-    assert slot_partition(readings, month_grid).total() == 2
+    assert sum(map(sum, slot_partition(readings, month_grid).usage), Fraction(0)) == 2
     readings.append(MeterReading("c", ts(day=3), 1))
     with pytest.raises(SimulationError, match="^3 consumers on 120 slots would need more than 240 cells$"):
         slot_partition(readings, month_grid)
@@ -168,7 +170,7 @@ def test_partition_rejects_overlapping_intervals(month_grid):
     # Same spans on different consumers are fine.
     readings[1] = MeterReading("b", ts(hour=3), 1, end=ts(hour=5))
     matrix = slot_partition(readings, month_grid)
-    assert matrix.total() == 2
+    assert sum(map(sum, matrix.usage), Fraction(0)) == 2
 
 
 def test_partition_conserves_energy(month_grid, rng):
@@ -191,19 +193,42 @@ def test_partition_conserves_energy(month_grid, rng):
     # this random soup; keep only point readings for half the runs.
     point_only = [r for r in readings if r.end is None]
     matrix = slot_partition(point_only, month_grid)
-    assert matrix.total() == sum((r.energy for r in point_only), Fraction(0))
+    assert sum(map(sum, matrix.usage), Fraction(0)) == sum((r.energy for r in point_only), Fraction(0))
 
 
 def test_matrix_checks_only_rows_that_are_not_plain_fractions():
     exact_row = (Fraction(1, 3), Fraction(0))
     matrix = SlotUsageMatrix(("a", "b"), 2, (exact_row, [2, "0.5"]))
-    assert matrix.usage[0] is exact_row
+    assert matrix.usage[0] == exact_row
     assert matrix.usage[1] == (Fraction(2), Fraction(1, 2))
     assert all(type(cell) is Fraction for cell in matrix.usage[1])
     with pytest.raises(ValueError, match=">= 0"):
         SlotUsageMatrix(("a",), 2, ((Fraction(1), Fraction(-1, 3)),))
     with pytest.raises(TypeError, match="float"):
         SlotUsageMatrix(("a",), 1, ((0.5,),))
+
+
+@pytest.mark.parametrize("consumer", ["", 1, None])
+def test_matrix_refuses_a_consumer_id_that_is_not_a_non_empty_string(consumer):
+    message = f"consumer id must be a non-empty string, got {consumer!r}"
+    with pytest.raises(SimulationError, match=f"^{re.escape(message)}$"):
+        SlotUsageMatrix((consumer,), 1, ((Fraction(1),),))
+
+
+def test_matrix_observed_cells_must_lie_in_the_matrix():
+    matrix = SlotUsageMatrix(("a", "b"), 2, ((1, 0), (0, 0)), observed=[("a", 0), ("a", 0)])
+    assert (matrix.observed, matrix.zero_filled) == ({("a", 0)}, 3)
+    for cell in (("c", 0), ("a", 2), ("a", -1)):
+        with pytest.raises(SimulationError, match="observed cell"):
+            SlotUsageMatrix(("a", "b"), 2, ((1, 0), (0, 0)), observed=[cell])
+
+
+def test_matrix_attributes_cannot_be_assigned(month_matrix):
+    for name in ("consumers", "slots", "columns", "flags", "usage", "observed"):
+        with pytest.raises(AttributeError):
+            setattr(month_matrix, name, None)
+    assert month_matrix.slots == 120
+    assert month_matrix.usage[0][0] == Fraction(3, 5)
 
 
 PARTITION_SLOT_HOURS = [
@@ -290,6 +315,8 @@ def test_partition_matches_fraction_seconds_oracle():
         assert matrix.consumers == consumers
         assert matrix.usage == usage
         assert matrix.observed == observed
+        # The constructor builds the same columns and flags from Fraction rows.
+        assert SlotUsageMatrix(consumers, grid.slot_count, usage, observed) == matrix
 
 
 def test_partition_errors_match_fraction_seconds_oracle():
@@ -316,6 +343,63 @@ def test_partition_errors_match_fraction_seconds_oracle():
         engine, oracle = _partition_error(readings, grid)
         assert engine == oracle
         assert ("overlapping" in engine) == (kind == 3)
+
+
+@st.composite
+def _partition_traces(draw):
+    """A small grid and a valid trace of decimal point readings, decimal
+    interval readings, or point readings of unrelated ``p/q`` energies."""
+    grid = SlotGrid(draw(st.sampled_from(PARTITION_SLOT_HOURS)), draw(st.integers(1, 3)), ts())
+    period_us = grid.period_days * 86_400 * 10**6
+    kind = draw(st.sampled_from(["point", "interval", "p/q"]))
+    denominators = st.integers(1, 999_999) if kind == "p/q" else st.just(1000)
+    energies = st.builds(Fraction, st.integers(0, 5_000_000), denominators)
+
+    def stamp(offset_us):
+        return grid.period_start + timedelta(microseconds=offset_us)
+
+    readings = []
+    for consumer in draw(st.lists(st.sampled_from("abcd"), min_size=1, max_size=4, unique=True)):
+        if kind == "interval":
+            cuts = sorted(draw(st.lists(st.integers(0, period_us), min_size=2, max_size=8, unique=True)))
+            for low, high in zip(cuts[::2], cuts[1::2]):
+                readings.append(MeterReading(consumer, stamp(low), draw(energies), end=stamp(high)))
+        else:
+            for offset in draw(st.lists(st.integers(0, period_us - 1), min_size=1, max_size=8)):
+                readings.append(MeterReading(consumer, stamp(offset), draw(energies)))
+    return grid, readings
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_partition_traces(), st.data())
+def test_partition_columns_are_the_oracle_columns_in_lowest_terms(case, data):
+    grid, readings = case
+    matrix = slot_partition(readings, grid)
+    consumers, usage, observed = desk_partition(readings, grid)
+    assert matrix.zero_filled == len(consumers) * grid.slot_count - len(observed)
+    for slot, (quantum, units) in enumerate(matrix.columns):
+        cells = [row[slot] for row in usage]
+        assert (quantum, units) == quantize(cells)
+        assert quantum == math.lcm(*(cell.denominator for cell in cells))
+        assert math.gcd(quantum, *units) == 1
+
+    # A shift rebuilds its two columns and shares every other one.
+    slots = st.integers(0, grid.slot_count - 1)
+    consumer, from_slot, to_slot = data.draw(st.sampled_from(consumers)), data.draw(slots), data.draw(slots)
+    row = consumers.index(consumer)
+    amount = usage[row][from_slot] * data.draw(st.builds(Fraction, st.integers(0, 7), st.just(7)))
+    shifted = matrix.with_shift(consumer, from_slot, to_slot, amount)
+    moved = [list(cells) for cells in usage]
+    moved[row][from_slot] -= amount
+    moved[row][to_slot] += amount
+    for slot, column in enumerate(shifted.columns):
+        if slot in (from_slot, to_slot):
+            assert column == quantize([cells[slot] for cells in moved])
+            assert math.gcd(column[0], *column[1]) == 1
+        else:
+            assert column is matrix.columns[slot]
+    assert shifted.zero_filled == matrix.zero_filled
+    assert shifted.observed == matrix.observed == observed
 
 
 # ----------------------------------------------------------------------
@@ -398,7 +482,7 @@ def test_with_shift_moves_energy_and_preserves_total(month_matrix):
     shifted = month_matrix.with_shift("c2", 1, 2, Fraction(6, 5))
     assert shifted.usage[1][1] == 0
     assert shifted.usage[1][2] == Fraction(6, 5)
-    assert shifted.row_total("c2") == month_matrix.row_total("c2")
+    assert sum(shifted.usage[1]) == sum(month_matrix.usage[1])
     # original untouched
     assert month_matrix.usage[1][1] == Fraction(6, 5)
 
@@ -597,7 +681,7 @@ def test_shift_into_quietest_slot_can_raise_shifters_allocated_bill():
         }
     )
     amount = Fraction("4.326")
-    assert matrix.row("c1").index(max(matrix.row("c1"))) == 1
+    assert matrix.usage[1].index(max(matrix.usage[1])) == 1
     for usage in (matrix, matrix.with_shift("c1", 1, 2, amount)):
         slot_loads = demand_metrics(usage).slot_loads
         assert min(slot_loads) == slot_loads[2]
@@ -661,7 +745,7 @@ def test_shift_within_one_tier_is_free_individually(kepco, month_grid, month_mat
 
 def test_shift_preserves_consumer_total(kepco, month_grid, month_matrix):
     shifted = month_matrix.with_shift("c2", 1, 3, Fraction(1, 2))
-    assert shifted.row_total("c2") == month_matrix.row_total("c2")
+    assert sum(shifted.usage[1]) == sum(month_matrix.usage[1])
 
 
 def test_shift_rejects_bad_arguments(kepco, month_grid, month_matrix):
@@ -759,7 +843,7 @@ def test_shift_errors_match_whole_matrix_oracle():
             _random_shift_case(rng, "random")
         )
         fault = case % 3
-        amount = matrix.row(consumer)[from_slot] + Fraction(1, rng.randint(1, 1000))
+        amount = matrix.usage[matrix.consumers.index(consumer)][from_slot] + Fraction(1, rng.randint(1, 1000))
         if fault == 1:
             amount = Fraction(0)
             bad = rng.choice([-1, matrix.slots, matrix.slots + 7])
