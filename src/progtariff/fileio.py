@@ -285,15 +285,14 @@ def _slot_charge_texts(report: BillingReport) -> Iterator[Iterator[tuple[str, ..
 
     Rendered from the integers, one column at a time: a slot charge
     repeats often, so each distinct numerator of a denominator is
-    rendered once, and each denominator is factored once.
+    rendered once, and the denominator is factored once per column.
     """
     rows = [report.slot_numerators[consumer] for consumer in report.consumers]
-    texts: dict[int, tuple[dict[int, tuple[str, str]], tuple[int, int]]] = {}
+    texts: dict[int, dict[int, tuple[str, str]]] = {}
     columns = []
     for den, column in zip(report.slot_denominators, zip(*rows)):
-        if den not in texts:
-            texts[den] = ({}, decimal_form(den))
-        memo, form = texts[den]
+        memo = texts.setdefault(den, {})
+        form = decimal_form(den)
         for num in set(column).difference(memo):
             memo[num] = (fixed_text(num, den, MONEY_PLACES), exact_text(num, den, form))
         columns.append(map(memo.__getitem__, column))

@@ -77,7 +77,9 @@ class GroupPricingResult:
         return sum(self.individual_prices.values(), Fraction(0))
 
 
-def quantize_shares(size: int, shares: Sequence[tuple[int, int, int]]) -> tuple[int, tuple[int, ...]]:
+def quantize_shares(
+    size: int, shares: Sequence[tuple[int, int, int]]
+) -> tuple[int, tuple[int, ...]]:
     """Sum ``(index, numerator, denominator)`` shares into *size* values,
     each an integer count ``units[i]`` of one quantum.
 
@@ -97,7 +99,8 @@ def quantize_shares(size: int, shares: Sequence[tuple[int, int, int]]) -> tuple[
 
 def quantize(values: Sequence[Fraction]) -> tuple[int, tuple[int, ...]]:
     """Put *values* on one quantum, the lcm of their denominators."""
-    return quantize_shares(len(values), [(i, v.numerator, v.denominator) for i, v in enumerate(values)])
+    shares = [(i, value.numerator, value.denominator) for i, value in enumerate(values)]
+    return quantize_shares(len(values), shares)
 
 
 # One slot column on its own quantum: (quantum, units, price numerators,

@@ -230,7 +230,9 @@ class SlotUsageMatrix:
             cells = frozenset(observed)
             flags = tuple(bytes((c, s) in cells for s in range(slots)) for c in consumers)
             if sum(row.count(1) for row in flags) != len(cells):
-                raise SimulationError("every observed cell must be a (consumer, slot) of the matrix")
+                raise SimulationError(
+                    "every observed cell must be a (consumer, slot) of the matrix"
+                )
         self.__dict__.update(consumers=consumers, slots=slots, columns=columns, flags=flags)
 
     @classmethod
@@ -259,7 +261,8 @@ class SlotUsageMatrix:
     @cached_property
     def usage(self) -> tuple[tuple[Fraction, ...], ...]:
         """Every consumer's cells as Fractions, one row per consumer."""
-        return tuple(zip(*(map(Fraction, units, repeat(quantum)) for quantum, units in self.columns)))
+        columns = (map(Fraction, units, repeat(quantum)) for quantum, units in self.columns)
+        return tuple(zip(*columns))
 
     @cached_property
     def observed(self) -> Optional[frozenset[tuple[str, int]]]:
@@ -488,30 +491,30 @@ def slot_partition(
                 f"reading for {consumer!r} at {reading.start.isoformat()} "
                 "lies outside the billing period"
             )
-        if reading.end is None:
-            slot = offset * den // num
-            shares[slot].append((row, energy.numerator, energy.denominator))
-            flags[row][slot] = 1
-            continue
-        end = (reading.end - origin) // _MICROSECOND
-        if end > period:
-            raise SimulationError(
-                f"reading for {consumer!r} ending {reading.end.isoformat()} "
-                "lies outside the billing period"
-            )
-        intervals.setdefault(consumer, []).append((offset, end))
-        low, high = offset * den, end * den
-        span = high - low
-        slot = low // num
-        while slot * num < high and slot < slot_count:
-            overlap = min(high, (slot + 1) * num) - max(low, slot * num)
-            # overlap/span in lowest terms: a reading inside one slot keeps
-            # its own denominator, which keeps the column's lcm small.
-            common = math.gcd(overlap, span)
-            share = (row, energy.numerator * (overlap // common), energy.denominator * (span // common))
-            shares[slot].append(share)
-            flags[row][slot] = 1
-            slot += 1
+        slot = offset * den // num
+        if reading.end is not None:
+            end = (reading.end - origin) // _MICROSECOND
+            if end > period:
+                raise SimulationError(
+                    f"reading for {consumer!r} ending {reading.end.isoformat()} "
+                    "lies outside the billing period"
+                )
+            intervals.setdefault(consumer, []).append((offset, end))
+            low, high = offset * den, end * den
+            if high > (slot + 1) * num:
+                # One piece per slot overlapped, overlap/span of the energy
+                # in lowest terms. A reading inside one slot stays whole
+                # below, which keeps the column's lcm small.
+                span = high - low
+                for slot in range(slot, (high - 1) // num + 1):
+                    overlap = min(high, (slot + 1) * num) - max(low, slot * num)
+                    common = math.gcd(overlap, span)
+                    piece_num = energy.numerator * (overlap // common)
+                    shares[slot].append((row, piece_num, energy.denominator * (span // common)))
+                    flags[row][slot] = 1
+                continue
+        shares[slot].append((row, energy.numerator, energy.denominator))
+        flags[row][slot] = 1
 
     for consumer, spans in intervals.items():
         spans.sort()
@@ -532,15 +535,10 @@ def _load_metrics(loads: tuple[Fraction, ...], mean: Fraction) -> DemandMetrics:
     return DemandMetrics(slot_loads=loads, peak=peak, mean=mean, par=par)
 
 
-def _demand(columns: Iterable[tuple[int, Sequence[int]]]) -> DemandMetrics:
-    """Demand metrics of slot columns given as (quantum, units) pairs."""
-    loads = tuple(Fraction(sum(units), quantum) for quantum, units in columns)
-    return _load_metrics(loads, sum(loads, Fraction(0)) / len(loads))
-
-
 def demand_metrics(matrix: SlotUsageMatrix) -> DemandMetrics:
     """Aggregate slot loads and the peak-to-average ratio."""
-    return _demand(matrix.columns)
+    loads = tuple(Fraction(sum(units), quantum) for quantum, units in matrix.columns)
+    return _load_metrics(loads, sum(loads, Fraction(0)) / len(loads))
 
 
 def _row_sums(columns: Iterable[tuple[Sequence[int], int]]) -> list[Fraction]:
@@ -595,7 +593,7 @@ class _Billing:
 
     @cached_property
     def demand(self) -> DemandMetrics:
-        return _demand(self.matrix.columns)
+        return demand_metrics(self.matrix)
 
     def bill_slot(
         self, slot: int, column: Column, policy: AllocationPolicy
