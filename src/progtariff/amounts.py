@@ -82,7 +82,8 @@ def exact(value: ExactLike) -> Fraction:
     is already an approximation, and letting one in would poison every
     exact comparison downstream. A decimal exponent larger in magnitude
     than MAX_DECIMAL_EXPONENT is refused before any power of ten is
-    built.
+    built. Underscores ("1_000") are refused, as Fraction's parser does on
+    Python 3.10 but not from 3.11 on, so every version reads alike.
     """
     if isinstance(value, str):
         text = value.strip()
@@ -104,6 +105,8 @@ def exact(value: ExactLike) -> Fraction:
                 pass  # not an exponent; Fraction rejects the text below
             else:
                 _check_exponent(exponent, value)
+        if "_" in text:
+            raise ValueError(f"not a decimal or p/q number: {_echo(value)}")
         try:
             return Fraction(text)
         except (ValueError, ZeroDivisionError) as err:

@@ -13,14 +13,16 @@ import sys
 from datetime import timezone
 from functools import partial
 
-from .amounts import exact, format_money, fraction_str
+from .amounts import exact
 from .errors import BillingError, InternalCheckError
 from .fileio import (
     allocation_to_dict,
+    bill_to_dict,
     comparison_to_dict,
     parse_rfc3339,
     parse_schedule_file,
     parse_trace_csv,
+    render_allocation,
     render_bill,
     render_comparison,
     render_report,
@@ -35,13 +37,11 @@ from .grouping import AllocationPolicy, proportional_allocation
 from .simulate import (
     SchemeKind,
     SlotGrid,
-    SlotUsageMatrix,
     compare_schemes,
     run_scheme,
     slot_partition,
     what_if_shift,
 )
-from .tariff import TariffSchedule, progressive_price, tier_breakdown
 
 
 class _CliError(BillingError):
@@ -57,7 +57,9 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_grid_flags(parser):
     parser.add_argument("--slot-hours", default="6", help="slot length in hours (default 6)")
-    parser.add_argument("--period-days", type=int, default=30, help="billing period length (default 30)")
+    parser.add_argument(
+        "--period-days", type=int, default=30, help="billing period length (default 30)"
+    )
     parser.add_argument(
         "--period-start",
         default=None,
@@ -157,8 +159,9 @@ def _emit(args, result, to_dict, render) -> int:
     return 0
 
 
-def _load(args) -> tuple[TariffSchedule, SlotGrid, SlotUsageMatrix]:
-    """The schedule, the grid and the partitioned trace that *args* name."""
+def _load(args) -> tuple:
+    """The schedule, the grid and the partitioned trace (a
+    ``SlotUsageMatrix``) that *args* name."""
     schedule = parse_schedule_file(args.schedule)
     readings = parse_trace_csv(args.trace)
     grid = _grid_from_args(args, readings)
@@ -170,22 +173,10 @@ def _cmd_validate(args) -> int:
     return _emit(args, schedule, schedule_to_dict, render_schedule_summary)
 
 
-def _bill_dict(schedule: TariffSchedule, usage) -> dict:
-    rows = tier_breakdown(schedule, usage)
-    return {
-        "currency": schedule.currency,
-        "price": format_money(progressive_price(schedule, usage)),
-        "breakdown": [
-            {"tier": number, "energy_kwh": fraction_str(span), "charge": format_money(charge)}
-            for number, span, charge in rows
-        ],
-    }
-
-
 def _cmd_bill(args) -> int:
     schedule = parse_schedule_file(args.schedule)
     usage = exact(args.usage)
-    return _emit(args, usage, partial(_bill_dict, schedule), partial(render_bill, schedule))
+    return _emit(args, usage, partial(bill_to_dict, schedule), partial(render_bill, schedule))
 
 
 def _cmd_simulate(args) -> int:
@@ -200,10 +191,6 @@ def _cmd_compare(args) -> int:
     return _emit(args, comparison, comparison_to_dict, render_comparison)
 
 
-def _render_shares(result) -> str:
-    return ",".join(format_money(share) for share in result.shares.values())
-
-
 def _cmd_allocate(args) -> int:
     prices = [item.strip() for item in args.individual.split(",") if item.strip()]
     if not prices:
@@ -212,7 +199,7 @@ def _cmd_allocate(args) -> int:
     width = len(str(len(prices)))
     pairs = [(f"{index:0{width}d}", price) for index, price in enumerate(prices, start=1)]
     result = proportional_allocation(args.group, pairs, args.policy)
-    return _emit(args, result, allocation_to_dict, _render_shares)
+    return _emit(args, result, allocation_to_dict, render_allocation)
 
 
 def _cmd_shift(args) -> int:

@@ -40,6 +40,7 @@ from .amounts import (
     format_energy,
     format_fixed,
     format_money,
+    fraction_str,
     too_large_error,
 )
 from .errors import BillingError, ScheduleError, TraceError
@@ -283,14 +284,13 @@ def _slot_charge_texts(report: BillingReport) -> Iterator[Iterator[tuple[str, ..
     """Each consumer's slot charges, in ``report.consumers`` order, as a
     (display texts, lossless texts) pair.
 
-    Rendered from the integers, one column at a time: a slot charge
+    Rendered from the report's slot columns as they are: a slot charge
     repeats often, so each distinct numerator of a denominator is
     rendered once, and the denominator is factored once per column.
     """
-    rows = [report.slot_numerators[consumer] for consumer in report.consumers]
     texts: dict[int, dict[int, tuple[str, str]]] = {}
     columns = []
-    for den, column in zip(report.slot_denominators, zip(*rows)):
+    for den, column in report.slot_columns:
         memo = texts.setdefault(den, {})
         form = decimal_form(den)
         for num in set(column).difference(memo):
@@ -301,7 +301,7 @@ def _slot_charge_texts(report: BillingReport) -> Iterator[Iterator[tuple[str, ..
 
 def report_to_dict(report: BillingReport) -> dict:
     charges = None
-    if report.slot_numerators is not None:
+    if report.slot_columns is not None:
         charges = _slot_charge_texts(report)
     consumers = []
     for consumer in report.consumers:
@@ -413,6 +413,17 @@ def shift_to_dict(report: ShiftReport) -> dict:
     }
 
 
+def bill_to_dict(schedule: TariffSchedule, usage) -> dict:
+    return {
+        "currency": schedule.currency,
+        "price": format_money(progressive_price(schedule, usage)),
+        "breakdown": [
+            {"tier": number, "energy_kwh": fraction_str(span), "charge": format_money(charge)}
+            for number, span, charge in tier_breakdown(schedule, usage)
+        ],
+    }
+
+
 def allocation_to_dict(result: AllocationResult) -> dict:
     return {
         "policy": result.policy.value,
@@ -507,6 +518,10 @@ def render_bill(schedule: TariffSchedule, usage) -> str:
             f"{format_money(charge)} {schedule.currency}"
         )
     return "\n".join(lines)
+
+
+def render_allocation(result: AllocationResult) -> str:
+    return ",".join(format_money(share) for share in result.shares.values())
 
 
 def _demand_line(report: BillingReport) -> str:

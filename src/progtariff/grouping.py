@@ -3,12 +3,12 @@
 For one time slot, a group of N consumers can be billed as a single
 virtual consumer: widen the slot tariff's ranges by N and price the
 pooled usage u. That price is exactly N * P(u / N) on the unwidened
-tariff P, so ``price_group`` computes it on the slot's own table, next to
-the stand-alone prices from ``price_column``. Because the price function
-is convex, the collective price never exceeds the sum of stand-alone
-individual prices, the gap is the group's saving, and inactive members
-still matter since their unused low-tier range is what the active
-members absorb.
+tariff P, so ``price_group`` computes it on the slot's own table, whose
+``prices`` turns the slot's usage column into the stand-alone price
+column. Because the price function is convex, the collective price
+never exceeds the sum of stand-alone individual prices, the gap is the
+group's saving, and inactive members still matter since their unused
+low-tier range is what the active members absorb.
 
 The collective price is then split back across consumers in proportion
 to their stand-alone prices. Two rounding policies are provided:
@@ -30,7 +30,7 @@ from typing import Callable, Mapping, Sequence, Union
 
 from .amounts import MONEY_PLACES, ExactLike, energy_amount, half_up_units, money_amount
 from .errors import AllocationError
-from .tariff import TariffSchedule, TierTable
+from .tariff import Column, TariffSchedule, TierTable
 
 UsageVectorLike = Union[Mapping[str, ExactLike], Sequence[tuple[str, ExactLike]]]
 
@@ -77,9 +77,7 @@ class GroupPricingResult:
         return sum(self.individual_prices.values(), Fraction(0))
 
 
-def quantize_shares(
-    size: int, shares: Sequence[tuple[int, int, int]]
-) -> tuple[int, tuple[int, ...]]:
+def quantize_shares(size: int, shares: Sequence[tuple[int, int, int]]) -> Column:
     """Sum ``(index, numerator, denominator)`` shares into *size* values,
     each an integer count ``units[i]`` of one quantum.
 
@@ -97,38 +95,24 @@ def quantize_shares(
     return common, tuple(units)
 
 
-def quantize(values: Sequence[Fraction]) -> tuple[int, tuple[int, ...]]:
+def quantize(values: Sequence[Fraction]) -> Column:
     """Put *values* on one quantum, the lcm of their denominators."""
     shares = [(i, value.numerator, value.denominator) for i, value in enumerate(values)]
     return quantize_shares(len(values), shares)
 
 
-# One slot column on its own quantum: (quantum, units, price numerators,
-# their denominator). Cell i is units[i] / quantum kWh, the column's
-# pooled usage is sum(units) / quantum kWh, and consumer i's price on the
-# slot schedule is numerators[i] / denominator.
-Column = tuple[int, Sequence[int], list[int], int]
-
-
-def price_column(table: TierTable, quantum: int, units: Sequence[int]) -> Column:
-    """Price every cell of one slot column, ``units[i] / quantum`` kWh, alone.
-
-    Each column has its own quantum: one lcm over a whole matrix of
-    unrelated denominators would make every integer in it huge.
-    """
-    numerators, denominator = table.prices(units, quantum)
-    return quantum, units, numerators, denominator
-
-
 def price_group(table: TierTable, column: Column, size: int) -> tuple[int, int]:
-    """Collective price of a priced column for a group of *size* consumers.
+    """Collective price of a usage column for a group of *size* consumers.
 
     Returns a numerator and a denominator. The price of the pooled usage
     u on the table widened by *size* is exactly size * P(u / size) on the
-    table itself, and u / size is sum(units) / (quantum * size) kWh.
+    table itself, and u / size is sum(units) / (quantum * size) kWh. An
+    empty group pays nothing.
     """
-    quantum, units, _, _ = column
-    (numerator,), denominator = table.prices((sum(units),), quantum * size)
+    quantum, units = column
+    if not size:
+        return 0, 1
+    denominator, (numerator,) = table.prices((quantum * size, (sum(units),)))
     return size * numerator, denominator
 
 
@@ -154,10 +138,10 @@ def _members(
 def _price_slot(
     slot_schedule: TariffSchedule, usages: UsageVectorLike
 ) -> tuple[dict[str, Fraction], Column]:
-    """Every member's stand-alone price, and the priced slot column."""
+    """Every member's stand-alone price, and the slot's usage column."""
     ids, cells = _members(usages, energy_amount)
-    column = price_column(slot_schedule.table, *quantize(cells))
-    _, _, numerators, denominator = column
+    column = quantize(cells)
+    denominator, numerators = slot_schedule.table.prices(column)
     return {c: Fraction(n, denominator) for c, n in zip(ids, numerators)}, column
 
 

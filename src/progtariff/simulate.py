@@ -37,17 +37,10 @@ from .amounts import (
     scale_value,
 )
 from .errors import InternalCheckError, SimulationError
-from .grouping import (
-    AllocationPolicy,
-    Column,
-    allocate_units,
-    price_column,
-    price_group,
-    quantize,
-    quantize_shares,
-)
+from .grouping import AllocationPolicy, allocate_units, price_group, quantize, quantize_shares
 from .tariff import (
     HOURS_PER_DAY,
+    Column,
     TariffSchedule,
     progressive_price,
     scale_schedule,
@@ -195,7 +188,7 @@ class SlotUsageMatrix:
 
     consumers: tuple[str, ...]
     slots: int
-    columns: tuple[tuple[int, tuple[int, ...]], ...]
+    columns: tuple[Column, ...]
     flags: Optional[tuple[bytes, ...]]
 
     def __init__(
@@ -348,15 +341,15 @@ class BillingReport:
     (before allocation) and ``policy`` names the allocation policy used.
 
     Slot charges are kept as the integers the billing run computed them
-    on: ``slot_numerators`` holds one row of numerators per consumer and
-    ``slot_denominators`` one denominator per slot, so the charge of
-    consumer ``c`` in slot ``s`` is ``slot_numerators[c][s] /
-    slot_denominators[s]``, not necessarily in lowest terms. Under
-    ``slotted-individual`` a slot's denominator is its column's price
-    denominator; under ``slotted-group`` it is ``10**MONEY_PLACES``, and
-    the numerators are allocated shares in minor units. ``slot_charges``
-    is derived from them as Fractions on first read. All three are None
-    for the monthly scheme, which has no per-slot structure.
+    on, in the usage matrix's form: ``slot_columns[s]`` is ``(denominator,
+    numerators)``, and the charge of the i-th consumer in slot ``s`` is
+    ``numerators[i] / denominator``, not necessarily in lowest terms.
+    Under ``slotted-individual`` these are the slot's stand-alone price
+    columns; under ``slotted-group`` the denominator is
+    ``10**MONEY_PLACES`` and the numerators are allocated shares in minor
+    units. ``slot_charges`` is derived from them as Fractions on first
+    read. Both are None for the monthly scheme, which has no per-slot
+    structure.
 
     Under ``slotted-group`` each slot charge is the consumer's allocated
     share of that slot's collective price, already rounded to minor
@@ -370,8 +363,7 @@ class BillingReport:
     currency: str
     grid: SlotGrid
     consumers: tuple[str, ...]
-    slot_numerators: Optional[dict[str, tuple[int, ...]]]
-    slot_denominators: Optional[tuple[int, ...]]
+    slot_columns: Optional[tuple[Column, ...]]
     consumer_totals: dict[str, Fraction]
     billed_totals: dict[str, Fraction]
     aggregate_billed: Fraction
@@ -384,13 +376,10 @@ class BillingReport:
     @cached_property
     def slot_charges(self) -> Optional[dict[str, tuple[Fraction, ...]]]:
         """Every consumer's exact charge in every slot."""
-        if self.slot_numerators is None:
+        if self.slot_columns is None:
             return None
-        dens = self.slot_denominators
-        return {
-            consumer: tuple(map(Fraction, row, dens))
-            for consumer, row in self.slot_numerators.items()
-        }
+        columns = (map(Fraction, values, repeat(den)) for den, values in self.slot_columns)
+        return dict(zip(self.consumers, zip(*columns)))
 
 
 @dataclass(frozen=True)
@@ -541,12 +530,12 @@ def demand_metrics(matrix: SlotUsageMatrix) -> DemandMetrics:
     return _load_metrics(loads, sum(loads, Fraction(0)) / len(loads))
 
 
-def _row_sums(columns: Iterable[tuple[Sequence[int], int]]) -> list[Fraction]:
-    """Exact row sums of columns given as (integers, their denominator).
-    Columns that share a denominator are added as integers first, so a
-    row sum costs one Fraction per distinct denominator."""
+def _row_sums(columns: Iterable[Column]) -> list[Fraction]:
+    """Exact row sums of (denominator, integers) columns: usage, prices or
+    shares. Columns that share a denominator are added as integers first,
+    so a row sum costs one Fraction per distinct denominator."""
     groups: dict[int, list[Sequence[int]]] = {}
-    for values, denominator in columns:
+    for denominator, values in columns:
         groups.setdefault(denominator, []).append(values)
     dens = list(groups)
     sums = zip(*(map(sum, zip(*group)) for group in groups.values()))
@@ -565,17 +554,14 @@ def _check_grid(matrix: SlotUsageMatrix, schedule: TariffSchedule, grid: SlotGri
         )
 
 
-# A report's slot charge numerators, one row per consumer.
-_Numerators = dict[str, tuple[int, ...]]
-
-
 class _Billing:
     """One usage matrix billed under one schedule on one grid.
 
     Each piece is computed at most once and shared by every scheme that
-    reads it: the compiled slot schedule, and the price of each cell of
-    the matrix's integer columns. The demand, the monthly usages and the
-    slotted totals are all read off those columns.
+    reads it: the compiled slot schedule, the stand-alone price column of
+    every usage column, and the demand. Every total is a row sum of
+    columns: usage for the monthly scheme, prices or shares for the
+    slotted ones.
     """
 
     def __init__(self, matrix: SlotUsageMatrix, schedule: TariffSchedule, grid: SlotGrid):
@@ -587,26 +573,27 @@ class _Billing:
         self.table = scale_schedule(schedule, grid.factor).table
 
     @cached_property
-    def columns(self) -> list[Column]:
-        """Every slot column of the matrix, priced."""
-        return [price_column(self.table, *column) for column in self.matrix.columns]
+    def prices(self) -> tuple[Column, ...]:
+        """Every consumer's stand-alone price in every slot, one column per slot."""
+        return tuple(map(self.table.prices, self.matrix.columns))
 
     @cached_property
     def demand(self) -> DemandMetrics:
         return demand_metrics(self.matrix)
 
     def bill_slot(
-        self, slot: int, column: Column, policy: AllocationPolicy
-    ) -> tuple[list[int], int, int]:
-        """Collective price of one priced slot column, allocated.
+        self, slot: int, usage: Column, prices: Column, policy: AllocationPolicy
+    ) -> tuple[Column, Fraction]:
+        """Collective price of one slot's usage column, allocated by its
+        price column.
 
-        Returns every consumer's share in minor units, and the collective
-        price as a numerator and a denominator. For a progressive schedule
-        the collective price is checked against the sum of the individual
-        prices.
+        Returns the ``(10**MONEY_PLACES, shares)`` column of every
+        consumer's share in minor units, and the collective price. For a
+        progressive schedule the collective price is checked against the
+        sum of the individual prices.
         """
-        _, _, numerators, denominator = column
-        group_num, group_den = price_group(self.table, column, len(self.matrix.consumers))
+        denominator, numerators = prices
+        group_num, group_den = price_group(self.table, usage, len(self.matrix.consumers))
         if self.progressive and group_num * denominator > sum(numerators) * group_den:
             raise InternalCheckError(
                 f"slot {slot}: collective price {Fraction(group_num, group_den)} "
@@ -615,75 +602,34 @@ class _Billing:
         shares, _ = allocate_units(
             group_num, group_den, numerators, self.matrix.consumers, policy
         )
-        return shares, group_num, group_den
+        return (10**MONEY_PLACES, shares), Fraction(group_num, group_den)
 
     def allocated(
         self, policy: AllocationPolicy
-    ) -> tuple[list[list[int]], list[Fraction]]:
-        """Allocated shares and collective prices of every slot.
-
-        Returns the shares in minor units, one row per consumer with one
-        entry per slot, and the collective price of every slot.
-        """
-        rows: list[list[int]] = [[] for _ in self.matrix.consumers]
-        prices = []
-        for slot, column in enumerate(self.columns):
-            shares, group_num, group_den = self.bill_slot(slot, column, policy)
-            prices.append(Fraction(group_num, group_den))
-            for row, share in zip(rows, shares):
-                row.append(share)
-        return rows, prices
-
-    def _monthly(self) -> list[Fraction]:
-        """Every consumer's period usage, priced with the schedule as quoted.
-
-        Each consumer is priced on its own: one quantum for all period
-        usages would be the lcm of every cell denominator in the matrix.
-        """
-        usages = _row_sums((units, quantum) for quantum, units, _, _ in self.columns)
-        return [progressive_price(self.schedule, usage) for usage in usages]
-
-    def _slotted(self) -> tuple[_Numerators, tuple[int, ...], list[Fraction]]:
-        """Individual slot prices as rows of numerators over one denominator
-        per slot, and every consumer's exact total."""
-        columns = self.columns
-        rows = zip(*(numerators for _, _, numerators, _ in columns))
-        totals = _row_sums((numerators, den) for _, _, numerators, den in columns)
-        return (
-            dict(zip(self.matrix.consumers, rows)),
-            tuple(column[3] for column in columns),
-            totals,
-        )
-
-    def _grouped(
-        self, policy: AllocationPolicy
-    ) -> tuple[_Numerators, tuple[int, ...], list[Fraction], tuple[Fraction, ...]]:
-        """Allocated shares as rows of minor units, their denominators,
-        every consumer's total, and the collective price of every slot."""
-        consumers = self.matrix.consumers
-        slots = self.matrix.slots
-        minor = 10**MONEY_PLACES
-        if not consumers:
-            return {}, (minor,) * slots, [], (Fraction(0),) * slots
-        rows, prices = self.allocated(policy)
-        shares = dict(zip(consumers, map(tuple, rows)))
-        totals = [Fraction(sum(row), minor) for row in rows]
-        return shares, (minor,) * slots, totals, tuple(prices)
+    ) -> tuple[tuple[Column, ...], tuple[Fraction, ...]]:
+        """Every slot's share column and collective price, from bill_slot."""
+        slots = enumerate(zip(self.matrix.columns, self.prices))
+        shares, prices = zip(*(self.bill_slot(slot, *pair, policy) for slot, pair in slots))
+        return shares, prices
 
     def report(
         self, scheme: SchemeKind, policy: AllocationPolicy = AllocationPolicy.EXACT_SUM
     ) -> BillingReport:
-        numerators: Optional[_Numerators] = None
-        dens: Optional[tuple[int, ...]] = None
+        columns: Optional[tuple[Column, ...]] = None
         group_prices: Optional[tuple[Fraction, ...]] = None
         used_policy: Optional[AllocationPolicy] = None
         if scheme is SchemeKind.MONTHLY_INDIVIDUAL:
-            sums = self._monthly()
-        elif scheme is SchemeKind.SLOTTED_INDIVIDUAL:
-            numerators, dens, sums = self._slotted()
+            # Each consumer's period usage is priced on its own: one quantum
+            # for all of them would be the lcm of every cell denominator.
+            usages = _row_sums(self.matrix.columns)
+            sums = [progressive_price(self.schedule, usage) for usage in usages]
         else:
-            used_policy = policy
-            numerators, dens, sums, group_prices = self._grouped(policy)
+            if scheme is SchemeKind.SLOTTED_INDIVIDUAL:
+                columns = self.prices
+            else:
+                used_policy = policy
+                columns, group_prices = self.allocated(policy)
+            sums = _row_sums(columns)
         totals = dict(zip(self.matrix.consumers, sums))
         billed = {consumer: round_money(total) for consumer, total in totals.items()}
         return BillingReport(
@@ -691,8 +637,7 @@ class _Billing:
             currency=self.schedule.currency,
             grid=self.grid,
             consumers=self.matrix.consumers,
-            slot_numerators=numerators,
-            slot_denominators=dens,
+            slot_columns=columns,
             consumer_totals=totals,
             billed_totals=billed,
             aggregate_billed=sum(billed.values(), Fraction(0)),
@@ -787,25 +732,26 @@ def what_if_shift(
     shifted = matrix.with_shift(consumer, from_slot, to_slot, moved)
     policy = AllocationPolicy(policy)
     billing = _Billing(matrix, schedule, grid)
-    rows, _ = billing.allocated(policy)
+    shares, _ = billing.allocated(policy)
     index = matrix.consumers.index(consumer)
-    own = rows[index]
 
-    def solo(column: Column) -> Fraction:
-        _, _, numerators, denominator = column
+    def solo(prices: Column) -> Fraction:
+        denominator, numerators = prices
         return Fraction(numerators[index], denominator)
 
-    allocated_before = sum(own)
-    group_before = sum(map(sum, rows))
-    (individual_before,) = _row_sums(((nums[index],), den) for _, _, nums, den in billing.columns)
+    allocated_before = sum(units[index] for _, units in shares)
+    group_before = sum(sum(units) for _, units in shares)
+    (individual_before,) = _row_sums((den, (nums[index],)) for den, nums in billing.prices)
     allocated_after, group_after = allocated_before, group_before
     individual_after = individual_before
     for slot in sorted({from_slot, to_slot}):
-        column = price_column(billing.table, *shifted.columns[slot])
-        shares, _, _ = billing.bill_slot(slot, column, policy)
-        allocated_after += shares[index] - own[slot]
-        group_after += sum(shares) - sum(row[slot] for row in rows)
-        individual_after += solo(column) - solo(billing.columns[slot])
+        usage = shifted.columns[slot]
+        prices = billing.table.prices(usage)
+        (_, after), _ = billing.bill_slot(slot, usage, prices, policy)
+        _, before = shares[slot]
+        allocated_after += after[index] - before[index]
+        group_after += sum(after) - sum(before)
+        individual_after += solo(prices) - solo(billing.prices[slot])
 
     demand = billing.demand
     loads = list(demand.slot_loads)

@@ -30,6 +30,13 @@ from .errors import ScheduleError
 
 HOURS_PER_DAY = 24
 
+# One slot of a consumer x slot grid: (denominator, integers), so that
+# cell i is integers[i] / denominator. Usage, stand-alone prices and
+# allocated shares are all stored this way. Each column has its own
+# denominator: one lcm over a whole matrix of unrelated denominators
+# would make every integer in it huge.
+Column = tuple[int, Sequence[int]]
+
 
 @dataclass(frozen=True)
 class TariffTier:
@@ -80,12 +87,12 @@ class TierTable:
             self.charges.append(self.charges[-1] + rate * (bound - lower))
             lower = bound
 
-    def prices(self, units: Sequence[int], quantum: int) -> tuple[list[int], int]:
-        """Exact prices of the usages ``units[i] / quantum`` kWh.
-
-        Returns the price numerators and their one common denominator,
-        ``quantum * bound_scale * rate_scale``. Usages must be >= 0.
+    def prices(self, column: Column) -> Column:
+        """The price column of a usage column: cell ``units[i] / quantum``
+        kWh costs ``numerators[i] / (quantum * bound_scale * rate_scale)``.
+        Usages must be >= 0.
         """
+        quantum, units = column
         # Levels, tier edges and charges all count 1/(quantum * bound_scale)
         # kWh steps, so each price is one bisection and one multiply-add.
         scale = self.bound_scale
@@ -98,7 +105,7 @@ class TierTable:
             level = unit * scale
             tier = bisect_left(edges, level)
             numerators.append(bases[tier] + rates[tier] * (level - lows[tier]))
-        return numerators, quantum * scale * self.rate_scale
+        return quantum * scale * self.rate_scale, numerators
 
 
 @dataclass(frozen=True)
@@ -230,7 +237,7 @@ def progressive_price(schedule: TariffSchedule, usage: ExactLike) -> Fraction:
     rate. The result is an exact, unrounded currency amount.
     """
     amount = energy_amount(usage)
-    (numerator,), denominator = schedule.table.prices((amount.numerator,), amount.denominator)
+    denominator, (numerator,) = schedule.table.prices((amount.denominator, (amount.numerator,)))
     return Fraction(numerator, denominator)
 
 

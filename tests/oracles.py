@@ -339,8 +339,9 @@ def _desk_echo(text):
 
 def desk_exact(text):
     """A string read as an exact number by Fraction's own parser, every
-    string alike: the exponent cap first, then ``Fraction(str)``. Raises
-    ValueError with the package's messages."""
+    string alike: the exponent cap first, then underscores refused (as
+    Python 3.10's parser does), then ``Fraction(str)``. Raises ValueError
+    with the package's messages."""
     stripped = text.strip()
     mark = max(stripped.rfind("e"), stripped.rfind("E"))
     if mark >= 0:
@@ -354,6 +355,8 @@ def desk_exact(text):
                     f"decimal exponent beyond +/-{MAX_DECIMAL_EXPONENT}: "
                     f"{_desk_echo(text)}"
                 )
+    if "_" in stripped:
+        raise ValueError(f"not a decimal or p/q number: {_desk_echo(text)}")
     try:
         return Fraction(stripped)
     except (ValueError, ZeroDivisionError) as err:

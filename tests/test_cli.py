@@ -191,6 +191,16 @@ def test_huge_exponent_in_trace_is_reported_with_line(capsys, tmp_path):
     assert "huge.csv:3: decimal exponent beyond" in err
 
 
+def test_underscored_energy_in_trace_is_reported_with_line(capsys, tmp_path):
+    # Fraction's parser reads "1_000" from Python 3.11 on; every version
+    # refuses it, as 3.10 does.
+    trace = tmp_path / "underscore.csv"
+    trace.write_text("consumer_id,interval_start,energy_kwh\na,2025-01-01T00:00:00Z,1_000\n")
+    status, out, err = run(capsys, "compare", "--schedule", SCHEDULE, "--trace", str(trace))
+    assert status == 1 and out == ""
+    assert err == f"error: {trace}:2: not a decimal or p/q number: '1_000'\n"
+
+
 def test_value_too_large_to_display_is_input_error(capsys, tmp_path):
     # 1e4300 is accepted, but its price has more digits than Python
     # converts to text. A free schedule prices it at 0, so only the

@@ -394,11 +394,8 @@ def _report_with_charges(kepco, numerators, denominators):
     grid = SlotGrid(Fraction(24), 30, datetime(2025, 1, 1, tzinfo=timezone.utc))
     rows = {consumer: [1] * len(denominators) for consumer in numerators}
     base = run_scheme(SlotUsageMatrix.from_rows(rows), kepco, grid, "slotted-individual")
-    return dataclasses.replace(
-        base,
-        slot_numerators={c: tuple(row) for c, row in numerators.items()},
-        slot_denominators=tuple(denominators),
-    )
+    columns = zip(*(numerators[consumer] for consumer in base.consumers))
+    return dataclasses.replace(base, slot_columns=tuple(zip(denominators, columns)))
 
 
 # Few distinct numerators, so that charges repeat across consumers and

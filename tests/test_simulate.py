@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from progtariff import (
+    MONEY_PLACES,
     MeterReading,
     SchemeKind,
     SimulationError,
@@ -509,6 +510,7 @@ def test_monthly_scheme_single_consumer(kepco, month_grid):
     report = run_scheme(matrix, kepco, month_grid, "monthly-individual")
     assert report.consumer_totals["one"] == 51480
     assert format_money(report.billed_totals["one"]) == "51480.00"
+    assert report.slot_columns is None
     assert report.slot_charges is None
 
 
@@ -926,6 +928,11 @@ def test_slot_charges_match_per_cell_recomputation():
                 shares = proportional_allocation(price, solo, policy).shares
                 assert {c: grouped.slot_charges[c][slot] for c in consumers} == shares
         for report in reports:
+            assert len(report.slot_columns) == matrix.slots
+            for denominator, numerators in report.slot_columns:
+                assert len(numerators) == len(consumers)
+                if report.scheme is SchemeKind.SLOTTED_GROUP:
+                    assert denominator == 10**MONEY_PLACES
             assert set(report.slot_charges) == set(consumers)
             entries = report_to_dict(report)["consumers"]
             for consumer, entry in zip(consumers, entries):

@@ -181,6 +181,12 @@ def test_exact_accepts_the_largest_decimal_exponent():
     assert exact(Decimal("1e-4300")) == Fraction(1, 10**4300)
 
 
+def test_underscored_schedule_rate_is_refused():
+    tiers = [{"upper_kwh": 100, "rate": "6_0.7"}, {"upper_kwh": None, "rate": "709.5"}]
+    with pytest.raises(ScheduleError, match=r"^tier 1: not a decimal or p/q number: '6_0.7'$"):
+        validate_schedule({"tiers": tiers})
+
+
 def test_exact_error_clips_a_long_input():
     with pytest.raises(ValueError) as caught:
         exact("5" * 5000 + "x")
