@@ -31,7 +31,7 @@ from .fileio import (
     report_to_dict,
     schedule_to_dict,
     shift_to_dict,
-    to_json,
+    write_json,
 )
 from .grouping import AllocationPolicy, proportional_allocation
 from .simulate import (
@@ -55,10 +55,22 @@ class _Parser(argparse.ArgumentParser):
         raise _CliError(message)
 
 
+def _integer(text: str) -> int:
+    """A whole-number flag. ``int`` reads underscores ("3_0"), which
+    amounts.exact refuses in every other number, so they are refused here
+    too."""
+    if "_" not in text:
+        try:
+            return int(text)
+        except ValueError:
+            pass
+    raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+
+
 def _add_grid_flags(parser):
     parser.add_argument("--slot-hours", default="6", help="slot length in hours (default 6)")
     parser.add_argument(
-        "--period-days", type=int, default=30, help="billing period length (default 30)"
+        "--period-days", type=_integer, default=30, help="billing period length (default 30)"
     )
     parser.add_argument(
         "--period-start",
@@ -123,8 +135,8 @@ def build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("--schedule", required=True)
     cmd.add_argument("--trace", required=True)
     cmd.add_argument("--consumer", required=True)
-    cmd.add_argument("--from-slot", type=int, required=True)
-    cmd.add_argument("--to-slot", type=int, required=True)
+    cmd.add_argument("--from-slot", type=_integer, required=True)
+    cmd.add_argument("--to-slot", type=_integer, required=True)
     cmd.add_argument("--amount", required=True, help="energy in kWh (decimal or p/q)")
     _add_grid_flags(cmd)
     _add_policy_flag(cmd)
@@ -151,9 +163,13 @@ def _grid_from_args(args, readings) -> SlotGrid:
 
 def _emit(args, result, to_dict, render) -> int:
     """Print *result* as ``to_json(to_dict(result))`` under --json, else as
-    ``render(result)``."""
+    ``render(result)``.
+
+    The JSON text goes to stdout in chunks as it is rendered. The whole
+    payload is built first, so an error writes nothing.
+    """
     if args.json:
-        print(to_json(to_dict(result)), end="")
+        write_json(to_dict(result), sys.stdout)
     else:
         print(render(result))
     return 0

@@ -25,10 +25,11 @@ from __future__ import annotations
 import csv
 import io
 import json
+from contextlib import closing
 from datetime import datetime, timezone
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterator, Optional, Union
+from typing import Callable, Iterator, Optional, TextIO, Union
 
 from .amounts import (
     MONEY_PLACES,
@@ -127,10 +128,14 @@ def parse_schedule_file(path: PathLike) -> TariffSchedule:
 
 
 def _number_fields(name: str, value: Fraction) -> dict:
-    """A schedule number: JSON int, decimal string, or display + p/q pair."""
+    """A schedule number: JSON int, decimal string, or display + p/q pair.
+
+    A number too long to print raises the display-limit error here, while
+    the payload is built, not once its JSON is partly written.
+    """
+    lossless = exact_str(value)
     if value.denominator == 1:
         return {name: int(value)}
-    lossless = exact_str(value)
     fields = {name: lossless}
     if "/" in lossless:
         fields[name] = format_fixed(value, SCHEDULE_PLACES)
@@ -168,79 +173,97 @@ def emit_schedule(schedule: TariffSchedule, path: PathLike):
 # ----------------------------------------------------------------------
 
 
-def _csv_rows(path: Path, text: str):
-    """The CSV rows of *text*; a row the csv module refuses, such as one
-    with a field past ``csv.field_size_limit()``, raises TraceError.
+def _csv_rows(path: Path) -> Iterator[list[str]]:
+    """The CSV rows of the file at *path*, read as a stream.
 
-    Rows end only at CR or LF, as in a file opened with ``newline=""``:
-    ``str.splitlines`` would also end them at form feeds, U+2028 and the
-    other Unicode line boundaries.
+    The file is opened as UTF-8 with ``newline=""``, so rows end only at
+    CR or LF, not at form feeds, U+2028 or the other Unicode line
+    boundaries. A file that cannot be read, a row the csv module refuses
+    (such as one with a field past ``csv.field_size_limit()``) and a byte
+    that is not UTF-8 raise TraceError. The decoder sees one read block
+    at a time, so its offset is not the file's: a decode error re-reads
+    the file through ``_read_text`` for the exact byte.
     """
-    rows = csv.reader(io.StringIO(text, newline=""))
     try:
-        yield from rows
-    except csv.Error as err:
-        raise TraceError(f"{path}:{rows.line_num}: {err}") from err
+        with path.open(encoding="utf-8", newline="") as handle:
+            rows = csv.reader(handle)
+            try:
+                yield from rows
+            except csv.Error as err:
+                raise TraceError(f"{path}:{rows.line_num}: {err}") from err
+    except OSError as err:
+        raise TraceError(f"{path}: {err.strerror or err}") from err
+    except UnicodeDecodeError as err:
+        _read_text(path, TraceError)
+        # Only a file that changed between the two reads gets here.
+        raise TraceError(f"{path}: not UTF-8 text ({err.reason})") from err
 
 
 def parse_trace_csv(path: PathLike) -> list[MeterReading]:
     """Read meter readings from a trace CSV, in file order.
 
-    Every row is checked once, here, in this order: blank rows are
-    skipped, then the field count, the consumer id, the start stamp, the
-    energy, the end stamp and ``end > start`` are checked. The readings
-    are then built without running MeterReading's checks a second time.
+    The file is read as a stream, one row at a time, and every row is
+    checked once, as it is read, in this order: blank rows are skipped,
+    then the field count, the consumer id, the start stamp, the energy,
+    the end stamp and ``end > start`` are checked. So the first fault in
+    file order is the one reported, a bad row included, unless a byte
+    that is not UTF-8 lies in the same read block after it. The readings
+    are built without running MeterReading's checks a second time, and
+    share one ``str`` per distinct consumer id.
     """
     path = Path(path)
-    rows = _csv_rows(path, _read_text(path, TraceError))
-    first = next(rows, None)
-    if first is None:
-        raise TraceError(f"{path}: missing header")
-    header = [cell.strip() for cell in first]
-    if header not in (TRACE_HEADER, TRACE_HEADER + ["interval_end"]):
-        raise TraceError(
-            f"{path}:1: bad header {header!r}, expected {','.join(TRACE_HEADER)}"
-            " with optional interval_end"
-        )
-    width = len(header)
-    has_end = width == 4
-    readings: list[MeterReading] = []
-    append = readings.append
-    make_reading = MeterReading._checked
-    # Each distinct energy string is parsed and checked once per file.
-    energies: dict[str, Fraction] = {}
-    for line_no, row in enumerate(rows, start=2):
-        # A row of the right width with a consumer id is neither blank nor
-        # short; anything else takes the slower checks, in the same order.
-        if len(row) != width or not (consumer := row[0].strip()):
-            if not "".join(row).strip():
-                continue
-            if len(row) != width:
-                raise TraceError(
-                    f"{path}:{line_no}: expected {width} fields, got {len(row)}"
-                )
-            raise TraceError(f"{path}:{line_no}: empty consumer_id")
-        try:
-            start = parse_rfc3339(row[1])
-        except ValueError as err:
-            raise TraceError(f"{path}:{line_no}: {err}") from err
-        energy = energies.get(row[2])
-        if energy is None:
+    with closing(_csv_rows(path)) as rows:
+        first = next(rows, None)
+        if first is None:
+            raise TraceError(f"{path}: missing header")
+        header = [cell.strip() for cell in first]
+        if header not in (TRACE_HEADER, TRACE_HEADER + ["interval_end"]):
+            raise TraceError(
+                f"{path}:1: bad header {header!r}, expected {','.join(TRACE_HEADER)}"
+                " with optional interval_end"
+            )
+        width = len(header)
+        has_end = width == 4
+        readings: list[MeterReading] = []
+        append = readings.append
+        make_reading = MeterReading._checked
+        # Each distinct energy string is parsed and checked once per file,
+        # and each distinct consumer id is kept once.
+        energies: dict[str, Fraction] = {}
+        consumers: dict[str, str] = {}
+        for line_no, row in enumerate(rows, start=2):
+            # A row of the right width with a consumer id is neither blank nor
+            # short; anything else takes the slower checks, in the same order.
+            if len(row) != width or not (consumer := row[0].strip()):
+                if not "".join(row).strip():
+                    continue
+                if len(row) != width:
+                    raise TraceError(
+                        f"{path}:{line_no}: expected {width} fields, got {len(row)}"
+                    )
+                raise TraceError(f"{path}:{line_no}: empty consumer_id")
+            consumer = consumers.setdefault(consumer, consumer)
             try:
-                energy = energies[row[2]] = energy_amount(row[2].strip())
+                start = parse_rfc3339(row[1])
             except ValueError as err:
                 raise TraceError(f"{path}:{line_no}: {err}") from err
-        end: Optional[datetime] = None
-        if has_end and row[3].strip():
-            try:
-                end = parse_rfc3339(row[3])
-            except ValueError as err:
-                raise TraceError(f"{path}:{line_no}: {err}") from err
-            if end <= start:
-                raise TraceError(
-                    f"{path}:{line_no}: reading end must be after its start"
-                )
-        append(make_reading(consumer, start, energy, end))
+            energy = energies.get(row[2])
+            if energy is None:
+                try:
+                    energy = energies[row[2]] = energy_amount(row[2].strip())
+                except ValueError as err:
+                    raise TraceError(f"{path}:{line_no}: {err}") from err
+            end: Optional[datetime] = None
+            if has_end and row[3].strip():
+                try:
+                    end = parse_rfc3339(row[3])
+                except ValueError as err:
+                    raise TraceError(f"{path}:{line_no}: {err}") from err
+                if end <= start:
+                    raise TraceError(
+                        f"{path}:{line_no}: reading end must be after its start"
+                    )
+            append(make_reading(consumer, start, energy, end))
     return readings
 
 
@@ -435,54 +458,86 @@ def allocation_to_dict(result: AllocationResult) -> dict:
 
 _escape = json.encoder.encode_basestring_ascii
 
+# Characters that write_json gathers before each write to its stream.
+JSON_CHUNK_CHARS = 64 * 1024
 
-def _write_json(value, indent: str, out: list[str]) -> None:
-    """Append the ``json.dumps(indent=2, sort_keys=True)`` text of *value*.
+
+def _write_json(value, indent: str, write: Callable[[str], object]) -> None:
+    """Pass the ``json.dumps(indent=2, sort_keys=True)`` text of *value*
+    to *write*, piece by piece.
 
     *indent* is the indentation of the line *value* starts on. Strings
     are escaped by the routine ``json.dumps`` uses, and ``json.dumps``
     itself writes the few other leaves and empty containers.
     """
     if isinstance(value, str):
-        out.append(_escape(value))
+        write(_escape(value))
     elif isinstance(value, dict) and value:
         inner = indent + "  "
         separator = "{\n" + inner
         for key in sorted(value):
-            out.append(separator + _escape(key) + ": ")
-            _write_json(value[key], inner, out)
+            write(separator + _escape(key) + ": ")
+            _write_json(value[key], inner, write)
             separator = ",\n" + inner
-        out.append("\n" + indent + "}")
+        write("\n" + indent + "}")
     elif isinstance(value, (list, tuple)) and value:
         inner = indent + "  "
         separator = ",\n" + inner
-        out.append("[\n" + inner)
+        write("[\n" + inner)
         try:
             # Slot charges and loads are long lists of strings: one join.
-            out.append(separator.join(map(_escape, value)))
+            write(separator.join(map(_escape, value)))
         except TypeError:
             for index, item in enumerate(value):
                 if index:
-                    out.append(separator)
-                _write_json(item, inner, out)
-        out.append("\n" + indent + "]")
+                    write(separator)
+                _write_json(item, inner, write)
+        write("\n" + indent + "]")
     else:
-        out.append(json.dumps(value))
+        write(json.dumps(value))
 
 
 def to_json(payload: dict) -> str:
     """*payload* as ``json.dumps(payload, indent=2, sort_keys=True)``, plus
-    a newline. Dict keys must be strings."""
-    out: list[str] = []
+    a newline. Dict keys must be strings.
+
+    This is write_json's text, gathered into one string.
+    """
+    out = io.StringIO()
+    write_json(payload, out)
+    return out.getvalue()
+
+
+def write_json(payload: dict, stream: TextIO) -> None:
+    """Write ``to_json(payload)`` to *stream* as it is rendered, in
+    writes of about JSON_CHUNK_CHARS characters, so that only one chunk
+    of the text is held at a time.
+
+    An int with more digits than Python converts to text raises the
+    display-limit error, after the chunks before it have been written.
+    The payloads built here refuse such an int while they are built
+    (see _number_fields), so none of them fails part way.
+    """
+    chunk: list[str] = []
+    size = 0
+
+    def write(piece: str) -> None:
+        nonlocal size
+        chunk.append(piece)
+        size += len(piece)
+        if size >= JSON_CHUNK_CHARS:
+            stream.write("".join(chunk))
+            chunk.clear()
+            size = 0
+
     try:
-        _write_json(payload, "", out)
+        _write_json(payload, "", write)
     except ValueError:
         # A payload holds only dicts, lists, strings, ints, bools and None,
-        # so the one ValueError left is an int with more digits than
-        # Python converts to text, such as a whole 1e4300 tier bound.
+        # so the one ValueError left is an int too long to print.
         raise too_large_error() from None
-    out.append("\n")
-    return "".join(out)
+    write("\n")
+    stream.write("".join(chunk))
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,8 @@
 import json
+import random
+from datetime import datetime, timedelta, timezone
 
+from progtariff import fileio
 from progtariff.cli import run_cli
 
 from conftest import FIXTURES
@@ -358,3 +361,94 @@ def test_non_utf8_trace_or_schedule_names_the_file(capsys, tmp_path):
         status, out, err = run(capsys, *argv)
         assert (status, out) == (1, ""), argv
         assert err == f"error: {path}: not UTF-8 text (invalid start byte at byte {byte})\n"
+
+
+def test_integer_flags_refuse_underscores(capsys):
+    # int() reads "3_0" as 30; every other number refuses underscores
+    # (amounts.exact), and so do the whole-number flags.
+    base = ["--schedule", SCHEDULE, "--trace", SLOT_TRACE]
+    shift = ["shift", *base, "--consumer", "c1", "--amount", "1"]
+    cases = [
+        (["compare", *base, "--period-days", "3_0"], "--period-days", "3_0"),
+        ([*shift, "--from-slot", "0_1", "--to-slot", "2"], "--from-slot", "0_1"),
+        ([*shift, "--from-slot", "1", "--to-slot", "1_0"], "--to-slot", "1_0"),
+    ]
+    for argv, flag, value in cases:
+        status, out, err = run(capsys, *argv)
+        assert (status, out) == (1, ""), argv
+        assert err == f"error: argument {flag}: not an integer: '{value}'\n"
+
+
+def test_integer_flags_still_read_plain_integers(capsys):
+    base = ["--schedule", SCHEDULE, "--trace", SLOT_TRACE]
+    _, thirty, _ = run(capsys, "compare", *base)
+    status, out, _ = run(capsys, "compare", *base, "--period-days", " 30 ")
+    assert (status, out) == (0, thirty)
+    status, _, err = run(capsys, "compare", *base, "--period-days", "x")
+    assert (status, err) == (1, "error: argument --period-days: not an integer: 'x'\n")
+
+
+def test_schedule_json_past_display_limit_writes_nothing(capsys, tmp_path):
+    # The JSON text of this schedule spans several output chunks, and its
+    # last tier bound, 1e4300, has 4,301 digits: the error comes while
+    # the payload is built, before the first chunk is written.
+    tiers = ", ".join(f'{{"upper_kwh": {bound}, "rate": "60.7"}}' for bound in range(1, 5001))
+    last = '{"upper_kwh": %s, "rate": "70"}, {"upper_kwh": null, "rate": "80"}]}'
+    printable, huge = tmp_path / "printable.json", tmp_path / "huge.json"
+    printable.write_text(f'{{"currency": "KRW", "tiers": [{tiers}, ' + last % "5001")
+    huge.write_text(f'{{"currency": "KRW", "tiers": [{tiers}, ' + last % "1e4300")
+    status, out, _ = run(capsys, "validate", "--schedule", str(printable), "--json")
+    assert status == 0 and len(out) > 3 * fileio.JSON_CHUNK_CHARS
+    status, out, err = run(capsys, "validate", "--schedule", str(huge), "--json")
+    assert (status, out) == (1, "")
+    assert err == "error: amount too large to display: more than 4300 digits\n"
+
+
+def test_unprintable_comparison_writes_nothing(capsys, tmp_path):
+    # One reading per cell of unrelated p/q energies on 20 x 120 six-hour
+    # slots: the exact aggregate and demand figures have more digits than
+    # Python prints, so compare --json fails, and prints nothing.
+    rng = random.Random(5)
+    start = datetime(2025, 1, 1, tzinfo=timezone.utc)
+    lines = ["consumer_id,interval_start,energy_kwh"]
+    for consumer in range(20):
+        for slot in range(120):
+            stamp = (start + timedelta(hours=6 * slot)).strftime("%Y-%m-%dT%H:%M:%SZ")
+            energy = f"{rng.randint(1, 5_000_000)}/{rng.randint(1, 999_999)}"
+            lines.append(f"c{consumer:02d},{stamp},{energy}")
+    trace = tmp_path / "pq.csv"
+    trace.write_text("\n".join(lines) + "\n")
+    status, out, err = run(
+        capsys, "compare", "--schedule", SCHEDULE, "--trace", str(trace), "--json"
+    )
+    assert (status, out) == (1, "")
+    assert err == "error: amount too large to display: more than 4300 digits\n"
+
+
+def test_trace_read_as_stream_reports_exact_byte_offset(capsys, tmp_path):
+    # The bad byte lies well past the first read block; its offset is
+    # still the file's.
+    head = b"consumer_id,interval_start,energy_kwh\n"
+    row = b"a,2025-01-01T00:00:00Z,1\n"
+    body = head + row * ((200_000 - len(head)) // len(row))
+    body += b"#" * (200_000 - len(body))
+    trace = tmp_path / "late.csv"
+    trace.write_bytes(body[:-1] + b"\n\xff,2025-01-01T00:00:00Z,1\n")
+    status, out, err = run(capsys, "compare", "--schedule", SCHEDULE, "--trace", str(trace))
+    assert (status, out) == (1, "")
+    assert err == f"error: {trace}: not UTF-8 text (invalid start byte at byte 200000)\n"
+
+
+def test_trace_reports_first_fault_in_file_order(capsys, tmp_path):
+    # A bad row before a bad byte is reported first: the trace is checked
+    # row by row as it is read, and the byte lies in a later read block.
+    trace = tmp_path / "both.csv"
+    trace.write_bytes(
+        b"consumer_id,interval_start,energy_kwh\n"
+        b"a,2025-01-01T00:00:00Z,oops\n"
+        + b"a,2025-01-01T00:00:00Z,1\n" * 10_000
+        + b"\xff,2025-01-01T00:00:00Z,1\n"
+    )
+    status, out, err = run(capsys, "compare", "--schedule", SCHEDULE, "--trace", str(trace))
+    assert (status, out) == (1, "")
+    assert err == f"error: {trace}:2: not a decimal or p/q number: 'oops'\n"

@@ -323,6 +323,33 @@ def _one_row_trace(tmp_path, row):
     return path
 
 
+def test_streamed_trace_reads_every_line_ending_alike(tmp_path):
+    # The trace is read in blocks; rows end at LF, CRLF or a lone CR
+    # wherever the blocks split them, and not at U+2028.
+    rows = [
+        f"c{index % 7}\u2028x,2025-01-01T{index % 24:02d}:00:00Z,{index}.5"
+        for index in range(2000)
+    ]
+    parsed = []
+    for newline in ("\n", "\r\n", "\r"):
+        path = tmp_path / "trace.csv"
+        path.write_bytes(newline.join([",".join(TRACE_HEADER), *rows, ""]).encode("utf-8"))
+        assert path.stat().st_size > 8 * 8192
+        parsed.append(parse_trace_csv(path))
+    assert parsed[0] == parsed[1] == parsed[2] == desk_parse_trace_csv(path)
+    assert len(parsed[0]) == 2000
+
+
+def test_trace_readings_share_one_str_per_consumer_id(tmp_path):
+    path = tmp_path / "trace.csv"
+    lines = [",".join(TRACE_HEADER)] + [f"c{i % 3},2025-01-01T00:00:00Z,1" for i in range(9)]
+    path.write_text("\n".join(lines) + "\n")
+    readings = parse_trace_csv(path)
+    ids = {id(reading.consumer) for reading in readings}
+    assert [reading.consumer for reading in readings] == [f"c{i % 3}" for i in range(9)]
+    assert len(ids) == 3
+
+
 def test_form_feed_inside_an_unquoted_field_does_not_end_the_row(tmp_path):
     path = _one_row_trace(tmp_path, "c\x0cd,2025-01-01T00:00:00Z,1")
     readings = parse_trace_csv(path)
