@@ -32,6 +32,7 @@ from .errors import (
 )
 from .fileio import (
     emit_schedule,
+    iter_trace_csv,
     parse_rfc3339,
     parse_schedule_file,
     parse_trace_csv,
@@ -104,6 +105,7 @@ __all__ = [
     "group_saving",
     "group_slot_price",
     "individual_slot_prices",
+    "iter_trace_csv",
     "money_amount",
     "parse_rfc3339",
     "parse_schedule_file",

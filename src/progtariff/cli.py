@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from datetime import timezone
+from contextlib import closing
 from functools import partial
 
 from .amounts import exact
@@ -19,6 +19,7 @@ from .fileio import (
     allocation_to_dict,
     bill_to_dict,
     comparison_to_dict,
+    iter_trace_csv,
     parse_rfc3339,
     parse_schedule_file,
     parse_trace_csv,
@@ -146,14 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _grid_from_args(args, readings) -> SlotGrid:
-    if args.period_start is not None:
-        start = parse_rfc3339(args.period_start)
-    else:
-        if not readings:
-            raise _CliError("empty trace: pass --period-start explicitly")
-        earliest = min(reading.start for reading in readings).astimezone(timezone.utc)
-        start = earliest.replace(hour=0, minute=0, second=0, microsecond=0)
+def _grid(args, start) -> SlotGrid:
     return SlotGrid(
         slot_hours=exact(args.slot_hours),
         period_days=args.period_days,
@@ -177,10 +171,23 @@ def _emit(args, result, to_dict, render) -> int:
 
 def _load(args) -> tuple:
     """The schedule, the grid and the partitioned trace (a
-    ``SlotUsageMatrix``) that *args* name."""
+    ``SlotUsageMatrix``) that *args* name.
+
+    With ``--period-start`` the grid is known first, and the trace is
+    streamed into the partition, one reading at a time. Without it the
+    period starts at midnight UTC of the earliest reading, so the
+    readings are read into a list first.
+    """
     schedule = parse_schedule_file(args.schedule)
+    if args.period_start is not None:
+        grid = _grid(args, parse_rfc3339(args.period_start))
+        with closing(iter_trace_csv(args.trace)) as readings:
+            return schedule, grid, slot_partition(readings, grid)
     readings = parse_trace_csv(args.trace)
-    grid = _grid_from_args(args, readings)
+    if not readings:
+        raise _CliError("empty trace: pass --period-start explicitly")
+    earliest = min(reading.start for reading in readings)
+    grid = _grid(args, earliest.replace(hour=0, minute=0, second=0, microsecond=0))
     return schedule, grid, slot_partition(readings, grid)
 
 

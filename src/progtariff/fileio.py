@@ -199,19 +199,30 @@ def _csv_rows(path: Path) -> Iterator[list[str]]:
         raise TraceError(f"{path}: not UTF-8 text ({err.reason})") from err
 
 
-def parse_trace_csv(path: PathLike) -> list[MeterReading]:
-    """Read meter readings from a trace CSV, in file order.
+class _TraceReadings:
+    """The checked readings of one trace CSV, read as a stream.
 
-    The file is read as a stream, one row at a time, and every row is
-    checked once, as it is read, in this order: blank rows are skipped,
-    then the field count, the consumer id, the start stamp, the energy,
-    the end stamp and ``end > start`` are checked. So the first fault in
-    file order is the one reported, a bad row included, unless a byte
-    that is not UTF-8 lies in the same read block after it. The readings
-    are built without running MeterReading's checks a second time, and
-    share one ``str`` per distinct consumer id.
+    Iterating yields each reading once, in file order. ``len()`` is the
+    number of readings read so far, so a caller handed the stream can
+    still count them, and ``close()`` closes the file before the end.
     """
-    path = Path(path)
+
+    def __init__(self, path: Path):
+        self.count = 0
+        self._readings = _read_trace(path, self)
+
+    def __iter__(self) -> Iterator[MeterReading]:
+        return self._readings
+
+    def __len__(self) -> int:
+        return self.count
+
+    def close(self):
+        self._readings.close()
+
+
+def _read_trace(path: Path, stream: _TraceReadings) -> Iterator[MeterReading]:
+    """The body of ``iter_trace_csv``; counts each reading in *stream*."""
     with closing(_csv_rows(path)) as rows:
         first = next(rows, None)
         if first is None:
@@ -224,8 +235,6 @@ def parse_trace_csv(path: PathLike) -> list[MeterReading]:
             )
         width = len(header)
         has_end = width == 4
-        readings: list[MeterReading] = []
-        append = readings.append
         make_reading = MeterReading._checked
         # Each distinct energy string is parsed and checked once per file,
         # and each distinct consumer id is kept once.
@@ -263,8 +272,34 @@ def parse_trace_csv(path: PathLike) -> list[MeterReading]:
                     raise TraceError(
                         f"{path}:{line_no}: reading end must be after its start"
                     )
-            append(make_reading(consumer, start, energy, end))
-    return readings
+            stream.count += 1
+            yield make_reading(consumer, start, energy, end)
+
+
+def iter_trace_csv(path: PathLike) -> _TraceReadings:
+    """The meter readings of a trace CSV, one at a time, in file order.
+
+    The file is read as a stream, one row at a time, and every row is
+    checked once, as it is read, in this order: blank rows are skipped,
+    then the field count, the consumer id, the start stamp, the energy,
+    the end stamp and ``end > start`` are checked. So the first fault in
+    file order is the one reported, a bad row included, unless a byte
+    that is not UTF-8 lies in the same read block after it. A caller that
+    stops at a fault of its own leaves the later rows unread. The readings
+    are built without running MeterReading's checks a second time, and
+    share one ``str`` per distinct consumer id.
+
+    The result can be iterated once, and its ``len()`` counts the
+    readings read so far. Close it, for example with
+    ``contextlib.closing``, to close the file before the last row.
+    """
+    return _TraceReadings(Path(path))
+
+
+def parse_trace_csv(path: PathLike) -> list[MeterReading]:
+    """Every meter reading of a trace CSV, in file order: the list of
+    ``iter_trace_csv(path)``, checked in the same order."""
+    return list(iter_trace_csv(path))
 
 
 # ----------------------------------------------------------------------
@@ -309,7 +344,9 @@ def _slot_charge_texts(report: BillingReport) -> Iterator[Iterator[tuple[str, ..
 
     Rendered from the report's slot columns as they are: a slot charge
     repeats often, so each distinct numerator of a denominator is
-    rendered once, and the denominator is factored once per column.
+    rendered once, and the denominator is factored once per column. A
+    charge whose lossless text is its display text, such as ``12.34``,
+    keeps one ``str`` for both.
     """
     texts: dict[int, dict[int, tuple[str, str]]] = {}
     columns = []
@@ -317,7 +354,8 @@ def _slot_charge_texts(report: BillingReport) -> Iterator[Iterator[tuple[str, ..
         memo = texts.setdefault(den, {})
         form = decimal_form(den)
         for num in set(column).difference(memo):
-            memo[num] = (fixed_text(num, den, MONEY_PLACES), exact_text(num, den, form))
+            fixed, lossless = fixed_text(num, den, MONEY_PLACES), exact_text(num, den, form)
+            memo[num] = (fixed, fixed if lossless == fixed else lossless)
         columns.append(map(memo.__getitem__, column))
     return (zip(*pairs) for pairs in zip(*columns))
 

@@ -77,18 +77,35 @@ class GroupPricingResult:
         return sum(self.individual_prices.values(), Fraction(0))
 
 
-def quantize_shares(size: int, shares: Sequence[tuple[int, int, int]]) -> Column:
-    """Sum ``(index, numerator, denominator)`` shares into *size* values,
-    each an integer count ``units[i]`` of one quantum.
+def add_share(nums: list[int], dens: list[int], index: int, num: int, den: int):
+    """Add ``num / den`` to the cell ``nums[index] / dens[index]``.
 
-    The quantum is the lcm of the values' denominators in lowest terms:
-    the lcm of the shares' denominators divided by its gcd with every
-    count. Every such quantum in the engine is built here.
+    A zero cell takes the share as it is. Any other cell stays over the
+    lcm of the denominators it has received, never their product, and is
+    not reduced: ``quantize_cells`` reduces a whole column at once.
     """
-    common = math.lcm(*{den for _, _, den in shares})
-    units = [0] * size
-    for index, num, den in shares:
-        units[index] += num * (common // den)
+    have = dens[index]
+    if not nums[index]:
+        nums[index], dens[index] = num, den
+    elif have == den:
+        nums[index] += num
+    else:
+        common = math.lcm(have, den)
+        nums[index] = nums[index] * (common // have) + num * (common // den)
+        dens[index] = common
+
+
+def quantize_cells(nums: Sequence[int], dens: Sequence[int]) -> Column:
+    """Put the cells ``nums[i] / dens[i]`` on one quantum, each an integer
+    count ``units[i]`` of it.
+
+    The quantum is the lcm of the cells' denominators in lowest terms:
+    the lcm of *dens* divided by its gcd with every count, whether or not
+    the cells were in lowest terms. Every such quantum in the engine is
+    built here.
+    """
+    common = math.lcm(*set(dens))
+    units = [num * (common // den) for num, den in zip(nums, dens)]
     divisor = math.gcd(common, *units)
     if divisor > 1:
         return common // divisor, tuple(unit // divisor for unit in units)
@@ -97,8 +114,8 @@ def quantize_shares(size: int, shares: Sequence[tuple[int, int, int]]) -> Column
 
 def quantize(values: Sequence[Fraction]) -> Column:
     """Put *values* on one quantum, the lcm of their denominators."""
-    shares = [(i, value.numerator, value.denominator) for i, value in enumerate(values)]
-    return quantize_shares(len(values), shares)
+    ratios = [value.as_integer_ratio() for value in values]
+    return quantize_cells([num for num, _ in ratios], [den for _, den in ratios])
 
 
 def price_group(table: TierTable, column: Column, size: int) -> tuple[int, int]:

@@ -37,7 +37,14 @@ from .amounts import (
     scale_value,
 )
 from .errors import InternalCheckError, SimulationError
-from .grouping import AllocationPolicy, allocate_units, price_group, quantize, quantize_shares
+from .grouping import (
+    AllocationPolicy,
+    add_share,
+    allocate_units,
+    price_group,
+    quantize,
+    quantize_cells,
+)
 from .tariff import (
     HOURS_PER_DAY,
     Column,
@@ -75,7 +82,7 @@ class MeterReading:
     [start, end) and may be split across slot boundaries, otherwise the
     reading is a point delta assigned to the slot containing ``start``.
 
-    The constructor checks every field. ``fileio.parse_trace_csv`` checks
+    The constructor checks every field. ``fileio.iter_trace_csv`` checks
     each row itself and builds its readings with ``_checked``, so no
     field is checked twice.
     """
@@ -301,12 +308,13 @@ class SlotUsageMatrix:
                 f"cannot shift {echo_value(moved)} kWh out of slot {from_slot}: "
                 f"only {echo_value(available)} available"
             )
+        moved_num, moved_den = moved.as_integer_ratio()
         columns = list(self.columns)
         for slot, sign in ((from_slot, -1), (to_slot, 1)):
             quantum, units = columns[slot]
-            shares = [(i, unit, quantum) for i, unit in enumerate(units)]
-            shares.append((row, sign * moved.numerator, moved.denominator))
-            columns[slot] = quantize_shares(len(units), shares)
+            nums, dens = list(units), [quantum] * len(units)
+            add_share(nums, dens, row, sign * moved_num, moved_den)
+            columns[slot] = quantize_cells(nums, dens)
         return SlotUsageMatrix._checked(self.consumers, self.slots, tuple(columns), self.flags)
 
 
@@ -431,49 +439,57 @@ class ShiftReport:
     par_after: Optional[Fraction]
 
 
-def slot_partition(
-    readings: Sequence[MeterReading], grid: SlotGrid
-) -> SlotUsageMatrix:
+def slot_partition(readings: Iterable[MeterReading], grid: SlotGrid) -> SlotUsageMatrix:
     """Assign readings to grid slots, preserving total energy exactly.
 
     Point readings land in the slot containing their timestamp; interval
     readings are split across slots in proportion to time overlap. Every
     reading must lie inside the billing period, and one consumer's
     interval readings must not overlap each other. Cells that received
-    no reading hold zero, and the matrix's ``flags`` tell them apart. A
-    partition of more than MAX_CELLS cells (consumers times slots) is
-    refused before any column is built.
+    no reading hold zero, and the matrix's ``flags`` tell them apart.
+
+    *readings* may be any iterable, a stream included. It is read once
+    and no reading is kept: each one is added straight into its
+    consumer's per-slot cell sums. Consumers get rows in the order they
+    first appear and are sorted by id at the end. A reading outside the
+    period is refused as it is read, and so is the first reading of a
+    consumer whose row would take the partition past MAX_CELLS cells
+    (consumers times slots); overlapping intervals are found once every
+    reading is read.
 
     Time is counted in integer microseconds from the period start, the
     resolution of ``datetime``. A slot lasts ``num/den`` microseconds, so
     a point reading at offset ``t`` lands in slot ``t * den // num``, and
     interval offsets scaled by ``den`` meet slot edges ``k * num`` on
-    integers. Every point reading and every piece of an interval becomes
-    one integer ``(row, numerator, denominator)`` share of its slot, and
-    each slot's shares are summed into its column by
-    ``grouping.quantize_shares``, with one lcm and one gcd per column.
+    integers. A point reading, or each piece of an interval, is an
+    integer share of its cell, added by ``grouping.add_share`` over the
+    lcm of the cell's own denominators. Each slot's column is built from
+    its cells by ``grouping.quantize_cells``, with one lcm and one gcd
+    per column.
     """
-    consumers = sorted({reading.consumer for reading in readings})
     slot_count = grid.slot_count
-    if len(consumers) * slot_count > MAX_CELLS:
-        raise SimulationError(
-            f"{len(consumers)} consumers on {slot_count} slots would need "
-            f"more than {MAX_CELLS} cells"
-        )
     origin = grid.period_start
     period = (grid.period_end - origin) // _MICROSECOND
     slot_length = grid.slot_seconds * 10**6
     num, den = slot_length.numerator, slot_length.denominator
-    index = {consumer: row for row, consumer in enumerate(consumers)}
-    # slot -> (row, numerator, denominator) of every share it received
-    shares: list[list[tuple[int, int, int]]] = [[] for _ in range(slot_count)]
-    flags = [bytearray(slot_count) for _ in consumers]
+    # consumer -> the numerator, denominator and flag of each of its cells
+    rows: dict[str, tuple[list[int], list[int], bytearray]] = {}
+    # consumer -> its interval spans; a span that starts where the last
+    # one ended extends it, which keeps a contiguous run as one span
     intervals: dict[str, list[tuple[int, int]]] = {}
 
     for reading in readings:
         consumer = reading.consumer
-        energy = reading.energy
-        row = index[consumer]
+        cells = rows.get(consumer)
+        if cells is None:
+            if (len(rows) + 1) * slot_count > MAX_CELLS:
+                raise SimulationError(
+                    f"{len(rows) + 1} consumers on {slot_count} slots would need "
+                    f"more than {MAX_CELLS} cells"
+                )
+            cells = rows[consumer] = ([0] * slot_count, [1] * slot_count, bytearray(slot_count))
+        nums, dens, flags = cells
+        energy_num, energy_den = reading.energy.as_integer_ratio()
         offset = (reading.start - origin) // _MICROSECOND
         if offset < 0 or offset >= period:
             raise SimulationError(
@@ -488,22 +504,26 @@ def slot_partition(
                     f"reading for {consumer!r} ending {reading.end.isoformat()} "
                     "lies outside the billing period"
                 )
-            intervals.setdefault(consumer, []).append((offset, end))
+            spans = intervals.setdefault(consumer, [])
+            if spans and spans[-1][1] == offset:
+                spans[-1] = (spans[-1][0], end)
+            else:
+                spans.append((offset, end))
             low, high = offset * den, end * den
             if high > (slot + 1) * num:
                 # One piece per slot overlapped, overlap/span of the energy
                 # in lowest terms. A reading inside one slot stays whole
-                # below, which keeps the column's lcm small.
+                # below, which keeps the cell's lcm small.
                 span = high - low
                 for slot in range(slot, (high - 1) // num + 1):
                     overlap = min(high, (slot + 1) * num) - max(low, slot * num)
                     common = math.gcd(overlap, span)
-                    piece_num = energy.numerator * (overlap // common)
-                    shares[slot].append((row, piece_num, energy.denominator * (span // common)))
-                    flags[row][slot] = 1
+                    piece_num = energy_num * (overlap // common)
+                    add_share(nums, dens, slot, piece_num, energy_den * (span // common))
+                    flags[slot] = 1
                 continue
-        shares[slot].append((row, energy.numerator, energy.denominator))
-        flags[row][slot] = 1
+        add_share(nums, dens, slot, energy_num, energy_den)
+        flags[slot] = 1
 
     for consumer, spans in intervals.items():
         spans.sort()
@@ -513,8 +533,15 @@ def slot_partition(
                     f"overlapping interval readings for consumer {consumer!r}"
                 )
 
-    columns = tuple(quantize_shares(len(consumers), slot_shares) for slot_shares in shares)
-    return SlotUsageMatrix._checked(tuple(consumers), slot_count, columns, tuple(map(bytes, flags)))
+    consumers = tuple(sorted(rows))
+    ordered = [rows[consumer] for consumer in consumers]
+    columns = ((1, ()),) * slot_count
+    if ordered:
+        numerators = zip(*(nums for nums, _, _ in ordered))
+        denominators = zip(*(dens for _, dens, _ in ordered))
+        columns = tuple(map(quantize_cells, numerators, denominators))
+    flag_rows = tuple(bytes(flags) for _, _, flags in ordered)
+    return SlotUsageMatrix._checked(consumers, slot_count, columns, flag_rows)
 
 
 def _load_metrics(loads: tuple[Fraction, ...], mean: Fraction) -> DemandMetrics:

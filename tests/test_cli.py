@@ -294,7 +294,7 @@ def test_grid_past_datetime_range_or_slot_cap_is_input_error(capsys):
 
 def test_grid_past_cell_cap_is_input_error(capsys):
     # 3 consumers on 1/463 h slots: 333,360 slots, under the slot cap, but
-    # 1,000,080 cells, over the cell cap. Refused before any row is built.
+    # 1,000,080 cells, over the cell cap. Refused at the third consumer.
     status, out, err = run(
         capsys, "compare", "--schedule", SCHEDULE, "--trace", SLOT_TRACE,
         "--slot-hours", "1/463", "--json",
@@ -452,3 +452,27 @@ def test_trace_reports_first_fault_in_file_order(capsys, tmp_path):
     status, out, err = run(capsys, "compare", "--schedule", SCHEDULE, "--trace", str(trace))
     assert (status, out) == (1, "")
     assert err == f"error: {trace}:2: not a decimal or p/q number: 'oops'\n"
+
+
+def test_period_fault_order_depends_on_the_period_start_flag(capsys, tmp_path):
+    # With --period-start the trace is streamed into the partition, so a
+    # reading outside the period on row 2 is reported before the malformed
+    # row 5. Without it the trace is read whole first, to find the period
+    # start, so the malformed row is reported.
+    trace = tmp_path / "late.csv"
+    trace.write_text(
+        "consumer_id,interval_start,energy_kwh\n"
+        "a,2024-12-31T23:00:00Z,1\n"
+        "a,2025-01-01T00:00:00Z,1\n"
+        "b,2025-01-02T00:00:00Z,1\n"
+        "b,2025-01-03T00:00:00Z,oops\n"
+    )
+    base = ["compare", "--schedule", SCHEDULE, "--trace", str(trace)]
+    status, out, err = run(capsys, *base, "--period-start", "2025-01-01T00:00:00Z")
+    assert (status, out) == (1, "")
+    assert err == (
+        "error: reading for 'a' at 2024-12-31T23:00:00+00:00 lies outside the billing period\n"
+    )
+    status, out, err = run(capsys, *base)
+    assert (status, out) == (1, "")
+    assert err == f"error: {trace}:5: not a decimal or p/q number: 'oops'\n"

@@ -14,6 +14,7 @@ from progtariff import (
     TraceError,
     emit_schedule,
     exact_str,
+    iter_trace_csv,
     parse_rfc3339,
     parse_schedule_file,
     parse_trace_csv,
@@ -304,6 +305,7 @@ def test_trace_parser_matches_checked_oracle(tmp_path, rng):
 
         got = _outcome(parse_trace_csv, path)
         assert got == _outcome(desk_parse_trace_csv, path), path.read_text()
+        assert _outcome(lambda p: list(iter_trace_csv(p)), path) == got
         kind, readings = got
         if kind == "readings":
             checked_traces += 1
@@ -315,6 +317,27 @@ def test_trace_parser_matches_checked_oracle(tmp_path, rng):
                 assert reading.end is None or reading.end.tzinfo is timezone.utc
     # Both outcomes are exercised often.
     assert 100 < checked_traces < 300
+
+
+def test_trace_stream_counts_its_readings_and_closes_early(tmp_path):
+    path = tmp_path / "trace.csv"
+    path.write_text(
+        "consumer_id,interval_start,energy_kwh\n"
+        "a,2025-01-01T00:00:00Z,1\n"
+        "\n"
+        "b,2025-01-01T06:00:00Z,2\n"
+        "c,2025-01-01T12:00:00Z,oops\n"
+    )
+    stream = iter_trace_csv(path)
+    assert len(stream) == 0
+    readings = iter(stream)
+    assert [next(readings).consumer, next(readings).consumer] == ["a", "b"]
+    assert len(stream) == 2
+    # Closed before the bad row, the stream never reads it.
+    stream.close()
+    assert next(readings, None) is None
+    with pytest.raises(TraceError, match=":5: not a decimal or p/q number: 'oops'$"):
+        list(iter_trace_csv(path))
 
 
 def _one_row_trace(tmp_path, row):
@@ -448,6 +471,9 @@ def test_slot_charge_texts_match_per_cell_oracles(kepco, data):
         values = [Fraction(n, d) for n, d in zip(numerators[entry["id"]], dens)]
         assert entry["slot_charges"] == [desk_format_fixed(v, 2) for v in values]
         assert entry["slot_charges_exact"] == [desk_exact_str(v) for v in values]
+        # A charge whose two texts are equal keeps one str for both.
+        for fixed, lossless in zip(entry["slot_charges"], entry["slot_charges_exact"]):
+            assert (fixed is lossless) == (fixed == lossless)
 
 
 def test_slot_charge_past_display_limit_is_input_error(kepco):

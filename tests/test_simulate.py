@@ -161,6 +161,42 @@ def test_partition_cell_cap_counts_consumers_times_slots(month_grid, monkeypatch
         slot_partition(readings, month_grid)
 
 
+def test_streamed_partition_stops_at_the_first_consumer_past_the_cell_cap(
+    month_grid, monkeypatch
+):
+    monkeypatch.setattr(simulate, "MAX_CELLS", 2 * month_grid.slot_count)
+    read = []
+
+    def readings():
+        for day, consumer in enumerate("babacd", start=1):
+            read.append(consumer)
+            yield MeterReading(consumer, ts(day=day), 1)
+
+    stream = readings()
+    with pytest.raises(
+        SimulationError, match="^3 consumers on 120 slots would need more than 240 cells$"
+    ):
+        slot_partition(stream, month_grid)
+    assert read == list("babac")
+    assert next(stream).consumer == "d"
+
+
+def test_partition_finds_overlaps_with_a_run_of_touching_intervals(month_grid):
+    # The first two intervals touch and are kept as one span; the third
+    # overlaps the second, in whatever order the three are read.
+    run = [
+        MeterReading("a", ts(hour=1), 1, end=ts(hour=2)),
+        MeterReading("a", ts(hour=2), 1, end=ts(hour=3)),
+    ]
+    late = MeterReading("a", ts(hour=2, minute=30), 1, end=ts(hour=4))
+    for readings in itertools.permutations(run + [late]):
+        with pytest.raises(SimulationError, match="^overlapping interval readings for consumer 'a'$"):
+            slot_partition(iter(readings), month_grid)
+    touching = run + [MeterReading("a", ts(hour=3), 1, end=ts(hour=4))]
+    for readings in itertools.permutations(touching):
+        assert slot_partition(iter(readings), month_grid).usage[0][:1] == (3,)
+
+
 def test_partition_rejects_overlapping_intervals(month_grid):
     readings = [
         MeterReading("a", ts(hour=1), 1, end=ts(hour=4)),
@@ -369,6 +405,43 @@ def _partition_traces(draw):
             for offset in draw(st.lists(st.integers(0, period_us - 1), min_size=1, max_size=8)):
                 readings.append(MeterReading(consumer, stamp(offset), draw(energies)))
     return grid, readings
+
+
+@st.composite
+def _streamed_partition_traces(draw):
+    """A small grid and a valid trace whose consumers first appear out of
+    id order. Each consumer has a run of touching interval readings, in
+    either order, and several point readings of unrelated ``p/q`` energies
+    in one cell."""
+    grid = SlotGrid(draw(st.sampled_from(PARTITION_SLOT_HOURS)), draw(st.integers(1, 3)), ts())
+    period_us = grid.period_days * 86_400 * 10**6
+    energies = st.builds(Fraction, st.integers(0, 5_000_000), st.integers(1, 999_999))
+
+    def stamp(offset_us):
+        return grid.period_start + timedelta(microseconds=offset_us)
+
+    readings = []
+    for consumer in draw(st.permutations("abcd").filter(lambda ids: list(ids) != sorted(ids))):
+        cuts = sorted(set(draw(st.lists(st.integers(0, period_us), max_size=5))))
+        run = [
+            MeterReading(consumer, stamp(low), draw(energies), end=stamp(high))
+            for low, high in zip(cuts, cuts[1:])
+        ]
+        readings += run[::-1] if draw(st.booleans()) else run
+        offset = draw(st.integers(0, period_us - 1))
+        for _ in range(draw(st.integers(1, 4))):
+            readings.append(MeterReading(consumer, stamp(offset), draw(energies)))
+    return grid, readings
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_streamed_partition_traces())
+def test_streamed_partition_matches_fraction_seconds_oracle(case):
+    grid, readings = case
+    matrix = slot_partition(iter(readings), grid)
+    consumers, usage, observed = desk_partition(readings, grid)
+    assert (matrix.consumers, matrix.usage, matrix.observed) == (consumers, usage, observed)
+    assert SlotUsageMatrix(consumers, grid.slot_count, usage, observed) == matrix
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
