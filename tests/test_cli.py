@@ -476,3 +476,40 @@ def test_period_fault_order_depends_on_the_period_start_flag(capsys, tmp_path):
     status, out, err = run(capsys, *base)
     assert (status, out) == (1, "")
     assert err == f"error: {trace}:5: not a decimal or p/q number: 'oops'\n"
+
+
+def _column_ends(line):
+    """Where each blank-separated field of a table line ends."""
+    ends, inside = [], False
+    for index, char in enumerate(line + " "):
+        if char == " " and inside:
+            ends.append(index)
+        inside = char != " "
+    return ends
+
+
+def test_text_tables_pad_to_a_consumer_id_wider_than_aggregate(capsys, tmp_path):
+    # The bundled ids (c1-c3) are narrower than "aggregate", so only an id
+    # like this one sets the label width of the text tables.
+    wide = "household-0001"
+    trace = tmp_path / "wide.csv"
+    trace.write_text(
+        "consumer_id,interval_start,energy_kwh\n"
+        f"{wide},2025-01-01T00:00:00Z,120.5\n"
+        f"{wide},2025-01-01T06:00:00Z,7\n"
+        "c2,2025-01-01T00:00:00Z,300\n"
+        "c2,2025-01-02T00:00:00Z,0.25\n"
+    )
+    for command in ("compare", "simulate"):
+        status, out, err = run(capsys, command, "--schedule", SCHEDULE, "--trace", str(trace))
+        assert (status, err) == (0, "")
+        lines = out.splitlines()
+        start = next(i for i, line in enumerate(lines) if line.startswith("consumer "))
+        header, *rows = lines[start : start + 4]
+        labels = ["consumer", "c2", wide, "aggregate"]
+        figures = _column_ends(header)[1:]
+        assert len(figures) == (5 if command == "compare" else 1)
+        for label, line in zip(labels, [header, *rows]):
+            assert line.startswith(label.ljust(len(wide)) + "  ")
+            # Every figure ends in its header's column: right-aligned.
+            assert _column_ends(line)[1 : 1 + len(figures)] == figures
