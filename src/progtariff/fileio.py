@@ -254,24 +254,14 @@ def _read_trace(path: Path, stream: _TraceReadings) -> Iterator[MeterReading]:
             consumer = consumers.setdefault(consumer, consumer)
             try:
                 start = parse_rfc3339(row[1])
+                energy = energies.get(row[2])
+                if energy is None:
+                    energy = energies[row[2]] = energy_amount(row[2].strip())
+                end = parse_rfc3339(row[3]) if has_end and row[3].strip() else None
             except ValueError as err:
                 raise TraceError(f"{path}:{line_no}: {err}") from err
-            energy = energies.get(row[2])
-            if energy is None:
-                try:
-                    energy = energies[row[2]] = energy_amount(row[2].strip())
-                except ValueError as err:
-                    raise TraceError(f"{path}:{line_no}: {err}") from err
-            end: Optional[datetime] = None
-            if has_end and row[3].strip():
-                try:
-                    end = parse_rfc3339(row[3])
-                except ValueError as err:
-                    raise TraceError(f"{path}:{line_no}: {err}") from err
-                if end <= start:
-                    raise TraceError(
-                        f"{path}:{line_no}: reading end must be after its start"
-                    )
+            if end is not None and end <= start:
+                raise TraceError(f"{path}:{line_no}: reading end must be after its start")
             stream.count += 1
             yield make_reading(consumer, start, energy, end)
 
@@ -315,8 +305,10 @@ def _energy(value: Fraction) -> dict:
     return {"display": format_energy(value), "exact": exact_str(value)}
 
 
-def _ratio(value: Fraction) -> dict:
-    return {"display": format_fixed(value, 4), "exact": exact_str(value)}
+def _par_dict(par: Optional[Fraction]) -> Optional[dict]:
+    if par is None:
+        return None
+    return {"display": format_fixed(par, 4), "exact": exact_str(par)}
 
 
 def _grid_dict(grid: SlotGrid) -> dict:
@@ -334,7 +326,7 @@ def demand_dict(report: BillingReport) -> dict:
         "slot_loads_kwh": [format_energy(load) for load in demand.slot_loads],
         "peak_kwh": _energy(demand.peak),
         "mean_kwh": _energy(demand.mean),
-        "par": None if demand.par is None else _ratio(demand.par),
+        "par": _par_dict(demand.par),
     }
 
 
@@ -401,38 +393,28 @@ def report_to_dict(report: BillingReport) -> dict:
     return out
 
 
+def _comparison_rows(comparison: SchemeComparison) -> list[tuple[str, list[str]]]:
+    """Each consumer's row, then the aggregate's, of billed money texts:
+    monthly, slotted-individual, slotted-group, slot premium, group saving."""
+    reports = (comparison.monthly, comparison.slotted_individual, comparison.slotted_group)
+    premium, saving = comparison.per_consumer_premium, comparison.per_consumer_saving
+    rows = [
+        (c, [*(report.billed_totals[c] for report in reports), premium[c], saving[c]])
+        for c in comparison.monthly.consumers
+    ]
+    totals = [report.aggregate_billed for report in reports]
+    rows.append(("aggregate", [*totals, comparison.slot_premium, comparison.group_saving]))
+    return [(label, list(map(format_money, values))) for label, values in rows]
+
+
 def comparison_to_dict(comparison: SchemeComparison) -> dict:
-    consumers = []
-    for consumer in comparison.monthly.consumers:
-        consumers.append(
-            {
-                "id": consumer,
-                "monthly": format_money(comparison.monthly.billed_totals[consumer]),
-                "slotted_individual": format_money(
-                    comparison.slotted_individual.billed_totals[consumer]
-                ),
-                "slotted_group": format_money(
-                    comparison.slotted_group.billed_totals[consumer]
-                ),
-                "slot_premium": format_money(
-                    comparison.per_consumer_premium[consumer]
-                ),
-                "group_saving": format_money(comparison.per_consumer_saving[consumer]),
-            }
-        )
+    keys = ("monthly", "slotted_individual", "slotted_group", "slot_premium", "group_saving")
+    *rows, (_, aggregate) = _comparison_rows(comparison)
     return {
         "currency": comparison.monthly.currency,
         "grid": _grid_dict(comparison.monthly.grid),
-        "consumers": consumers,
-        "aggregate": {
-            "monthly": format_money(comparison.monthly.aggregate_billed),
-            "slotted_individual": format_money(
-                comparison.slotted_individual.aggregate_billed
-            ),
-            "slotted_group": format_money(comparison.slotted_group.aggregate_billed),
-            "slot_premium": format_money(comparison.slot_premium),
-            "group_saving": format_money(comparison.group_saving),
-        },
+        "consumers": [{"id": consumer, **dict(zip(keys, texts))} for consumer, texts in rows],
+        "aggregate": dict(zip(keys, aggregate)),
         "allocation_policy": comparison.slotted_group.policy.value,
         "demand": demand_dict(comparison.monthly),
         "schemes": {
@@ -447,9 +429,6 @@ def comparison_to_dict(comparison: SchemeComparison) -> dict:
 
 
 def shift_to_dict(report: ShiftReport) -> dict:
-    def par(value):
-        return None if value is None else _ratio(value)
-
     return {
         "consumer": report.consumer,
         "from_slot": report.from_slot,
@@ -470,7 +449,7 @@ def shift_to_dict(report: ShiftReport) -> dict:
             "after": format_money(report.group_billed_after),
             "delta": format_money(report.group_billed_delta),
         },
-        "par": {"before": par(report.par_before), "after": par(report.par_after)},
+        "par": {"before": _par_dict(report.par_before), "after": _par_dict(report.par_after)},
     }
 
 
@@ -617,12 +596,15 @@ def render_allocation(result: AllocationResult) -> str:
     return ",".join(format_money(share) for share in result.shares.values())
 
 
+def _par_text(par: Optional[Fraction]) -> str:
+    return "undefined" if par is None else format_fixed(par, 4)
+
+
 def _demand_line(report: BillingReport) -> str:
     demand = report.demand
-    par = "undefined" if demand.par is None else format_fixed(demand.par, 4)
     return (
         f"peak {format_energy(demand.peak)} kWh, mean {format_energy(demand.mean)} "
-        f"kWh, PAR {par}"
+        f"kWh, PAR {_par_text(demand.par)}"
     )
 
 
@@ -653,39 +635,19 @@ def render_report(report: BillingReport) -> str:
 
 
 def render_comparison(comparison: SchemeComparison) -> str:
-    consumers = comparison.monthly.consumers
-    width = max([len("consumer"), len("aggregate")] + [len(c) for c in consumers])
-    header = (
-        f"{'consumer':<{width}}  {'monthly':>12}  {'slotted-ind':>12}  "
-        f"{'slotted-group':>13}  {'premium':>10}  {'saving':>10}"
-    )
-    lines = [header]
-    for consumer in consumers:
-        lines.append(
-            f"{consumer:<{width}}  "
-            f"{format_money(comparison.monthly.billed_totals[consumer]):>12}  "
-            f"{format_money(comparison.slotted_individual.billed_totals[consumer]):>12}  "
-            f"{format_money(comparison.slotted_group.billed_totals[consumer]):>13}  "
-            f"{format_money(comparison.per_consumer_premium[consumer]):>10}  "
-            f"{format_money(comparison.per_consumer_saving[consumer]):>10}"
-        )
-    lines.append(
-        f"{'aggregate':<{width}}  "
-        f"{format_money(comparison.monthly.aggregate_billed):>12}  "
-        f"{format_money(comparison.slotted_individual.aggregate_billed):>12}  "
-        f"{format_money(comparison.slotted_group.aggregate_billed):>13}  "
-        f"{format_money(comparison.slot_premium):>10}  "
-        f"{format_money(comparison.group_saving):>10}"
-    )
+    header = ("consumer", ["monthly", "slotted-ind", "slotted-group", "premium", "saving"])
+    rows = [header, *_comparison_rows(comparison)]
+    width = max(len(label) for label, _ in rows)
+    lines = [
+        f"{label:<{width}}  " + "  ".join(map(str.rjust, texts, (12, 12, 13, 10, 10)))
+        for label, texts in rows
+    ]
     lines.append(f"currency: {comparison.monthly.currency}")
     lines.append(_demand_line(comparison.monthly))
     return "\n".join(lines)
 
 
 def render_shift(report: ShiftReport) -> str:
-    def par(value):
-        return "undefined" if value is None else format_fixed(value, 4)
-
     return "\n".join(
         [
             f"shift: {report.consumer} moves {format_energy(report.amount)} kWh "
@@ -699,7 +661,7 @@ def render_shift(report: ShiftReport) -> str:
             f"group aggregate: {format_money(report.group_billed_before)} -> "
             f"{format_money(report.group_billed_after)} "
             f"(delta {format_money(report.group_billed_delta)})",
-            f"PAR: {par(report.par_before)} -> {par(report.par_after)}",
+            f"PAR: {_par_text(report.par_before)} -> {_par_text(report.par_after)}",
         ]
     )
 

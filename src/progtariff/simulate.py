@@ -221,9 +221,7 @@ class SlotUsageMatrix:
                 raise SimulationError(
                     f"consumer {consumer!r}: expected {slots} slots, got {len(row)}"
                 )
-            if not all(type(cell) is Fraction and cell.numerator >= 0 for cell in row):
-                row = [energy_amount(cell) for cell in row]
-            rows.append(row)
+            rows.append([energy_amount(cell) for cell in row])
         columns = tuple(map(quantize, zip(*rows))) if rows else ((1, ()),) * slots
         flags = None
         if observed is not None:
@@ -544,17 +542,13 @@ def slot_partition(readings: Iterable[MeterReading], grid: SlotGrid) -> SlotUsag
     return SlotUsageMatrix._checked(consumers, slot_count, columns, flag_rows)
 
 
-def _load_metrics(loads: tuple[Fraction, ...], mean: Fraction) -> DemandMetrics:
-    """Peak and peak-to-average ratio of slot loads whose mean is known."""
-    peak = max(loads)
-    par = None if mean == 0 else peak / mean
-    return DemandMetrics(slot_loads=loads, peak=peak, mean=mean, par=par)
-
-
 def demand_metrics(matrix: SlotUsageMatrix) -> DemandMetrics:
     """Aggregate slot loads and the peak-to-average ratio."""
     loads = tuple(Fraction(sum(units), quantum) for quantum, units in matrix.columns)
-    return _load_metrics(loads, sum(loads, Fraction(0)) / len(loads))
+    peak = max(loads)
+    mean = sum(loads, Fraction(0)) / len(loads)
+    par = None if mean == 0 else peak / mean
+    return DemandMetrics(slot_loads=loads, peak=peak, mean=mean, par=par)
 
 
 def _row_sums(columns: Iterable[Column]) -> list[Fraction]:
@@ -751,8 +745,8 @@ def what_if_shift(
 
     The input matrix is billed once. A shift changes only the columns of
     its two slots, so only those columns of the shifted matrix are
-    priced and allocated again, and every "after" figure is the "before"
-    figure plus the change on them: allocated shares in integer minor
+    priced and allocated again, and every billed "after" figure is the
+    "before" figure plus the change on them: allocated shares in integer minor
     units, individual prices as exact rationals.
     """
     moved = energy_amount(amount)
@@ -780,11 +774,6 @@ def what_if_shift(
         group_after += sum(after) - sum(before)
         individual_after += solo(prices) - solo(billing.prices[slot])
 
-    demand = billing.demand
-    loads = list(demand.slot_loads)
-    loads[from_slot] -= moved
-    loads[to_slot] += moved
-    par_after = _load_metrics(tuple(loads), demand.mean).par
     minor = 10**MONEY_PLACES
     return ShiftReport(
         consumer=consumer,
@@ -800,6 +789,6 @@ def what_if_shift(
         group_billed_before=Fraction(group_before, minor),
         group_billed_after=Fraction(group_after, minor),
         group_billed_delta=Fraction(group_after - group_before, minor),
-        par_before=demand.par,
-        par_after=par_after,
+        par_before=billing.demand.par,
+        par_after=demand_metrics(shifted).par,
     )
