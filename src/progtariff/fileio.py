@@ -16,8 +16,8 @@ emitted file therefore reproduces the schedule exactly.
 Consumption traces are CSV with header ``consumer_id,interval_start,
 energy_kwh`` (an optional trailing ``interval_end`` column turns rows
 into interval readings that may span slot boundaries). Timestamps are
-RFC 3339 with an explicit UTC offset; energies are decimal or p/q
-strings, parsed exactly.
+RFC 3339 date-times with an explicit UTC offset (see parse_rfc3339);
+energies are decimal or p/q strings, parsed exactly.
 """
 
 from __future__ import annotations
@@ -70,21 +70,54 @@ TRACE_HEADER = ["consumer_id", "interval_start", "energy_kwh"]
 SCHEDULE_PLACES = 6
 
 
+def _iso_tail(tail: str) -> Optional[str]:
+    """The fraction and offset that follow an RFC 3339 time's seconds,
+    such as ``.5Z`` or ``+09:00``, as ``fromisoformat`` reads them on
+    every Python version: six fraction digits and ``+HH:MM``. "" if there
+    is no offset, None if *tail* is not a fraction and offset."""
+    fraction = ""
+    if tail[:1] == ".":
+        end = len(tail) - len(tail[1:].lstrip("0123456789"))
+        if not 2 <= end <= 7:
+            return None
+        fraction, tail = tail[:end].ljust(7, "0"), tail[end:]
+    if tail in ("Z", "z"):
+        return fraction + "+00:00"
+    if not tail:
+        return ""
+    if len(tail) == 6 and tail[0] in "+-" and tail[3] == ":" and tail[4:] < "60":
+        return fraction + tail
+    return None
+
+
 def parse_rfc3339(text: str) -> datetime:
-    """Parse an RFC 3339 timestamp with an explicit offset, as UTC."""
+    """Parse an RFC 3339 date-time, as UTC.
+
+    The grammar is the same on every Python version: ``YYYY-MM-DD``, then
+    ``T``, ``t`` or a space, then ``HH:MM:SS``, an optional ``.`` and 1
+    to 6 digits, then ``Z``, ``z`` or ``+HH:MM`` / ``-HH:MM``, with blanks
+    around it stripped. The separators are checked here by position, and
+    ``datetime.fromisoformat`` reads the digit fields, and checks their
+    ranges, from the one form that every version reads alike.
+    """
     raw = text.strip()
-    if raw[-1:] in ("Z", "z"):
-        raw = raw[:-1] + "+00:00"
+    tail = raw[19:]
+    tail = "+00:00" if tail in ("Z", "z") else _iso_tail(tail)
+    # raw[4:17:3] is the five separators, at 4, 7, 10, 13 and 16.
+    if tail is None or raw[4:17:3] not in ("--T::", "--t::", "-- ::") or not raw.isascii():
+        raise ValueError(f"not an RFC 3339 timestamp: {text!r}")
     try:
-        stamp = datetime.fromisoformat(raw)
-    except ValueError as err:
+        # A stamp with no offset is read as UTC here, so that a bad field
+        # is reported before the missing offset.
+        stamp = datetime.fromisoformat(raw[:19] + (tail or "+00:00"))
+        if stamp.tzinfo is not timezone.utc:
+            stamp = stamp.astimezone(timezone.utc)
+    except (ValueError, OverflowError) as err:
+        # OverflowError: the UTC time lies outside the datetime range.
         raise ValueError(f"not an RFC 3339 timestamp: {text!r}") from err
-    zone = stamp.tzinfo
-    if zone is timezone.utc:
-        return stamp
-    if zone is None:
+    if not tail:
         raise ValueError(f"timestamp {text!r} has no UTC offset")
-    return stamp.astimezone(timezone.utc)
+    return stamp
 
 
 def format_rfc3339(stamp: datetime) -> str:
@@ -528,7 +561,9 @@ def to_json(payload: dict) -> str:
 def write_json(payload: dict, stream: TextIO) -> None:
     """Write ``to_json(payload)`` to *stream* as it is rendered, in
     writes of about JSON_CHUNK_CHARS characters, so that only one chunk
-    of the text is held at a time.
+    of the text is held at a time. The chunks also keep a line-buffered
+    stream, such as stdout on a terminal, from flushing at every piece
+    that holds a newline.
 
     An int with more digits than Python converts to text raises the
     display-limit error, after the chunks before it have been written.

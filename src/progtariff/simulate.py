@@ -746,8 +746,8 @@ def what_if_shift(
     The input matrix is billed once. A shift changes only the columns of
     its two slots, so only those columns of the shifted matrix are
     priced and allocated again, and every billed "after" figure is the
-    "before" figure plus the change on them: allocated shares in integer minor
-    units, individual prices as exact rationals.
+    "before" figure plus the change on them: allocated shares in integer
+    minor units, individual prices as exact rationals.
     """
     moved = energy_amount(amount)
     shifted = matrix.with_shift(consumer, from_slot, to_slot, moved)

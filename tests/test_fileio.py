@@ -231,6 +231,60 @@ def test_parse_rfc3339_forms():
         parse_rfc3339("2025-01-01T00:00:00")
 
 
+_NEW_YEAR = datetime(2025, 1, 1, tzinfo=timezone.utc)
+_NOT_RFC = "not an RFC 3339 timestamp"
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("2025-01-01T00:00:00Z", _NEW_YEAR),
+        ("2025-01-01t00:00:00z", _NEW_YEAR),
+        ("2025-01-01 00:00:00Z", _NEW_YEAR),
+        (" \t2025-01-01T00:00:00Z\n", _NEW_YEAR),
+        ("2025-01-01T00:00:00+00:00", _NEW_YEAR),
+        ("2025-01-01T00:00:00-00:00", _NEW_YEAR),
+        ("2025-01-01T09:00:00+09:00", _NEW_YEAR),
+        ("2024-12-31T19:00:00-05:00", _NEW_YEAR),
+        ("2025-01-01T00:00:00.5Z", _NEW_YEAR.replace(microsecond=500000)),
+        ("2025-01-01T00:00:00.123456Z", _NEW_YEAR.replace(microsecond=123456)),
+        ("2025-01-02T05:59:59.750000Z", datetime(2025, 1, 2, 5, 59, 59, 750000, timezone.utc)),
+        ("2025-01-01T05:45:00.25+05:45", _NEW_YEAR.replace(microsecond=250000)),
+        # ISO 8601 forms that fromisoformat reads on some Python versions
+        ("2025-W01-1T00:00:00Z", _NOT_RFC),
+        ("20250101T000000Z", _NOT_RFC),
+        ("2025-01-01T00:00:00,5Z", _NOT_RFC),
+        ("2025-01-01T00:00:00+0000", _NOT_RFC),
+        ("2025-01-01T00:00:00.1234567Z", _NOT_RFC),
+        ("2025-01-01T00Z", _NOT_RFC),
+        ("2025-01-01X00:00:00Z", _NOT_RFC),
+        ("2025-01-01T00:00:00+00:00:30", _NOT_RFC),
+        # other malformed or out-of-range stamps
+        ("2025-01-01T00:00:00.Z", _NOT_RFC),
+        ("2025-01-01T00:00:00 Z", _NOT_RFC),
+        ("2025-01-01T00:00:00+09:00Z", _NOT_RFC),
+        ("2025-01-01T24:00:00Z", _NOT_RFC),
+        ("2025-02-29T00:00:00Z", _NOT_RFC),
+        ("2025-01-01T00:00:00+24:00", _NOT_RFC),
+        ("2025-01-01T00:00:00+05:60", _NOT_RFC),
+        ("\uff12025-01-01T00:00:00Z", _NOT_RFC),
+        ("0001-01-01T00:30:00+01:00", _NOT_RFC),
+        ("9999-12-31T23:30:00-01:00", _NOT_RFC),
+        ("yesterday", _NOT_RFC),
+        ("", _NOT_RFC),
+        ("2025-01-01T00:00:00", "has no UTC offset"),
+        ("2025-01-01T00:00:00.5", "has no UTC offset"),
+    ],
+)
+def test_parse_rfc3339_reads_one_grammar_on_every_python(text, expected):
+    if isinstance(expected, datetime):
+        stamp = parse_rfc3339(text)
+        assert stamp == expected and stamp.tzinfo is timezone.utc
+    else:
+        with pytest.raises(ValueError, match=expected):
+            parse_rfc3339(text)
+
+
 _BASE = datetime(2025, 1, 1, tzinfo=timezone.utc)
 _KST = timezone(timedelta(hours=9))
 _FORMS = [
