@@ -103,8 +103,14 @@ def parse_rfc3339(text: str) -> datetime:
     raw = text.strip()
     tail = raw[19:]
     tail = "+00:00" if tail in ("Z", "z") else _iso_tail(tail)
-    # raw[4:17:3] is the five separators, at 4, 7, 10, 13 and 16.
-    if tail is None or raw[4:17:3] not in ("--T::", "--t::", "-- ::") or not raw.isascii():
+    # raw[4:17:3] is the five separators, at 4, 7, 10, 13 and 16. Hours
+    # stop at 23, so 24:00 is refused here, not left to fromisoformat.
+    if (
+        tail is None
+        or raw[4:17:3] not in ("--T::", "--t::", "-- ::")
+        or raw[11] == "2" and raw[12] == "4"
+        or not raw.isascii()
+    ):
         raise ValueError(f"not an RFC 3339 timestamp: {text!r}")
     try:
         # A stamp with no offset is read as UTC here, so that a bad field
