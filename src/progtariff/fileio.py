@@ -25,9 +25,9 @@ from __future__ import annotations
 import csv
 import io
 import json
-from contextlib import closing
 from datetime import datetime, timezone
 from fractions import Fraction
+from itertools import islice, starmap
 from pathlib import Path
 from typing import Callable, Iterator, Optional, TextIO, Union
 
@@ -212,97 +212,139 @@ def emit_schedule(schedule: TariffSchedule, path: PathLike):
 # ----------------------------------------------------------------------
 
 
-def _csv_rows(path: Path) -> Iterator[list[str]]:
-    """The CSV rows of the file at *path*, read as a stream.
-
-    The file is opened as UTF-8 with ``newline=""``, so rows end only at
-    CR or LF, not at form feeds, U+2028 or the other Unicode line
-    boundaries. A file that cannot be read, a row the csv module refuses
-    (such as one with a field past ``csv.field_size_limit()``) and a byte
-    that is not UTF-8 raise TraceError. The decoder sees one read block
-    at a time, so its offset is not the file's: a decode error re-reads
-    the file through ``_read_text`` for the exact byte.
-    """
-    try:
-        with path.open(encoding="utf-8", newline="") as handle:
-            rows = csv.reader(handle)
-            try:
-                yield from rows
-            except csv.Error as err:
-                raise TraceError(f"{path}:{rows.line_num}: {err}") from err
-    except OSError as err:
-        raise TraceError(f"{path}: {err.strerror or err}") from err
-    except UnicodeDecodeError as err:
-        _read_text(path, TraceError)
-        # Only a file that changed between the two reads gets here.
-        raise TraceError(f"{path}: not UTF-8 text ({err.reason})") from err
+# The checked fields of one reading: consumer id, start, energy and end.
+ReadingFields = tuple[str, datetime, Fraction, Optional[datetime]]
 
 
 class _TraceReadings:
-    """The checked readings of one trace CSV, read as a stream.
+    """The checked readings of one trace CSV, read once, as a stream.
 
-    Iterating yields each reading once, in file order. ``len()`` is the
-    number of readings read so far, so a caller handed the stream can
-    still count them, and ``close()`` closes the file before the end.
+    ``fields`` yields each reading's checked ``(consumer, start, energy,
+    end)`` in file order, and ``slot_partition`` reads it directly.
+    Iterating yields the same readings, from the same pass over the file,
+    as MeterReadings built without running the constructor's checks
+    again. ``len()`` is the number of readings read so far, so a caller
+    handed the stream can still count them, and ``close()`` closes the
+    file before the end.
     """
 
     def __init__(self, path: Path):
         self.count = 0
-        self._readings = _read_trace(path, self)
+        self.fields = _read_trace(path, self)
 
     def __iter__(self) -> Iterator[MeterReading]:
-        return self._readings
+        return starmap(MeterReading._checked, self.fields)
 
     def __len__(self) -> int:
         return self.count
 
     def close(self):
-        self._readings.close()
+        self.fields.close()
 
 
-def _read_trace(path: Path, stream: _TraceReadings) -> Iterator[MeterReading]:
-    """The body of ``iter_trace_csv``; counts each reading in *stream*."""
-    with closing(_csv_rows(path)) as rows:
-        first = next(rows, None)
-        if first is None:
-            raise TraceError(f"{path}: missing header")
-        header = [cell.strip() for cell in first]
-        if header not in (TRACE_HEADER, TRACE_HEADER + ["interval_end"]):
-            raise TraceError(
-                f"{path}:1: bad header {header!r}, expected {','.join(TRACE_HEADER)}"
-                " with optional interval_end"
-            )
-        width = len(header)
-        has_end = width == 4
-        make_reading = MeterReading._checked
-        # Each distinct energy string is parsed and checked once per file,
-        # and each distinct consumer id is kept once.
-        energies: dict[str, Fraction] = {}
-        consumers: dict[str, str] = {}
-        for line_no, row in enumerate(rows, start=2):
-            # A row of the right width with a consumer id is neither blank nor
-            # short; anything else takes the slower checks, in the same order.
-            if len(row) != width or not (consumer := row[0].strip()):
-                if not "".join(row).strip():
-                    continue
-                if len(row) != width:
-                    raise TraceError(
-                        f"{path}:{line_no}: expected {width} fields, got {len(row)}"
-                    )
-                raise TraceError(f"{path}:{line_no}: empty consumer_id")
-            consumer = consumers.setdefault(consumer, consumer)
-            try:
-                start = parse_rfc3339(row[1])
-                energy = energies.get(row[2])
-                if energy is None:
-                    energy = energies[row[2]] = energy_amount(row[2].strip())
-                end = parse_rfc3339(row[3]) if has_end and row[3].strip() else None
-            except ValueError as err:
-                raise TraceError(f"{path}:{line_no}: {err}") from err
-            if end is not None and end <= start:
-                raise TraceError(f"{path}:{line_no}: reading end must be after its start")
-            stream.count += 1
-            yield make_reading(consumer, start, energy, end)
+def _header_width(path: Path, row: list[str]) -> int:
+    """The number of fields of each row under the header *row*."""
+    header = [cell.strip() for cell in row]
+    if header not in (TRACE_HEADER, TRACE_HEADER + ["interval_end"]):
+        raise TraceError(
+            f"{path}:1: bad header {header!r}, expected {','.join(TRACE_HEADER)}"
+            " with optional interval_end"
+        )
+    return len(header)
+
+
+def _rows_before_bad_byte(path: Path) -> Iterator[list[str]]:
+    """The complete CSV rows of *path* that lie wholly before its first
+    byte that is not UTF-8; then TraceError naming that byte and its
+    offset in the file.
+
+    The file is read again, whole. A lone surrogate stands in for the bad
+    byte, so the row that holds it is the last row read, and is dropped.
+    """
+    data = path.read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        bad = err
+    else:
+        # Only a file that changed between the two reads gets here.
+        raise TraceError(f"{path}: not UTF-8 text")
+    rows = csv.reader(io.StringIO(data[: bad.start].decode("utf-8") + "\udcff", newline=""))
+    try:
+        for row in rows:
+            if row and row[-1].endswith("\udcff"):
+                break
+            yield row
+    except csv.Error as err:
+        raise TraceError(f"{path}:{rows.line_num}: {err}") from err
+    raise TraceError(f"{path}: not UTF-8 text ({bad.reason} at byte {bad.start})") from bad
+
+
+def _read_trace(path: Path, stream: _TraceReadings) -> Iterator[ReadingFields]:
+    """The body of ``iter_trace_csv``: the checked fields of each reading,
+    each counted in *stream*.
+
+    The file is opened as UTF-8 with ``newline=""``, so rows end only at
+    CR or LF, not at form feeds, U+2028 or the other Unicode line
+    boundaries. A file that cannot be read, a row the csv module refuses
+    (such as one with a field past ``csv.field_size_limit()``) and a byte
+    that is not UTF-8 raise TraceError. The decoder reads blocks of a few
+    KiB, so a bad byte stops the csv reader before it reaches the rows in
+    front of the byte in its block: those rows are read again, by
+    ``_rows_before_bad_byte``, and checked before the byte is reported.
+    """
+    # Each distinct energy string is parsed and checked once per file,
+    # and each distinct consumer id is kept once.
+    energies: dict[str, Fraction] = {}
+    consumers: dict[str, str] = {}
+    width = has_end = None  # set by the header, row 1
+    line_no = 0
+    try:
+        with path.open(encoding="utf-8", newline="") as handle:
+            rows = csv.reader(handle)
+            while True:
+                try:
+                    for line_no, row in enumerate(rows, line_no + 1):
+                        # A row of the right width with a consumer id is neither
+                        # the header, blank nor short; anything else takes the
+                        # slower checks, in the same order.
+                        if len(row) != width or not (consumer := row[0].strip()):
+                            if width is None:
+                                width = _header_width(path, row)
+                                has_end = width == 4
+                                continue
+                            if not "".join(row).strip():
+                                continue
+                            if len(row) != width:
+                                raise TraceError(
+                                    f"{path}:{line_no}: expected {width} fields, got {len(row)}"
+                                )
+                            raise TraceError(f"{path}:{line_no}: empty consumer_id")
+                        consumer = consumers.setdefault(consumer, consumer)
+                        try:
+                            start = parse_rfc3339(row[1])
+                            energy = energies.get(row[2])
+                            if energy is None:
+                                energy = energies[row[2]] = energy_amount(row[2].strip())
+                            end = parse_rfc3339(row[3]) if has_end and row[3].strip() else None
+                        except ValueError as err:
+                            raise TraceError(f"{path}:{line_no}: {err}") from err
+                        if end is not None and end <= start:
+                            raise TraceError(
+                                f"{path}:{line_no}: reading end must be after its start"
+                            )
+                        stream.count += 1
+                        yield consumer, start, energy, end
+                    break
+                except UnicodeDecodeError:
+                    # Read on to the bad byte, whose error ends these rows.
+                    rows = islice(_rows_before_bad_byte(path), line_no, None)
+                except csv.Error as err:
+                    raise TraceError(f"{path}:{rows.line_num}: {err}") from err
+    except OSError as err:
+        raise TraceError(f"{path}: {err.strerror or err}") from err
+    if width is None:
+        raise TraceError(f"{path}: missing header")
 
 
 def iter_trace_csv(path: PathLike) -> _TraceReadings:
@@ -312,15 +354,17 @@ def iter_trace_csv(path: PathLike) -> _TraceReadings:
     checked once, as it is read, in this order: blank rows are skipped,
     then the field count, the consumer id, the start stamp, the energy,
     the end stamp and ``end > start`` are checked. So the first fault in
-    file order is the one reported, a bad row included, unless a byte
-    that is not UTF-8 lies in the same read block after it. A caller that
-    stops at a fault of its own leaves the later rows unread. The readings
-    are built without running MeterReading's checks a second time, and
-    share one ``str`` per distinct consumer id.
+    file order is the one reported, a bad row before a byte that is not
+    UTF-8 included. A caller that stops at a fault of its own leaves the
+    later rows unread. Readings share one ``str`` per distinct consumer
+    id.
 
-    The result can be iterated once, and its ``len()`` counts the
-    readings read so far. Close it, for example with
-    ``contextlib.closing``, to close the file before the last row.
+    The result can be iterated once, for MeterReadings, or its
+    ``fields`` read once, for the same readings as plain ``(consumer,
+    start, energy, end)`` tuples; ``slot_partition`` reads the latter and
+    builds no MeterReading. Its ``len()`` counts the readings read so
+    far. Close it, for example with ``contextlib.closing``, to close the
+    file before the last row.
     """
     return _TraceReadings(Path(path))
 

@@ -185,7 +185,6 @@ def allocate_units(
     group_num: int,
     group_den: int,
     weights: Sequence[int],
-    ids: Sequence[str],
     policy: AllocationPolicy,
 ) -> tuple[list[int], list[int]]:
     """Minor-unit shares of the price group_num/group_den, by weight.
@@ -193,8 +192,9 @@ def allocate_units(
     Share i is proportional to ``weights[i]`` (non-negative integers,
     for example price numerators over one common denominator). Returns
     the shares and the sorted indices that received an extra unit under
-    exact-sum reconciliation; ``ids`` break ties between equal
-    remainders. Implements proportional_allocation on integers alone.
+    exact-sum reconciliation; between equal remainders the lower index
+    comes first, so weights given in consumer id order break ties by id.
+    Implements proportional_allocation on integers alone.
     """
     total = sum(weights)
     if total == 0:
@@ -221,8 +221,9 @@ def allocate_units(
     shortfall = target - sum(shares)
     extra = []
     if shortfall:
-        # Largest fractional remainder first; consumer id breaks ties.
-        order = sorted(range(len(weights)), key=lambda i: (-remainders[i], ids[i]))
+        # Largest fractional remainder first; the sort is stable, so the
+        # lower index breaks ties.
+        order = sorted(range(len(weights)), key=remainders.__getitem__, reverse=True)
         extra = sorted(order[:shortfall])
         for index in extra:
             shares[index] += 1
@@ -249,13 +250,17 @@ def proportional_allocation(
     policy = AllocationPolicy(policy)
     group = money_amount(group_price)
     ids, prices = _members(individual_prices, money_amount)
-    _, weights = quantize(prices)
-    units, extra = allocate_units(group.numerator, group.denominator, weights, ids, policy)
+    # allocate_units breaks ties by index, so it takes the consumers in id order.
+    ordered = sorted(zip(ids, prices))
+    _, weights = quantize([price for _, price in ordered])
+    units, extra = allocate_units(group.numerator, group.denominator, weights, policy)
     minor = 10**MONEY_PLACES
+    shares = {consumer: Fraction(unit, minor) for (consumer, _), unit in zip(ordered, units)}
+    adjusted = {ordered[index][0] for index in extra}
     return AllocationResult(
-        shares={consumer: Fraction(share, minor) for consumer, share in zip(ids, units)},
+        shares={consumer: shares[consumer] for consumer in ids},
         policy=policy,
-        adjustments=tuple((ids[index], 1) for index in extra),
+        adjustments=tuple((consumer, 1) for consumer in ids if consumer in adjusted),
     )
 
 

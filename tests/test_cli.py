@@ -2,6 +2,8 @@ import json
 import random
 from datetime import datetime, timedelta, timezone
 
+import pytest
+
 from progtariff import fileio
 from progtariff.cli import run_cli
 
@@ -427,11 +429,12 @@ def test_unprintable_comparison_writes_nothing(capsys, tmp_path):
 
 def test_trace_read_as_stream_reports_exact_byte_offset(capsys, tmp_path):
     # The bad byte lies well past the first read block; its offset is
-    # still the file's.
+    # still the file's. The padding row before it is blank, so the byte
+    # is the first fault.
     head = b"consumer_id,interval_start,energy_kwh\n"
     row = b"a,2025-01-01T00:00:00Z,1\n"
     body = head + row * ((200_000 - len(head)) // len(row))
-    body += b"#" * (200_000 - len(body))
+    body += b" " * (200_000 - len(body))
     trace = tmp_path / "late.csv"
     trace.write_bytes(body[:-1] + b"\n\xff,2025-01-01T00:00:00Z,1\n")
     status, out, err = run(capsys, "compare", "--schedule", SCHEDULE, "--trace", str(trace))
@@ -452,6 +455,31 @@ def test_trace_reports_first_fault_in_file_order(capsys, tmp_path):
     status, out, err = run(capsys, "compare", "--schedule", SCHEDULE, "--trace", str(trace))
     assert (status, out) == (1, "")
     assert err == f"error: {trace}:2: not a decimal or p/q number: 'oops'\n"
+
+
+@pytest.mark.parametrize(
+    "row, flags, error",
+    [
+        ("a,2025-01-01T00:00:00Z,oops", [], "{trace}:2: not a decimal or p/q number: 'oops'"),
+        (
+            "a,2026-01-01T00:00:00Z,1",
+            ["--period-start", "2025-01-01T00:00:00Z"],
+            "reading for 'a' at 2026-01-01T00:00:00+00:00 lies outside the billing period",
+        ),
+    ],
+)
+def test_fault_before_a_bad_byte_in_the_same_read_block_comes_first(
+    capsys, tmp_path, row, flags, error
+):
+    # The bad byte lies in the decoder's first block, with row 2.
+    trace = tmp_path / "near.csv"
+    trace.write_bytes(
+        f"consumer_id,interval_start,energy_kwh\n{row}\n".encode()
+        + b"\xff,2025-01-01T00:00:00Z,1\n"
+    )
+    status, out, err = run(capsys, "compare", "--schedule", SCHEDULE, "--trace", str(trace), *flags)
+    assert (status, out) == (1, "")
+    assert err == f"error: {error.format(trace=trace)}\n"
 
 
 def test_period_fault_order_depends_on_the_period_start_flag(capsys, tmp_path):

@@ -1,6 +1,8 @@
 import dataclasses
+import itertools
 import json
 import sys
+from contextlib import closing
 from datetime import datetime, timedelta, timezone
 from fractions import Fraction
 
@@ -9,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from progtariff import (
+    BillingError,
     MeterReading,
     ScheduleError,
     TraceError,
@@ -21,12 +24,13 @@ from progtariff import (
     scale_schedule,
     schedule_to_dict,
     slot_factor,
+    slot_partition,
 )
 from progtariff.fileio import TRACE_HEADER, report_to_dict, to_json
 from progtariff.simulate import SlotGrid, SlotUsageMatrix, run_scheme
 
 from conftest import FIXTURES
-from oracles import desk_exact_str, desk_format_fixed, desk_parse_trace_csv
+from oracles import desk_exact_str, desk_format_fixed, desk_parse_trace_csv, desk_partition
 
 
 # ----------------------------------------------------------------------
@@ -339,10 +343,17 @@ def _trace_rows(rng, has_end, clean):
     return rows
 
 
+def _write_trace(path, rng, has_end, rows):
+    header = TRACE_HEADER + ["interval_end"] if has_end else TRACE_HEADER
+    newline = rng.choice(["\n", "\r\n"])
+    lines = [",".join(header)] + [",".join(_cell(f, rng) for f in row) for row in rows]
+    path.write_bytes((newline.join(lines) + newline).encode("utf-8"))
+
+
 def _outcome(parse, path):
     try:
         return "readings", parse(path)
-    except TraceError as err:
+    except BillingError as err:
         return "error", str(err)
 
 
@@ -350,12 +361,9 @@ def test_trace_parser_matches_checked_oracle(tmp_path, rng):
     checked_traces = 0
     for case in range(400):
         has_end = rng.random() < 0.5
-        header = TRACE_HEADER + ["interval_end"] if has_end else TRACE_HEADER
         rows = _trace_rows(rng, has_end, clean=rng.random() < 0.4)
-        newline = rng.choice(["\n", "\r\n"])
-        lines = [",".join(header)] + [",".join(_cell(f, rng) for f in row) for row in rows]
         path = tmp_path / f"trace{case}.csv"
-        path.write_bytes((newline.join(lines) + newline).encode("utf-8"))
+        _write_trace(path, rng, has_end, rows)
 
         got = _outcome(parse_trace_csv, path)
         assert got == _outcome(desk_parse_trace_csv, path), path.read_text()
@@ -371,6 +379,51 @@ def test_trace_parser_matches_checked_oracle(tmp_path, rng):
                 assert reading.end is None or reading.end.tzinfo is timezone.utc
     # Both outcomes are exercised often.
     assert 100 < checked_traces < 300
+
+
+# The traces span 30 days from _BASE, so this grid leaves some readings
+# outside its period.
+_PARTITION_GRID = SlotGrid(slot_hours=Fraction(6), period_days=29, period_start=_BASE)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.randoms(use_true_random=False))
+def test_streamed_and_listed_traces_partition_alike(tmp_path_factory, rng):
+    # The stream's fields and the listed MeterReadings go through one
+    # partition loop; only the order of faults differs, as the stream
+    # partitions each reading before it reads the next row.
+    has_end = rng.random() < 0.5
+    rows = _trace_rows(rng, has_end, clean=rng.random() < 0.4)
+    path = tmp_path_factory.mktemp("partition") / "trace.csv"
+    _write_trace(path, rng, has_end, rows)
+    grid = _PARTITION_GRID
+
+    def partition(read):
+        return _outcome(lambda p: slot_partition(read(p), grid), path)
+
+    streamed, listed = partition(iter_trace_csv), partition(parse_trace_csv)
+    if streamed != listed:
+        # A faulty row, and a reading outside the period on a row before
+        # it: the stream reports the reading, and so does the partition of
+        # the rows before the faulty one.
+        assert "billing period" in streamed[1] and listed[1].startswith(f"{path}:")
+        bad_row = int(listed[1][len(f"{path}:") :].split(":")[0])
+        _write_trace(path, rng, has_end, rows[: bad_row - 2])
+        assert partition(parse_trace_csv) == streamed
+        return
+    try:
+        readings = desk_parse_trace_csv(path)
+    except TraceError as err:
+        assert listed == ("error", str(err))
+        return
+    try:
+        expected = "readings", desk_partition(readings, grid)
+    except ValueError as err:
+        expected = "error", str(err)
+    kind, found = listed
+    if kind == "readings":
+        found = (found.consumers, found.usage, found.observed)
+    assert (kind, found) == expected
 
 
 def test_trace_stream_counts_its_readings_and_closes_early(tmp_path):
@@ -392,6 +445,39 @@ def test_trace_stream_counts_its_readings_and_closes_early(tmp_path):
     assert next(readings, None) is None
     with pytest.raises(TraceError, match=":5: not a decimal or p/q number: 'oops'$"):
         list(iter_trace_csv(path))
+
+
+_HEAD_ROW = f"{','.join(TRACE_HEADER)}\na,2025-01-01T00:00:00Z,1\n".encode()
+
+
+@pytest.mark.parametrize(
+    "text, readings, error",
+    [
+        # A bad row, then a bad byte in the decoder's first block.
+        (_HEAD_ROW + b"b,2025-01-01T00:00:00Z,oops\n\xff,x,1\n", 1,
+         ":3: not a decimal or p/q number: 'oops'"),
+        # A field past the csv module's limit, then a bad byte.
+        (_HEAD_ROW + b"b,x," + b"1" * 200_000 + b"\n\xff\n", 1,
+         ":3: field larger than field limit"),
+        # The bad byte inside a quoted field: the row that holds it is not
+        # complete, so it is not checked, and the byte is reported.
+        (_HEAD_ROW + b'b,x,"1\n\xff"\n', 1, ": not UTF-8 text (invalid start byte at byte 70)"),
+        # A bad byte right after the header, and a bad header before one.
+        (_HEAD_ROW[:38] + b"\xff,x,1\n", 0, ": not UTF-8 text (invalid start byte at byte 38)"),
+        (b"consumer,start\n\xff\n", 0, ":1: bad header ['consumer', 'start']"),
+    ],
+    ids=["bad-row", "long-field", "quoted-byte", "first-row", "bad-header"],
+)
+def test_rows_before_a_bad_byte_are_read_before_it_is_reported(tmp_path, text, readings, error):
+    path = tmp_path / "trace.csv"
+    path.write_bytes(text)
+    stream = iter_trace_csv(path)
+    with closing(stream):
+        assert [r.consumer for r in itertools.islice(stream, readings)] == ["a"] * readings
+        with pytest.raises(TraceError) as raised:
+            next(iter(stream))
+    assert str(raised.value).startswith(f"{path}{error}")
+    assert len(stream) == readings
 
 
 def _one_row_trace(tmp_path, row):

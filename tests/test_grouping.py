@@ -224,6 +224,20 @@ def test_allocation_tie_breaks_by_consumer_id():
     assert result.shares == {"b": Fraction(0), "a": Fraction(1, 100)}
 
 
+@pytest.mark.parametrize("group", ["0.01", "0.02", "0.04", "0.05", "1.00"])
+def test_allocation_ties_go_by_id_whatever_the_input_order(group):
+    # Equal prices tie every remainder. As strings "c1" < "c10" < "c9",
+    # so the extra units go to c1 first, then c10, not in input order.
+    prices = [("c9", Fraction(1)), ("c10", Fraction(1)), ("c1", Fraction(1))]
+    result = proportional_allocation(group, prices, "exact-sum")
+    assert list(result.shares) == ["c9", "c10", "c1"]
+    expected = remainder_allocate(Fraction(group), prices)
+    assert {c: share * 100 for c, share in result.shares.items()} == expected
+    # Adjustments are listed in input order.
+    adjusted = [c for c, _ in result.adjustments]
+    assert adjusted == [c for c, _ in prices if c in adjusted]
+
+
 def test_allocation_dominance_and_order(rng):
     """Raw shares keep the order of prices and never exceed them when the
     group price does not exceed the price sum; zero price means zero share."""
