@@ -170,8 +170,12 @@ def _emit(args, result, to_dict, render) -> int:
 
 
 def _load(args) -> tuple:
-    """The schedule, the grid and the partitioned trace (a
-    ``SlotUsageMatrix``) that *args* name.
+    """The partitioned trace (a ``SlotUsageMatrix``), the schedule and the
+    grid that *args* name, in the order the billing functions take them.
+
+    A command passes them straight into billing, so it holds no reference
+    to the matrix once billing returns, and the report is rendered
+    without it.
 
     With ``--period-start`` the grid is known first, and the trace is
     streamed into the partition, one reading at a time. Without it the
@@ -182,13 +186,13 @@ def _load(args) -> tuple:
     if args.period_start is not None:
         grid = _grid(args, parse_rfc3339(args.period_start))
         with closing(iter_trace_csv(args.trace)) as readings:
-            return schedule, grid, slot_partition(readings, grid)
+            return slot_partition(readings, grid), schedule, grid
     readings = parse_trace_csv(args.trace)
     if not readings:
         raise _CliError("empty trace: pass --period-start explicitly")
     earliest = min(reading.start for reading in readings)
     grid = _grid(args, earliest.replace(hour=0, minute=0, second=0, microsecond=0))
-    return schedule, grid, slot_partition(readings, grid)
+    return slot_partition(readings, grid), schedule, grid
 
 
 def _cmd_validate(args) -> int:
@@ -203,14 +207,12 @@ def _cmd_bill(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    schedule, grid, matrix = _load(args)
-    report = run_scheme(matrix, schedule, grid, args.scheme, args.policy)
+    report = run_scheme(*_load(args), args.scheme, args.policy)
     return _emit(args, report, report_to_dict, render_report)
 
 
 def _cmd_compare(args) -> int:
-    schedule, grid, matrix = _load(args)
-    comparison = compare_schemes(matrix, schedule, grid, args.policy)
+    comparison = compare_schemes(*_load(args), args.policy)
     return _emit(args, comparison, comparison_to_dict, render_comparison)
 
 
@@ -226,10 +228,9 @@ def _cmd_allocate(args) -> int:
 
 
 def _cmd_shift(args) -> int:
-    schedule, grid, matrix = _load(args)
     report = what_if_shift(
-        matrix, schedule, grid, args.consumer, args.from_slot, args.to_slot,
-        exact(args.amount), args.policy,
+        *_load(args), args.consumer, args.from_slot, args.to_slot, exact(args.amount),
+        args.policy,
     )
     return _emit(args, report, shift_to_dict, render_shift)
 

@@ -29,7 +29,7 @@ from datetime import datetime, timezone
 from fractions import Fraction
 from itertools import islice, starmap
 from pathlib import Path
-from typing import Callable, Iterator, Optional, TextIO, Union
+from typing import Any, Callable, Iterator, Optional, TextIO, Union
 
 from .amounts import (
     MONEY_PLACES,
@@ -242,24 +242,26 @@ class _TraceReadings:
         self.fields.close()
 
 
-def _header_width(path: Path, row: list[str]) -> int:
-    """The number of fields of each row under the header *row*."""
+def _header_width(path: Path, row: list[str], line: int) -> int:
+    """The number of fields of each row under the header *row*, which ends
+    on *line*."""
     header = [cell.strip() for cell in row]
     if header not in (TRACE_HEADER, TRACE_HEADER + ["interval_end"]):
         raise TraceError(
-            f"{path}:1: bad header {header!r}, expected {','.join(TRACE_HEADER)}"
+            f"{path}:{line}: bad header {header!r}, expected {','.join(TRACE_HEADER)}"
             " with optional interval_end"
         )
     return len(header)
 
 
-def _rows_before_bad_byte(path: Path) -> Iterator[list[str]]:
-    """The complete CSV rows of *path* that lie wholly before its first
-    byte that is not UTF-8; then TraceError naming that byte and its
-    offset in the file.
+def _rows_before_bad_byte(path: Path) -> tuple[Any, Iterator[list[str]]]:
+    """A csv reader over *path* up to its first byte that is not UTF-8, and
+    the reader's complete rows: those that lie wholly before the byte,
+    then TraceError naming the byte and its offset in the file.
 
     The file is read again, whole. A lone surrogate stands in for the bad
     byte, so the row that holds it is the last row read, and is dropped.
+    The reader is returned for its ``line_num``.
     """
     data = path.read_bytes()
     try:
@@ -269,15 +271,16 @@ def _rows_before_bad_byte(path: Path) -> Iterator[list[str]]:
     else:
         # Only a file that changed between the two reads gets here.
         raise TraceError(f"{path}: not UTF-8 text")
-    rows = csv.reader(io.StringIO(data[: bad.start].decode("utf-8") + "\udcff", newline=""))
-    try:
-        for row in rows:
+    reader = csv.reader(io.StringIO(data[: bad.start].decode("utf-8") + "\udcff", newline=""))
+
+    def rows() -> Iterator[list[str]]:
+        for row in reader:
             if row and row[-1].endswith("\udcff"):
                 break
             yield row
-    except csv.Error as err:
-        raise TraceError(f"{path}:{rows.line_num}: {err}") from err
-    raise TraceError(f"{path}: not UTF-8 text ({bad.reason} at byte {bad.start})") from bad
+        raise TraceError(f"{path}: not UTF-8 text ({bad.reason} at byte {bad.start})") from bad
+
+    return reader, rows()
 
 
 def _read_trace(path: Path, stream: _TraceReadings) -> Iterator[ReadingFields]:
@@ -292,34 +295,38 @@ def _read_trace(path: Path, stream: _TraceReadings) -> Iterator[ReadingFields]:
     KiB, so a bad byte stops the csv reader before it reaches the rows in
     front of the byte in its block: those rows are read again, by
     ``_rows_before_bad_byte``, and checked before the byte is reported.
+
+    Every error in a row names the line the row ends on, the csv reader's
+    ``line_num``, which csv errors carry too. It is read only to raise.
     """
     # Each distinct energy string is parsed and checked once per file,
     # and each distinct consumer id is kept once.
     energies: dict[str, Fraction] = {}
     consumers: dict[str, str] = {}
     width = has_end = None  # set by the header, row 1
-    line_no = 0
+    count = 0  # rows read, which a re-read after a bad byte skips
     try:
         with path.open(encoding="utf-8", newline="") as handle:
-            rows = csv.reader(handle)
+            reader = rows = csv.reader(handle)
             while True:
                 try:
-                    for line_no, row in enumerate(rows, line_no + 1):
+                    for count, row in enumerate(rows, count + 1):
                         # A row of the right width with a consumer id is neither
                         # the header, blank nor short; anything else takes the
                         # slower checks, in the same order.
                         if len(row) != width or not (consumer := row[0].strip()):
                             if width is None:
-                                width = _header_width(path, row)
+                                width = _header_width(path, row, reader.line_num)
                                 has_end = width == 4
                                 continue
                             if not "".join(row).strip():
                                 continue
                             if len(row) != width:
                                 raise TraceError(
-                                    f"{path}:{line_no}: expected {width} fields, got {len(row)}"
+                                    f"{path}:{reader.line_num}: expected {width} fields, "
+                                    f"got {len(row)}"
                                 )
-                            raise TraceError(f"{path}:{line_no}: empty consumer_id")
+                            raise TraceError(f"{path}:{reader.line_num}: empty consumer_id")
                         consumer = consumers.setdefault(consumer, consumer)
                         try:
                             start = parse_rfc3339(row[1])
@@ -328,19 +335,20 @@ def _read_trace(path: Path, stream: _TraceReadings) -> Iterator[ReadingFields]:
                                 energy = energies[row[2]] = energy_amount(row[2].strip())
                             end = parse_rfc3339(row[3]) if has_end and row[3].strip() else None
                         except ValueError as err:
-                            raise TraceError(f"{path}:{line_no}: {err}") from err
+                            raise TraceError(f"{path}:{reader.line_num}: {err}") from err
                         if end is not None and end <= start:
                             raise TraceError(
-                                f"{path}:{line_no}: reading end must be after its start"
+                                f"{path}:{reader.line_num}: reading end must be after its start"
                             )
                         stream.count += 1
                         yield consumer, start, energy, end
                     break
                 except UnicodeDecodeError:
                     # Read on to the bad byte, whose error ends these rows.
-                    rows = islice(_rows_before_bad_byte(path), line_no, None)
+                    reader, rows = _rows_before_bad_byte(path)
+                    rows = islice(rows, count, None)
                 except csv.Error as err:
-                    raise TraceError(f"{path}:{rows.line_num}: {err}") from err
+                    raise TraceError(f"{path}:{reader.line_num}: {err}") from err
     except OSError as err:
         raise TraceError(f"{path}: {err.strerror or err}") from err
     if width is None:

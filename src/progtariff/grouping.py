@@ -129,7 +129,7 @@ def price_group(table: TierTable, column: Column, size: int) -> tuple[int, int]:
     quantum, units = column
     if not size:
         return 0, 1
-    denominator, (numerator,) = table.prices((quantum * size, (sum(units),)))
+    [(denominator, (numerator,))] = table.prices([(quantum * size, (sum(units),))])
     return size * numerator, denominator
 
 
@@ -158,7 +158,7 @@ def _price_slot(
     """Every member's stand-alone price, and the slot's usage column."""
     ids, cells = _members(usages, energy_amount)
     column = quantize(cells)
-    denominator, numerators = slot_schedule.table.prices(column)
+    [(denominator, numerators)] = slot_schedule.table.prices([column])
     return {c: Fraction(n, denominator) for c, n in zip(ids, numerators)}, column
 
 

@@ -590,8 +590,10 @@ class _Billing:
 
     Each piece is computed at most once and shared by every scheme that
     reads it: the compiled slot schedule, the stand-alone price column of
-    every usage column, and the demand. Every total is a row sum of
-    columns: usage for the monthly scheme, prices or shares for the
+    every usage column, and the demand. The price columns come from one
+    ``TierTable.prices`` call, so each distinct cell usage is priced once
+    per billing run and equal cells share one price. Every total is a row
+    sum of columns: usage for the monthly scheme, prices or shares for the
     slotted ones.
     """
 
@@ -606,7 +608,7 @@ class _Billing:
     @cached_property
     def prices(self) -> tuple[Column, ...]:
         """Every consumer's stand-alone price in every slot, one column per slot."""
-        return tuple(map(self.table.prices, self.matrix.columns))
+        return tuple(self.table.prices(self.matrix.columns))
 
     @cached_property
     def demand(self) -> DemandMetrics:
@@ -775,7 +777,7 @@ def what_if_shift(
     individual_after = individual_before
     for slot in sorted({from_slot, to_slot}):
         usage = shifted.columns[slot]
-        prices = billing.table.prices(usage)
+        [prices] = billing.table.prices([usage])
         (_, after), _ = billing.bill_slot(slot, usage, prices, policy)
         _, before = shares[slot]
         allocated_after += after[index] - before[index]

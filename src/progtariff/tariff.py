@@ -87,25 +87,42 @@ class TierTable:
             self.charges.append(self.charges[-1] + rate * (bound - lower))
             lower = bound
 
-    def prices(self, column: Column) -> Column:
-        """The price column of a usage column: cell ``units[i] / quantum``
+    def prices(self, columns: Sequence[Column]) -> list[Column]:
+        """The price column of each usage column: cell ``units[i] / quantum``
         kWh costs ``numerators[i] / (quantum * bound_scale * rate_scale)``.
         Usages must be >= 0.
+
+        Each distinct cell usage, a ``(quantum, unit)`` pair, is priced
+        once per call, and equal cells share one numerator ``int``. The
+        memo of prices lives for this call only.
         """
-        quantum, units = column
-        # Levels, tier edges and charges all count 1/(quantum * bound_scale)
-        # kWh steps, so each price is one bisection and one multiply-add.
         scale = self.bound_scale
-        edges = [bound * quantum for bound in self.bounds]
-        lows = [0, *edges]
-        bases = [charge * quantum for charge in self.charges]
         rates = self.rates
-        numerators = []
-        for unit in units:
-            level = unit * scale
-            tier = bisect_left(edges, level)
-            numerators.append(bases[tier] + rates[tier] * (level - lows[tier]))
-        return quantum * scale * self.rate_scale, numerators
+        # quantum -> its price denominator, tier edges, tier lows, tier
+        # base charges and the numerators priced so far, by unit
+        memos: dict[int, tuple[int, list[int], list[int], list[int], dict[int, int]]] = {}
+        priced = []
+        for quantum, units in columns:
+            found = memos.get(quantum)
+            if found is None:
+                # Levels, tier edges and charges all count 1/(quantum *
+                # bound_scale) kWh steps, so each price is one bisection
+                # and one multiply-add.
+                edges = [bound * quantum for bound in self.bounds]
+                bases = [charge * quantum for charge in self.charges]
+                denominator = quantum * scale * self.rate_scale
+                found = memos[quantum] = denominator, edges, [0, *edges], bases, {}
+            denominator, edges, lows, bases, memo = found
+            numerators = []
+            for unit in units:
+                price = memo.get(unit)
+                if price is None:
+                    level = unit * scale
+                    tier = bisect_left(edges, level)
+                    price = memo[unit] = bases[tier] + rates[tier] * (level - lows[tier])
+                numerators.append(price)
+            priced.append((denominator, numerators))
+        return priced
 
 
 @dataclass(frozen=True)
@@ -237,7 +254,8 @@ def progressive_price(schedule: TariffSchedule, usage: ExactLike) -> Fraction:
     rate. The result is an exact, unrounded currency amount.
     """
     amount = energy_amount(usage)
-    denominator, (numerator,) = schedule.table.prices((amount.denominator, (amount.numerator,)))
+    column = (amount.denominator, (amount.numerator,))
+    [(denominator, (numerator,))] = schedule.table.prices([column])
     return Fraction(numerator, denominator)
 
 

@@ -16,7 +16,8 @@ builds the schedule widened by the group size and prices the pooled
 usage on it, where the package prices the pooled usage over N on the
 unwidened table and multiplies by N. The trace parser oracle builds every
 reading through MeterReading's checking constructor, where the package
-checks each row once and builds its readings unchecked. The JSON oracle
+checks each row once and builds its readings unchecked; both number a row
+by the line it ends on. The JSON oracle
 is ``json.dumps``, where the package writes reports with its own writer.
 The energy oracle reads every string with ``Fraction(str)``, where the
 package reads plain decimals from their digits. The slot-charge text
@@ -375,18 +376,21 @@ def desk_parse_trace_csv(path):
         text = path.read_text(encoding="utf-8")
     except OSError as err:
         raise TraceError(f"{path}: {err.strerror or err}") from err
-    rows = list(csv.reader(io.StringIO(text, newline="")))
-    if not rows:
+    rows = csv.reader(io.StringIO(text, newline=""))
+    first = next(rows, None)
+    if first is None:
         raise TraceError(f"{path}: missing header")
-    header = [cell.strip() for cell in rows[0]]
+    header = [cell.strip() for cell in first]
     if header not in (TRACE_HEADER, TRACE_HEADER + ["interval_end"]):
         raise TraceError(
-            f"{path}:1: bad header {header!r}, expected {','.join(TRACE_HEADER)}"
+            f"{path}:{rows.line_num}: bad header {header!r}, expected {','.join(TRACE_HEADER)}"
             " with optional interval_end"
         )
     has_end = len(header) == 4
     readings = []
-    for line_no, row in enumerate(rows[1:], start=2):
+    for row in rows:
+        # A row is numbered by the line it ends on.
+        line_no = rows.line_num
         if not "".join(row).strip():
             continue
         if len(row) != len(header):

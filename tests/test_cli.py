@@ -1,5 +1,7 @@
+import gc
 import json
 import random
+import weakref
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -180,6 +182,25 @@ def test_bad_trace_row_is_reported_with_line(capsys, tmp_path):
     )
     assert status == 1
     assert "bad.csv:3" in err
+
+
+@pytest.mark.parametrize(
+    "energy, error",
+    [("oops", "not a decimal or p/q number: 'oops'"), ("1" * 200_000, "field larger than")],
+    ids=["bad-energy", "long-field"],
+)
+def test_trace_errors_name_the_line_a_row_ends_on(capsys, tmp_path, energy, error):
+    # The quoted id spans lines 2-3, so the bad row is the third record but
+    # ends on line 4. A row check and a csv module error both name line 4.
+    trace = tmp_path / "quoted.csv"
+    trace.write_text(
+        "consumer_id,interval_start,energy_kwh\n"
+        '"a\nb",2025-01-01T00:00:00Z,1\n'
+        f"c,2025-01-01T06:00:00Z,{energy}\n"
+    )
+    status, out, err = run(capsys, "compare", "--schedule", SCHEDULE, "--trace", str(trace))
+    assert (status, out) == (1, "")
+    assert err.startswith(f"error: {trace}:4: {error}")
 
 
 def test_huge_exponent_in_trace_is_reported_with_line(capsys, tmp_path):
@@ -541,3 +562,35 @@ def test_text_tables_pad_to_a_consumer_id_wider_than_aggregate(capsys, tmp_path)
             assert line.startswith(label.ljust(len(wide)) + "  ")
             # Every figure ends in its header's column: right-aligned.
             assert _column_ends(line)[1 : 1 + len(figures)] == figures
+
+
+@pytest.mark.parametrize(
+    "command, to_dict",
+    [("compare", "comparison_to_dict"), ("simulate", "report_to_dict")],
+)
+def test_trace_commands_render_without_the_usage_matrix(capsys, monkeypatch, command, to_dict):
+    # The report is rendered once billing is done; the matrix billing read
+    # must be gone by then, so the peak of rendering does not include it.
+    import progtariff.cli as cli
+
+    matrices = []
+
+    def partition(*args):
+        matrix = cli_partition(*args)
+        matrices.append(weakref.ref(matrix))
+        return matrix
+
+    def render(result):
+        gc.collect()
+        assert [ref() for ref in matrices] == [None]
+        return cli_to_dict(result)
+
+    cli_partition, cli_to_dict = cli.slot_partition, getattr(cli, to_dict)
+    monkeypatch.setattr(cli, "slot_partition", partition)
+    monkeypatch.setattr(cli, to_dict, render)
+    for start in ([], ["--period-start", "2025-01-01T00:00:00Z"]):
+        matrices.clear()
+        argv = [command, "--schedule", SCHEDULE, "--trace", SLOT_TRACE, *start, "--json"]
+        status, out, err = run(capsys, *argv)
+        assert (status, err) == (0, "")
+        assert json.loads(out)["consumers"]

@@ -459,6 +459,10 @@ _HEAD_ROW = f"{','.join(TRACE_HEADER)}\na,2025-01-01T00:00:00Z,1\n".encode()
         # A field past the csv module's limit, then a bad byte.
         (_HEAD_ROW + b"b,x," + b"1" * 200_000 + b"\n\xff\n", 1,
          ":3: field larger than field limit"),
+        # A row whose quoted id spans lines 3-4, read again after the bad
+        # byte, is reported at the line it ends on.
+        (_HEAD_ROW + b'"b\nc",2025-01-01T00:00:00Z,oops\n\xff\n', 1,
+         ":4: not a decimal or p/q number: 'oops'"),
         # The bad byte inside a quoted field: the row that holds it is not
         # complete, so it is not checked, and the byte is reported.
         (_HEAD_ROW + b'b,x,"1\n\xff"\n', 1, ": not UTF-8 text (invalid start byte at byte 70)"),
@@ -466,7 +470,7 @@ _HEAD_ROW = f"{','.join(TRACE_HEADER)}\na,2025-01-01T00:00:00Z,1\n".encode()
         (_HEAD_ROW[:38] + b"\xff,x,1\n", 0, ": not UTF-8 text (invalid start byte at byte 38)"),
         (b"consumer,start\n\xff\n", 0, ":1: bad header ['consumer', 'start']"),
     ],
-    ids=["bad-row", "long-field", "quoted-byte", "first-row", "bad-header"],
+    ids=["bad-row", "long-field", "two-line-row", "quoted-byte", "first-row", "bad-header"],
 )
 def test_rows_before_a_bad_byte_are_read_before_it_is_reported(tmp_path, text, readings, error):
     path = tmp_path / "trace.csv"

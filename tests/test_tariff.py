@@ -2,6 +2,8 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from progtariff import (
     ScheduleError,
@@ -16,8 +18,8 @@ from progtariff import (
     validate_schedule,
 )
 
-from conftest import random_fraction, random_progressive_schedule
-from oracles import quantum_price
+from conftest import KEPCO_TIERS, make_schedule, random_fraction, random_progressive_schedule
+from oracles import clip_price, quantum_price
 
 
 # ----------------------------------------------------------------------
@@ -377,3 +379,49 @@ def test_price_matches_quantum_walk_on_slot_schedule(kepco_slot):
         assert progressive_price(kepco_slot, usage) == quantum_price(
             bounds, rates, usage
         )
+
+
+# The slot schedule of the residential tariff, and one whose rates fall.
+_PRICED_SCHEDULES = {
+    "progressive": scale_schedule(make_schedule(KEPCO_TIERS), slot_factor(6, 30)),
+    "falling": make_schedule(
+        [(Fraction(5, 6), "60.7"), (Fraction(5, 3), "12.5"), (None, "30")],
+        allow_rate_decrease=True,
+    ),
+}
+
+
+@st.composite
+def _usage_columns(draw):
+    """Columns on at least two quanta, whose units come from one small
+    pool, so units repeat within a column and across columns."""
+    pool = draw(st.lists(st.integers(0, 60), min_size=1, max_size=6))
+    quanta = draw(
+        st.lists(st.sampled_from([1, 3, 6, 8]), min_size=2, max_size=6).filter(
+            lambda quanta: len(set(quanta)) > 1
+        )
+    )
+    return [
+        (quantum, tuple(draw(st.lists(st.sampled_from(pool), max_size=8))))
+        for quantum in quanta
+    ]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(_PRICED_SCHEDULES)), _usage_columns())
+def test_prices_of_many_columns_match_the_oracles(name, columns):
+    schedule = _PRICED_SCHEDULES[name]
+    bounds = [tier.upper_bound for tier in schedule.tiers]
+    rates = [tier.rate for tier in schedule.tiers]
+    priced = schedule.table.prices(columns)
+    assert len(priced) == len(columns)
+    # (quantum, unit) -> the numerator it was first priced at
+    first = {}
+    for (quantum, units), (denominator, numerators) in zip(columns, priced):
+        assert len(numerators) == len(units)
+        for unit, numerator in zip(units, numerators):
+            usage = Fraction(unit, quantum)
+            price = Fraction(numerator, denominator)
+            assert price == clip_price(bounds, rates, usage) == quantum_price(bounds, rates, usage)
+            # Equal cells share one int: each is priced once per call.
+            assert first.setdefault((quantum, unit), numerator) is numerator
