@@ -22,14 +22,16 @@ energies are decimal or p/q strings, parsed exactly.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 import json
+import re
 from datetime import datetime, timezone
 from fractions import Fraction
-from itertools import islice, starmap
+from itertools import starmap
 from pathlib import Path
-from typing import Any, Callable, Iterator, Optional, TextIO, Union
+from typing import Callable, Iterator, Optional, TextIO, Union
 
 from .amounts import (
     MONEY_PLACES,
@@ -242,113 +244,109 @@ class _TraceReadings:
         self.fields.close()
 
 
-def _header_width(path: Path, row: list[str], line: int) -> int:
-    """The number of fields of each row under the header *row*, which ends
-    on *line*."""
+def _header_width(row: list[str]) -> int:
+    """The number of fields of each row under the header *row*."""
     header = [cell.strip() for cell in row]
     if header not in (TRACE_HEADER, TRACE_HEADER + ["interval_end"]):
-        raise TraceError(
-            f"{path}:{line}: bad header {header!r}, expected {','.join(TRACE_HEADER)}"
-            " with optional interval_end"
+        raise ValueError(
+            f"bad header {header!r}, expected {','.join(TRACE_HEADER)} with optional interval_end"
         )
     return len(header)
 
 
-def _rows_before_bad_byte(path: Path) -> tuple[Any, Iterator[list[str]]]:
-    """A csv reader over *path* up to its first byte that is not UTF-8, and
-    the reader's complete rows: those that lie wholly before the byte,
-    then TraceError naming the byte and its offset in the file.
+# A byte that is not UTF-8, as text read with errors="surrogateescape" holds it.
+_SURROGATE = re.compile("[\udc80-\udcff]")
 
-    The file is read again, whole. A lone surrogate stands in for the bad
-    byte, so the row that holds it is the last row read, and is dropped.
-    The reader is returned for its ``line_num``.
+
+def _line_ends(last: bytes, block: bytes) -> int:
+    """The CRs, LFs and CRLFs that end lines in *block*, after byte *last*."""
+    return block.count(b"\n") + block.count(b"\r") - (last + block).count(b"\r\n")
+
+
+def _trace_error(path: Path, line: int, message: str, row: Optional[list] = None) -> TraceError:
+    """The error for a fault of the row of *path* that ends on *line*, or
+    for the file's first byte that is not UTF-8, if that lies in the row.
+
+    The rows in front are clean, so the byte lies in the row if it lies on
+    or before *line*. The file is decoded again up to it, 64 KiB at a
+    time, only for a row that holds a surrogate, or that the csv module
+    refused (*row* None).
     """
-    data = path.read_bytes()
-    try:
-        data.decode("utf-8")
-    except UnicodeDecodeError as err:
-        bad = err
-    else:
-        # Only a file that changed between the two reads gets here.
-        raise TraceError(f"{path}: not UTF-8 text")
-    reader = csv.reader(io.StringIO(data[: bad.start].decode("utf-8") + "\udcff", newline=""))
-
-    def rows() -> Iterator[list[str]]:
-        for row in reader:
-            if row and row[-1].endswith("\udcff"):
-                break
-            yield row
-        raise TraceError(f"{path}: not UTF-8 text ({bad.reason} at byte {bad.start})") from bad
-
-    return reader, rows()
+    if row is None or _SURROGATE.search("".join(row)):
+        decoder = codecs.getincrementaldecoder("utf-8")()
+        offset = ends = 0  # bytes decoded, and the line ends among them
+        last = b""
+        with path.open("rb") as handle:
+            while ends < line:
+                block = handle.read(1 << 16)
+                held = len(decoder.getstate()[0])  # a character the last block cut
+                try:
+                    decoder.decode(block, not block)
+                except UnicodeDecodeError as err:
+                    if ends + _line_ends(last, block[: max(err.start - held, 0)]) < line:
+                        byte = offset - held + err.start
+                        return TraceError(f"{path}: not UTF-8 text ({err.reason} at byte {byte})")
+                    break
+                if not block:
+                    break
+                ends += _line_ends(last, block)
+                offset, last = offset + len(block), block[-1:]
+    return TraceError(f"{path}:{line}: {message}")
 
 
 def _read_trace(path: Path, stream: _TraceReadings) -> Iterator[ReadingFields]:
     """The body of ``iter_trace_csv``: the checked fields of each reading,
     each counted in *stream*.
 
-    The file is opened as UTF-8 with ``newline=""``, so rows end only at
-    CR or LF, not at form feeds, U+2028 or the other Unicode line
-    boundaries. A file that cannot be read, a row the csv module refuses
-    (such as one with a field past ``csv.field_size_limit()``) and a byte
-    that is not UTF-8 raise TraceError. The decoder reads blocks of a few
-    KiB, so a bad byte stops the csv reader before it reaches the rows in
-    front of the byte in its block: those rows are read again, by
-    ``_rows_before_bad_byte``, and checked before the byte is reported.
-
-    Every error in a row names the line the row ends on, the csv reader's
-    ``line_num``, which csv errors carry too. It is read only to raise.
+    The file is opened once, as UTF-8 with ``newline=""``, so rows end
+    only at CR or LF, not at form feeds, U+2028 or the other Unicode line
+    boundaries. A byte that is not UTF-8 reaches the csv reader as a lone
+    surrogate, which fails its row's checks, so the row's fault is then
+    reported as the byte (see _trace_error). A row the csv module refuses,
+    such as one with a field past ``csv.field_size_limit()``, and a file
+    that cannot be read raise TraceError too. Every error in a row names
+    the line the row ends on, the csv reader's ``line_num``.
     """
     # Each distinct energy string is parsed and checked once per file,
     # and each distinct consumer id is kept once.
     energies: dict[str, Fraction] = {}
     consumers: dict[str, str] = {}
     width = has_end = None  # set by the header, row 1
-    count = 0  # rows read, which a re-read after a bad byte skips
     try:
-        with path.open(encoding="utf-8", newline="") as handle:
-            reader = rows = csv.reader(handle)
-            while True:
-                try:
-                    for count, row in enumerate(rows, count + 1):
-                        # A row of the right width with a consumer id is neither
-                        # the header, blank nor short; anything else takes the
-                        # slower checks, in the same order.
-                        if len(row) != width or not (consumer := row[0].strip()):
-                            if width is None:
-                                width = _header_width(path, row, reader.line_num)
-                                has_end = width == 4
-                                continue
-                            if not "".join(row).strip():
-                                continue
-                            if len(row) != width:
-                                raise TraceError(
-                                    f"{path}:{reader.line_num}: expected {width} fields, "
-                                    f"got {len(row)}"
-                                )
-                            raise TraceError(f"{path}:{reader.line_num}: empty consumer_id")
-                        consumer = consumers.setdefault(consumer, consumer)
-                        try:
-                            start = parse_rfc3339(row[1])
-                            energy = energies.get(row[2])
-                            if energy is None:
-                                energy = energies[row[2]] = energy_amount(row[2].strip())
-                            end = parse_rfc3339(row[3]) if has_end and row[3].strip() else None
-                        except ValueError as err:
-                            raise TraceError(f"{path}:{reader.line_num}: {err}") from err
-                        if end is not None and end <= start:
-                            raise TraceError(
-                                f"{path}:{reader.line_num}: reading end must be after its start"
-                            )
-                        stream.count += 1
-                        yield consumer, start, energy, end
-                    break
-                except UnicodeDecodeError:
-                    # Read on to the bad byte, whose error ends these rows.
-                    reader, rows = _rows_before_bad_byte(path)
-                    rows = islice(rows, count, None)
-                except csv.Error as err:
-                    raise TraceError(f"{path}:{reader.line_num}: {err}") from err
+        with path.open(encoding="utf-8", errors="surrogateescape", newline="") as handle:
+            reader = csv.reader(handle)
+            try:
+                for row in reader:
+                    # A row of the right width with a consumer id is neither
+                    # the header, blank nor short; anything else takes the
+                    # slower checks, in the same order.
+                    if len(row) != width or not (consumer := row[0].strip()):
+                        if width is None:
+                            width = _header_width(row)
+                            has_end = width == 4
+                            continue
+                        if not "".join(row).strip():
+                            continue
+                        if len(row) != width:
+                            raise ValueError(f"expected {width} fields, got {len(row)}")
+                        raise ValueError("empty consumer_id")
+                    known = consumers.get(consumer)
+                    if known is None:
+                        consumer.encode("utf-8")  # refuses a lone surrogate
+                        known = consumers[consumer] = consumer
+                    start = parse_rfc3339(row[1])
+                    energy = energies.get(row[2])
+                    if energy is None:
+                        energy = energies[row[2]] = energy_amount(row[2].strip())
+                    end = parse_rfc3339(row[3]) if has_end and row[3].strip() else None
+                    if end is not None and end <= start:
+                        raise ValueError("reading end must be after its start")
+                    stream.count += 1
+                    yield known, start, energy, end
+            except ValueError as err:
+                raise _trace_error(path, reader.line_num, str(err), row) from err
+            except csv.Error as err:
+                raise _trace_error(path, reader.line_num, str(err)) from err
     except OSError as err:
         raise TraceError(f"{path}: {err.strerror or err}") from err
     if width is None:
@@ -361,11 +359,11 @@ def iter_trace_csv(path: PathLike) -> _TraceReadings:
     The file is read as a stream, one row at a time, and every row is
     checked once, as it is read, in this order: blank rows are skipped,
     then the field count, the consumer id, the start stamp, the energy,
-    the end stamp and ``end > start`` are checked. So the first fault in
-    file order is the one reported, a bad row before a byte that is not
-    UTF-8 included. A caller that stops at a fault of its own leaves the
-    later rows unread. Readings share one ``str`` per distinct consumer
-    id.
+    the end stamp and ``end > start`` are checked. So the first faulty
+    row in file order is the one reported; a byte that is not UTF-8 is
+    the fault of the row it lies in, in place of any other. A caller that
+    stops at a fault of its own leaves the later rows unread. Readings
+    share one ``str`` per distinct consumer id.
 
     The result can be iterated once, for MeterReadings, or its
     ``fields`` read once, for the same readings as plain ``(consumer,

@@ -354,8 +354,7 @@ class BillingReport:
     Under ``slotted-individual`` these are the slot's stand-alone price
     columns; under ``slotted-group`` the denominator is
     ``10**MONEY_PLACES`` and the numerators are allocated shares in minor
-    units. ``slot_charges`` is derived from them as Fractions on first
-    read. Both are None for the monthly scheme, which has no per-slot
+    units. They are None for the monthly scheme, which has no per-slot
     structure.
 
     Under ``slotted-group`` each slot charge is the consumer's allocated
@@ -379,14 +378,6 @@ class BillingReport:
     policy: Optional[AllocationPolicy]
     demand: DemandMetrics
     zero_filled: Optional[int]
-
-    @cached_property
-    def slot_charges(self) -> Optional[dict[str, tuple[Fraction, ...]]]:
-        """Every consumer's exact charge in every slot."""
-        if self.slot_columns is None:
-            return None
-        columns = (map(Fraction, values, repeat(den)) for den, values in self.slot_columns)
-        return dict(zip(self.consumers, zip(*columns)))
 
 
 @dataclass(frozen=True)

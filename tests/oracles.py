@@ -17,7 +17,10 @@ usage on it, where the package prices the pooled usage over N on the
 unwidened table and multiplies by N. The trace parser oracle builds every
 reading through MeterReading's checking constructor, where the package
 checks each row once and builds its readings unchecked; both number a row
-by the line it ends on. The JSON oracle
+by the line it ends on. The bad-byte oracle finds a byte that is not
+UTF-8 by decoding the whole file, and checks the rows in front of it
+from that prefix, where the package reads the file once and decodes
+again only up to the byte, to report it. The JSON oracle
 is ``json.dumps``, where the package writes reports with its own writer.
 The energy oracle reads every string with ``Fraction(str)``, where the
 package reads plain decimals from their digits. The slot-charge text
@@ -367,30 +370,25 @@ def desk_exact(text):
 TRACE_HEADER = ["consumer_id", "interval_start", "energy_kwh"]
 
 
-def desk_parse_trace_csv(path):
-    """Read a trace CSV row by row, building each reading through the
-    checking MeterReading constructor. Raises TraceError with the
-    package's messages, in the package's order."""
-    path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as err:
-        raise TraceError(f"{path}: {err.strerror or err}") from err
-    rows = csv.reader(io.StringIO(text, newline=""))
-    first = next(rows, None)
-    if first is None:
-        raise TraceError(f"{path}: missing header")
+def _desk_trace_rows(text):
+    """The csv rows of trace *text*, each with the line it ends on."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    return [(row, reader.line_num) for row in reader]
+
+
+def _desk_check_rows(path, rows, readings):
+    """Check trace *rows*, the header first, row by row, appending each
+    reading to *readings*. Raises TraceError with the package's messages,
+    in the package's order."""
+    (first, line_no), *rows = rows
     header = [cell.strip() for cell in first]
     if header not in (TRACE_HEADER, TRACE_HEADER + ["interval_end"]):
         raise TraceError(
-            f"{path}:{rows.line_num}: bad header {header!r}, expected {','.join(TRACE_HEADER)}"
+            f"{path}:{line_no}: bad header {header!r}, expected {','.join(TRACE_HEADER)}"
             " with optional interval_end"
         )
     has_end = len(header) == 4
-    readings = []
-    for row in rows:
-        # A row is numbered by the line it ends on.
-        line_no = rows.line_num
+    for row, line_no in rows:
         if not "".join(row).strip():
             continue
         if len(row) != len(header):
@@ -420,7 +418,53 @@ def desk_parse_trace_csv(path):
             )
         except ValueError as err:
             raise TraceError(f"{path}:{line_no}: {err}") from err
+
+
+def desk_parse_trace_csv(path):
+    """Read a trace CSV row by row, building each reading through the
+    checking MeterReading constructor. Raises TraceError with the
+    package's messages, in the package's order."""
+    path = Path(path)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except OSError as err:
+        raise TraceError(f"{path}: {err.strerror or err}") from err
+    rows = _desk_trace_rows(text)
+    if not rows:
+        raise TraceError(f"{path}: missing header")
+    readings = []
+    _desk_check_rows(path, rows, readings)
     return readings
+
+
+def desk_read_trace(path):
+    """The readings of a trace CSV, in file order, up to its first fault,
+    and the fault's TraceError text (None if there is none).
+
+    A byte that is not UTF-8 is found by a strict decode of the whole
+    file. The text in front of it is decoded, a lone surrogate appended
+    in its place, and the rows checked as desk_parse_trace_csv checks
+    them, except the last, which holds the surrogate and is dropped
+    unchecked; if they pass, the byte is the fault.
+    """
+    path = Path(path)
+    data = path.read_bytes()
+    fault = None
+    try:
+        rows = _desk_trace_rows(data.decode("utf-8"))
+    except UnicodeDecodeError as bad:
+        rows = _desk_trace_rows(data[: bad.start].decode("utf-8") + "\udcff")[:-1]
+        fault = f"{path}: not UTF-8 text ({bad.reason} at byte {bad.start})"
+    else:
+        if not rows:
+            fault = f"{path}: missing header"
+    readings = []
+    try:
+        if rows:
+            _desk_check_rows(path, rows, readings)
+    except TraceError as err:
+        fault = str(err)
+    return readings, fault
 
 
 def desk_to_json(payload):

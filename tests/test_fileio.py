@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import json
 import sys
+import tracemalloc
 from contextlib import closing
 from datetime import datetime, timedelta, timezone
 from fractions import Fraction
@@ -30,7 +31,13 @@ from progtariff.fileio import TRACE_HEADER, report_to_dict, to_json
 from progtariff.simulate import SlotGrid, SlotUsageMatrix, run_scheme
 
 from conftest import FIXTURES
-from oracles import desk_exact_str, desk_format_fixed, desk_parse_trace_csv, desk_partition
+from oracles import (
+    desk_exact_str,
+    desk_format_fixed,
+    desk_parse_trace_csv,
+    desk_partition,
+    desk_read_trace,
+)
 
 
 # ----------------------------------------------------------------------
@@ -309,12 +316,15 @@ def _stamp(rng, minutes):
 
 def _cell(text, rng):
     """One CSV field, sometimes quoted."""
-    if "," in text or '"' in text or rng.random() < 0.1:
+    if "," in text or '"' in text or "\n" in text or rng.random() < 0.1:
         return '"' + text.replace('"', '""') + '"'
     return text
 
 
-def _trace_rows(rng, has_end, clean):
+_IDS = ["c1", " c2 ", "c,3", 'c"4', "\u00e9"]
+
+
+def _trace_rows(rng, has_end, clean, ids=_IDS):
     """Rows of field texts; a clean trace has only good or blank rows."""
     def pick(good, bad, rate=0.06):
         return rng.choice(bad) if not clean and rng.random() < rate else good
@@ -325,7 +335,7 @@ def _trace_rows(rng, has_end, clean):
             rows.append(list(rng.choice(_BLANK_ROWS)))
             continue
         minutes = rng.randint(0, 60 * 24 * 30)
-        consumer = pick(rng.choice(["c1", " c2 ", "c,3", 'c"4', "\u00e9"]), ["", "  "])
+        consumer = pick(rng.choice(ids), ["", "  "])
         start = pick(_stamp(rng, minutes), _BAD_STAMPS)
         energy = pick(rng.choice(_GOOD_ENERGIES), _BAD_ENERGIES)
         row = [consumer, start, energy]
@@ -343,11 +353,24 @@ def _trace_rows(rng, has_end, clean):
     return rows
 
 
-def _write_trace(path, rng, has_end, rows):
+def _trace_bytes(rng, has_end, rows):
+    """The bytes of a trace CSV of *rows*, and the byte span of its header
+    and of each row's fields, as ``(start, end, column)``."""
     header = TRACE_HEADER + ["interval_end"] if has_end else TRACE_HEADER
-    newline = rng.choice(["\n", "\r\n"])
-    lines = [",".join(header)] + [",".join(_cell(f, rng) for f in row) for row in rows]
-    path.write_bytes((newline.join(lines) + newline).encode("utf-8"))
+    newline = rng.choice(["\n", "\r\n"]).encode()
+    data = ",".join(header).encode() + newline
+    spans = [(0, len(data), "header")]
+    for row in rows:
+        for column, field in enumerate(row):
+            cell = _cell(field, rng).encode("utf-8")
+            spans.append((len(data), len(data) + len(cell), column))
+            data += cell + (b"," if column < len(row) - 1 else b"")
+        data += newline
+    return data, spans
+
+
+def _write_trace(path, rng, has_end, rows):
+    path.write_bytes(_trace_bytes(rng, has_end, rows)[0])
 
 
 def _outcome(parse, path):
@@ -448,6 +471,7 @@ def test_trace_stream_counts_its_readings_and_closes_early(tmp_path):
 
 
 _HEAD_ROW = f"{','.join(TRACE_HEADER)}\na,2025-01-01T00:00:00Z,1\n".encode()
+_END_HEAD_ROW = f"{','.join(TRACE_HEADER)},interval_end\na,2025-01-01T00:00:00Z,1,\n".encode()
 
 
 @pytest.mark.parametrize(
@@ -469,8 +493,25 @@ _HEAD_ROW = f"{','.join(TRACE_HEADER)}\na,2025-01-01T00:00:00Z,1\n".encode()
         # A bad byte right after the header, and a bad header before one.
         (_HEAD_ROW[:38] + b"\xff,x,1\n", 0, ": not UTF-8 text (invalid start byte at byte 38)"),
         (b"consumer,start\n\xff\n", 0, ":1: bad header ['consumer', 'start']"),
+        # An id seen clean, then again with a bad byte: a new id, so checked.
+        (_HEAD_ROW + b"a\xff,2025-01-01T00:00:00Z,1\n", 1,
+         ": not UTF-8 text (invalid start byte at byte 64)"),
+        # A bad byte in an interval end.
+        (_END_HEAD_ROW + b"a,2025-01-01T00:00:00Z,1,2025-01-01T01:00:00\xffZ\n", 1,
+         ": not UTF-8 text (invalid start byte at byte 121)"),
+        # A row the csv module refuses is the bad byte's row when the byte
+        # lies on one of its lines, before or after the field it refuses.
+        (_HEAD_ROW + b'b,x,"\xff\n' + b"1" * 200_000 + b'"\n', 1,
+         ": not UTF-8 text (invalid start byte at byte 68)"),
+        (_HEAD_ROW + b"b,x," + b"1" * 200_000 + b"\xff\n", 1,
+         ": not UTF-8 text (invalid start byte at byte 200067)"),
+        (_HEAD_ROW + b'b,x,"1\n' + b"1" * 200_000 + b'"\n\xff\n', 1,
+         ":4: field larger than field limit"),
     ],
-    ids=["bad-row", "long-field", "two-line-row", "quoted-byte", "first-row", "bad-header"],
+    ids=[
+        "bad-row", "long-field", "two-line-row", "quoted-byte", "first-row", "bad-header",
+        "known-id", "interval-end", "refused-row", "refused-line", "refused-before",
+    ],
 )
 def test_rows_before_a_bad_byte_are_read_before_it_is_reported(tmp_path, text, readings, error):
     path = tmp_path / "trace.csv"
@@ -482,6 +523,82 @@ def test_rows_before_a_bad_byte_are_read_before_it_is_reported(tmp_path, text, r
             next(iter(stream))
     assert str(raised.value).startswith(f"{path}{error}")
     assert len(stream) == readings
+
+
+def _read_until_fault(path):
+    """The readings of a trace CSV up to its first fault, and the fault's
+    text (None if there is none)."""
+    readings = []
+    try:
+        for reading in iter_trace_csv(path):
+            readings.append(reading)
+    except TraceError as err:
+        return readings, str(err)
+    return readings, None
+
+
+# Bytes that are not UTF-8: a byte no sequence starts with, a lone
+# continuation byte, sequences cut short, an overlong form and an encoded
+# surrogate.
+_BAD_BYTES = [b"\xff", b"\x80", b"\xc3", b"\xe2\x82", b"\xf0\x9f\x98", b"\xc0\xaf", b"\xed\xa0\x80"]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(
+    st.randoms(use_true_random=False),
+    st.sampled_from(_BAD_BYTES),
+    st.sampled_from(["anywhere", "header", 0, 2, 3]),
+)
+def test_a_bad_byte_anywhere_is_reported_after_the_rows_before_it(
+    tmp_path_factory, rng, bad, where
+):
+    # Column 0 is the consumer id, which may be quoted and span lines; 2
+    # is the energy and 3 the interval end.
+    has_end = where == 3 or rng.random() < 0.5
+    rows = _trace_rows(rng, has_end, clean=rng.random() < 0.5, ids=_IDS + ["d\n5", "e\r\n6"])
+    data, spans = _trace_bytes(rng, has_end, rows)
+    spans = [(start, end) for start, end, column in spans if column == where]
+    start, end = rng.choice(spans) if spans else (0, len(data))
+    offset = rng.randint(start, end)
+    path = tmp_path_factory.mktemp("bad-byte") / "trace.csv"
+    path.write_bytes(data[:offset] + bad + data[offset:])
+    assert _read_until_fault(path) == desk_read_trace(path)
+
+
+def test_bad_byte_offsets_agree_with_a_whole_file_decode_at_block_edges(tmp_path):
+    # The offset is found by decoding 64 KiB blocks, and the line it lies
+    # on by counting line ends. Sequences cut short at the edge of a block,
+    # next to a CRLF that the edge splits, and at the end of the file all
+    # give a whole-file decode's offset and reason.
+    # Long energies, padded with blanks, keep the rows few.
+    head = _HEAD_ROW.replace(b"\n", b"\r\n")
+    row = b"a,2025-01-01T00:00:00Z," + b" " * 500 + b"1\r\n"
+    path = tmp_path / "trace.csv"
+    for edge in (65536, 2 * 65536):
+        # A blank row of spaces puts a row's CR last in the block.
+        pad = b" " * ((edge - 1 - len(head)) % len(row)) + b"\r\n"
+        body = head + pad + row * (3 * 65536 // len(row))
+        assert body[edge - 1 : edge + 1] == b"\r\n"
+        for shift in range(-4, 4):
+            for bad in (b"\xe2\x82", b"\xf0\x9f\x98", b"\xff"):
+                data = body[: edge + shift] + bad + body[edge + shift :]
+                for text in (data, body[: edge + shift] + bad):
+                    path.write_bytes(text)
+                    assert _read_until_fault(path) == desk_read_trace(path), (edge, shift, bad)
+
+
+def test_a_bad_byte_is_found_without_holding_the_file(tmp_path):
+    path = tmp_path / "big.csv"
+    row = b"a,2025-01-01T00:00:00Z,1\n"
+    path.write_bytes(_HEAD_ROW[:38] + b"\xff" + row + row * (8 * 2**20 // len(row)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(TraceError, match=r"invalid start byte at byte 38\)$"):
+            list(iter_trace_csv(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def _one_row_trace(tmp_path, row):

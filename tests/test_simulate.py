@@ -584,7 +584,6 @@ def test_monthly_scheme_single_consumer(kepco, month_grid):
     assert report.consumer_totals["one"] == 51480
     assert format_money(report.billed_totals["one"]) == "51480.00"
     assert report.slot_columns is None
-    assert report.slot_charges is None
 
 
 def test_group_scheme_single_populated_slot(kepco, month_grid, slot_usages):
@@ -697,13 +696,8 @@ def test_compare_scheme_ordering_random(kepco, rng):
                 >= comparison.monthly.consumer_totals[consumer]
             )
         for slot in range(4):
-            column_individual = sum(
-                (
-                    comparison.slotted_individual.slot_charges[c][slot]
-                    for c in matrix.consumers
-                ),
-                Fraction(0),
-            )
+            denominator, numerators = comparison.slotted_individual.slot_columns[slot]
+            column_individual = Fraction(sum(numerators), denominator)
             assert comparison.slotted_group.group_slot_prices[slot] <= column_individual
 
 
@@ -970,6 +964,13 @@ def _slot_charge_case(rng, kind):
     return matrix, schedule, grid
 
 
+def _slot_charges(report):
+    """Every consumer's exact charge in every slot, from the report's
+    slot columns."""
+    columns = ([Fraction(num, den) for num in nums] for den, nums in report.slot_columns)
+    return dict(zip(report.consumers, zip(*columns)))
+
+
 def test_slot_charges_match_per_cell_recomputation():
     """The integer slot charges, their totals and their text agree with
     pricing, pooling and allocating every cell on its own."""
@@ -982,8 +983,9 @@ def test_slot_charges_match_per_cell_recomputation():
         slot_schedule = scale_schedule(schedule, grid.factor)
         consumers = matrix.consumers
         slotted = run_scheme(matrix, schedule, grid, "slotted-individual")
+        charges = _slot_charges(slotted)
         for consumer, row in zip(consumers, matrix.usage):
-            assert slotted.slot_charges[consumer] == tuple(
+            assert charges[consumer] == tuple(
                 progressive_price(slot_schedule, cell) for cell in row
             ), case
         reports = [slotted]
@@ -999,17 +1001,21 @@ def test_slot_charges_match_per_cell_recomputation():
                 assert grouped.group_slot_prices[slot] == price, case
                 solo = {c: progressive_price(slot_schedule, u) for c, u in column.items()}
                 shares = proportional_allocation(price, solo, policy).shares
-                assert {c: grouped.slot_charges[c][slot] for c in consumers} == shares
+                denominator, numerators = grouped.slot_columns[slot]
+                assert {
+                    c: Fraction(num, denominator) for c, num in zip(consumers, numerators)
+                } == shares
         for report in reports:
             assert len(report.slot_columns) == matrix.slots
             for denominator, numerators in report.slot_columns:
                 assert len(numerators) == len(consumers)
                 if report.scheme is SchemeKind.SLOTTED_GROUP:
                     assert denominator == 10**MONEY_PLACES
-            assert set(report.slot_charges) == set(consumers)
+            slot_charges = _slot_charges(report)
+            assert set(slot_charges) == set(consumers)
             entries = report_to_dict(report)["consumers"]
             for consumer, entry in zip(consumers, entries):
-                charges = report.slot_charges[consumer]
+                charges = slot_charges[consumer]
                 assert report.consumer_totals[consumer] == sum(charges, Fraction(0)), case
                 assert entry["slot_charges"] == [format_money(c) for c in charges]
                 texts = [exact_str(charge) for charge in charges]
