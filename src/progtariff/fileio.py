@@ -708,7 +708,7 @@ def render_report(report: BillingReport) -> str:
         f"period: {format_rfc3339(grid.period_start)} for {grid.period_days} days, "
         f"{exact_str(grid.slot_hours)}h slots ({grid.slot_count} slots)"
     )
-    width = max([len("consumer")] + [len(c) for c in report.consumers])
+    width = max(map(len, ["consumer", "aggregate", *report.consumers]))
     lines.append(f"{'consumer':<{width}}  {'billed':>12}")
     for consumer in report.consumers:
         lines.append(
