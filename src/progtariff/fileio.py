@@ -279,7 +279,7 @@ def _trace_error(path: Path, line: int, message: str, row: Optional[list] = None
         with path.open("rb") as handle:
             while ends < line:
                 block = handle.read(1 << 16)
-                held = len(decoder.getstate()[0])  # a character the last block cut
+                held = len(decoder.getstate()[0])  # bytes of a character cut short
                 try:
                     decoder.decode(block, not block)
                 except UnicodeDecodeError as err:
