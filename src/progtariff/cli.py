@@ -9,6 +9,8 @@ pricing invariant fails.
 from __future__ import annotations
 
 import argparse
+import os
+import stat
 import sys
 from contextlib import closing
 from functools import partial
@@ -22,7 +24,6 @@ from .fileio import (
     iter_trace_csv,
     parse_rfc3339,
     parse_schedule_file,
-    parse_trace_csv,
     render_allocation,
     render_bill,
     render_comparison,
@@ -76,7 +77,8 @@ def _add_grid_flags(parser):
     parser.add_argument(
         "--period-start",
         default=None,
-        help="RFC 3339 period start; default: midnight UTC of the earliest reading",
+        help="RFC 3339 period start; default: midnight UTC of the earliest reading, "
+        "found by reading the trace twice, so a pipe needs this flag",
     )
 
 
@@ -155,6 +157,20 @@ def _grid(args, start) -> SlotGrid:
     )
 
 
+def _require_regular_file(path: str):
+    """Refuse a path that exists but is not a regular file, such as a
+    pipe, which a second read would find drained. A path that cannot be
+    read at all is left for the reader to report."""
+    try:
+        regular = stat.S_ISREG(os.stat(path).st_mode)
+    except OSError:
+        return
+    if not regular:
+        raise _CliError(
+            f"{path}: not a regular file, so it cannot be read twice; pass --period-start"
+        )
+
+
 def _emit(args, result, to_dict, render) -> int:
     """Print *result* as ``to_json(to_dict(result))`` under --json, else as
     ``render(result)``.
@@ -177,22 +193,24 @@ def _load(args) -> tuple:
     to the matrix once billing returns, and the report is rendered
     without it.
 
-    With ``--period-start`` the grid is known first, and the trace is
-    streamed into the partition, one reading at a time. Without it the
-    period starts at midnight UTC of the earliest reading, so the
-    readings are read into a list first.
+    The trace is streamed into the partition, and no list of readings is
+    held. Without ``--period-start`` the period starts at midnight UTC of
+    the earliest reading, which a first pass finds, checking every row;
+    so the trace must be a regular file, which can be read twice.
     """
     schedule = parse_schedule_file(args.schedule)
     if args.period_start is not None:
-        grid = _grid(args, parse_rfc3339(args.period_start))
+        start = parse_rfc3339(args.period_start)
+    else:
+        _require_regular_file(args.trace)
         with closing(iter_trace_csv(args.trace)) as readings:
-            return slot_partition(readings, grid), schedule, grid
-    readings = parse_trace_csv(args.trace)
-    if not readings:
-        raise _CliError("empty trace: pass --period-start explicitly")
-    earliest = min(reading.start for reading in readings)
-    grid = _grid(args, earliest.replace(hour=0, minute=0, second=0, microsecond=0))
-    return slot_partition(readings, grid), schedule, grid
+            earliest = min((stamp for _, stamp, _, _ in readings.fields), default=None)
+        if earliest is None:
+            raise _CliError("empty trace: pass --period-start explicitly")
+        start = earliest.replace(hour=0, minute=0, second=0, microsecond=0)
+    grid = _grid(args, start)
+    with closing(iter_trace_csv(args.trace)) as readings:
+        return slot_partition(readings, grid), schedule, grid
 
 
 def _cmd_validate(args) -> int:
@@ -217,9 +235,11 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_allocate(args) -> int:
-    prices = [item.strip() for item in args.individual.split(",") if item.strip()]
-    if not prices:
+    prices = [item.strip() for item in args.individual.split(",")]
+    if prices == [""]:
         raise _CliError("--individual needs at least one price")
+    if "" in prices:
+        raise _CliError(f"--individual: item {prices.index('') + 1} is empty")
     # Zero-padded ids keep lexicographic tie-breaking aligned with input order.
     width = len(str(len(prices)))
     pairs = [(f"{index:0{width}d}", price) for index, price in enumerate(prices, start=1)]

@@ -224,10 +224,9 @@ class _TraceReadings:
     ``fields`` yields each reading's checked ``(consumer, start, energy,
     end)`` in file order, and ``slot_partition`` reads it directly.
     Iterating yields the same readings, from the same pass over the file,
-    as MeterReadings built without running the constructor's checks
-    again. ``len()`` is the number of readings read so far, so a caller
-    handed the stream can still count them, and ``close()`` closes the
-    file before the end.
+    as MeterReadings built by their constructor. ``len()`` is the number
+    of readings read so far, so a caller handed the stream can still
+    count them, and ``close()`` closes the file before the end.
     """
 
     def __init__(self, path: Path):
@@ -235,7 +234,7 @@ class _TraceReadings:
         self.fields = _read_trace(path, self)
 
     def __iter__(self) -> Iterator[MeterReading]:
-        return starmap(MeterReading._checked, self.fields)
+        return starmap(MeterReading, self.fields)
 
     def __len__(self) -> int:
         return self.count
@@ -368,9 +367,9 @@ def iter_trace_csv(path: PathLike) -> _TraceReadings:
     The result can be iterated once, for MeterReadings, or its
     ``fields`` read once, for the same readings as plain ``(consumer,
     start, energy, end)`` tuples; ``slot_partition`` reads the latter and
-    builds no MeterReading. Its ``len()`` counts the readings read so
-    far. Close it, for example with ``contextlib.closing``, to close the
-    file before the last row.
+    builds no MeterReading, and the CLI reads nothing else. Its ``len()``
+    counts the readings read so far. Close it, for example with
+    ``contextlib.closing``, to close the file before the last row.
     """
     return _TraceReadings(Path(path))
 

@@ -83,9 +83,9 @@ class MeterReading:
     [start, end) and may be split across slot boundaries, otherwise the
     reading is a point delta assigned to the slot containing ``start``.
 
-    The constructor checks every field. ``fileio.iter_trace_csv`` checks
-    each row itself and builds its readings, when it is asked for them,
-    with ``_checked``, so no field is checked twice.
+    The constructor checks every field, and it is the only way one is
+    built. The CLI builds none: ``slot_partition`` reads a trace stream's
+    checked fields instead.
     """
 
     consumer: str
@@ -103,30 +103,6 @@ class MeterReading:
             if end <= self.start:
                 raise ValueError("reading end must be after its start")
             object.__setattr__(self, "end", end)
-
-    @classmethod
-    def _checked(
-        cls, consumer: str, start: datetime, energy: Fraction, end: Optional[datetime]
-    ) -> "MeterReading":
-        """A reading from fields the caller has already checked.
-
-        The caller guarantees what the constructor would check: a
-        non-empty ``str`` consumer id, ``start`` and ``end`` in UTC with
-        ``end`` after ``start`` or None, and a non-negative Fraction.
-        """
-        reading = object.__new__(cls)
-        _set_consumer(reading, consumer)
-        _set_start(reading, start)
-        _set_energy(reading, energy)
-        _set_end(reading, end)
-        return reading
-
-
-# The slot setters bypass the frozen __setattr__ and the checks.
-_set_consumer = MeterReading.consumer.__set__
-_set_start = MeterReading.start.__set__
-_set_energy = MeterReading.energy.__set__
-_set_end = MeterReading.end.__set__
 
 
 @dataclass(frozen=True)
@@ -441,15 +417,15 @@ def slot_partition(readings: Iterable[MeterReading], grid: SlotGrid) -> SlotUsag
     *readings* may be any iterable of MeterReadings, a stream included.
     A stream from ``fileio.iter_trace_csv`` is read through its
     ``fields``, the checked ``(consumer, start, energy, end)`` of each
-    reading, so no MeterReading is built; from any other iterable the
-    same four fields are read off each reading. Either way one loop reads
-    them once and keeps no reading: each one is added straight into its
-    consumer's per-slot cell sums. Consumers get rows in the order they
-    first appear and are sorted by id at the end. A reading outside the
-    period is refused as it is read, and so is the first reading of a
-    consumer whose row would take the partition past MAX_CELLS cells
-    (consumers times slots); overlapping intervals are found once every
-    reading is read.
+    reading, so no MeterReading is built, and that is what the CLI passes
+    on every path; from any other iterable the same four fields are read
+    off each reading. Either way one loop reads them once and keeps no
+    reading: each one is added straight into its consumer's per-slot
+    cell sums. Consumers get rows in the order they first appear and are
+    sorted by id at the end. A reading outside the period is refused as
+    it is read, and so is the first reading of a consumer whose row would
+    take the partition past MAX_CELLS cells (consumers times slots);
+    overlapping intervals are found once every reading is read.
 
     Time is counted in integer microseconds from the period start, the
     resolution of ``datetime``. A slot lasts ``num/den`` microseconds, so

@@ -1,6 +1,8 @@
 import gc
 import json
+import os
 import random
+import tracemalloc
 import weakref
 from datetime import datetime, timedelta, timezone
 
@@ -75,6 +77,22 @@ def test_allocate_json(capsys):
     payload = json.loads(out)
     assert payload["total"] == "466.50"
     assert payload["policy"] == "exact-sum"
+
+
+@pytest.mark.parametrize(
+    "individual, error",
+    [
+        ("1,,2", "--individual: item 2 is empty"),
+        ("1,2,", "--individual: item 3 is empty"),
+        (",1", "--individual: item 1 is empty"),
+        ("1, ,2", "--individual: item 2 is empty"),
+        (" ", "--individual needs at least one price"),
+    ],
+)
+def test_allocate_refuses_an_empty_item(capsys, individual, error):
+    # Dropping an empty item would renumber the ids after it.
+    status, out, err = run(capsys, "allocate", "--group", "10", "--individual", individual)
+    assert (status, out, err) == (1, "", f"error: {error}\n")
 
 
 def test_validate_summary(capsys):
@@ -594,3 +612,89 @@ def test_trace_commands_render_without_the_usage_matrix(capsys, monkeypatch, com
         status, out, err = run(capsys, *argv)
         assert (status, err) == (0, "")
         assert json.loads(out)["consumers"]
+
+
+def _pipe_path(data: bytes) -> tuple[int, str]:
+    """A pipe holding *data* (under the 64 KiB pipe buffer), its writer
+    closed, and the /dev/fd path of its read end."""
+    read_end, write_end = os.pipe()
+    os.write(write_end, data)
+    os.close(write_end)
+    return read_end, f"/dev/fd/{read_end}"
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_a_pipe_needs_period_start_and_streams_with_it(capsys):
+    data = (FIXTURES / "two_consumer_month.csv").read_bytes()
+    base = ["compare", "--schedule", SCHEDULE, "--json"]
+    start = ["--period-start", "2025-01-01T00:00:00Z"]
+    # Without the flag the trace is read twice, which a pipe cannot be, so
+    # it is refused before the first read.
+    read_end, path = _pipe_path(data)
+    try:
+        status, out, err = run(capsys, *base, "--trace", path)
+        assert (status, out) == (1, "")
+        assert err == (
+            f"error: {path}: not a regular file, so it cannot be read twice; "
+            "pass --period-start\n"
+        )
+        assert os.read(read_end, len(data) + 1) == data
+    finally:
+        os.close(read_end)
+    # With it the pipe is read once, as a stream.
+    status, from_file, err = run(capsys, *base, "--trace", MONTH_TRACE, *start)
+    assert (status, err) == (0, "")
+    read_end, path = _pipe_path(data)
+    try:
+        assert run(capsys, *base, "--trace", path, *start) == (0, from_file, "")
+    finally:
+        os.close(read_end)
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_a_regular_file_by_descriptor_is_read_twice(capsys):
+    # Like /dev/stdin redirected from a file: each open of the path starts
+    # at the top of the file, so the default period start still works.
+    base = ["compare", "--schedule", SCHEDULE, "--trace"]
+    status, from_file, err = run(capsys, *base, MONTH_TRACE)
+    assert (status, err) == (0, "")
+    descriptor = os.open(MONTH_TRACE, os.O_RDONLY)
+    try:
+        assert run(capsys, *base, f"/dev/fd/{descriptor}") == (0, from_file, "")
+    finally:
+        os.close(descriptor)
+
+
+def test_missing_trace_keeps_its_reason_without_period_start(capsys, tmp_path):
+    missing = tmp_path / "missing.csv"
+    status, out, err = run(capsys, "compare", "--schedule", SCHEDULE, "--trace", str(missing))
+    assert (status, out) == (1, "")
+    assert err == f"error: {missing}: No such file or directory\n"
+
+
+def test_default_period_start_holds_no_list_of_readings(capsys, tmp_path):
+    # 2 consumers x 120 six-hour slots x 100 point readings per cell: 24,000
+    # rows, 0.7 MB. Without --period-start the trace is streamed twice, so
+    # the peak stays near the flag's (about 0.4 MiB); holding every reading
+    # in a list takes about 3 MiB.
+    origin = datetime(2025, 1, 1, tzinfo=timezone.utc)
+    rows = ["consumer_id,interval_start,energy_kwh"]
+    for slot in range(120):
+        for reading in range(100):
+            stamp = origin + timedelta(hours=6 * slot, seconds=216 * reading)
+            text = stamp.strftime("%Y-%m-%dT%H:%M:%SZ")
+            rows += [f"c1,{text},0.{reading % 10}", f"c2,{text},1.{reading % 7}"]
+    trace = tmp_path / "dense.csv"
+    trace.write_text("\n".join(rows) + "\n")
+    del rows
+    argv = ["compare", "--schedule", SCHEDULE, "--trace", str(trace), "--json"]
+    tracemalloc.start()
+    try:
+        status = run_cli(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out, err = capsys.readouterr()
+    assert (status, err) == (0, "")
+    assert len(json.loads(out)["consumers"]) == 2
+    assert peak < 2**20, f"peak {peak / 2**20:.2f} MiB"
