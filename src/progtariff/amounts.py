@@ -170,6 +170,24 @@ def round_money(value: ExactLike) -> Fraction:
     return round_half_up(exact(value), MONEY_PLACES)
 
 
+def units_text(units: int, places: int, trim: bool = False) -> str:
+    """``units * 10**-places`` as text with *places* decimals: -1234 at 2
+    places is ``-12.34``. With *trim*, trailing zeros after the point go,
+    and then a bare point: ``-12.3``, ``12``.
+
+    The one routine that turns minor units into text; fixed_text and
+    exact_text both end in it.
+    """
+    try:
+        whole, frac = divmod(abs(units), 10**places)
+        text = f"{whole}.{str(frac).zfill(places)}" if places else str(whole)
+    except ValueError:
+        raise too_large_error() from None
+    if trim and places:
+        text = text.rstrip("0").rstrip(".")
+    return "-" + text if units < 0 else text
+
+
 def fixed_text(num: int, den: int, places: int) -> str:
     """``num/den`` with exactly *places* decimals, rounding half away from zero.
 
@@ -178,14 +196,7 @@ def fixed_text(num: int, den: int, places: int) -> str:
     without building a Fraction per value.
     """
     units = half_up_units(num, den, places)
-    sign = "-" if (num < 0 and units > 0) else ""
-    try:
-        if places == 0:
-            return f"{sign}{units}"
-        whole, frac = divmod(units, 10**places)
-        return f"{sign}{whole}.{str(frac).zfill(places)}"
-    except ValueError:
-        raise too_large_error() from None
+    return units_text(-units if num < 0 else units, places)
 
 
 def decimal_form(den: int) -> tuple[int, int]:
@@ -218,14 +229,9 @@ def exact_text(num: int, den: int, form: Optional[tuple[int, int]] = None) -> st
         if num % rest:
             common = math.gcd(num, den)
             return f"{num // common}/{den // common}"
-        quantum = 10**places
-        units = num * quantum // den
-        sign = "-" if units < 0 else ""
-        whole, frac = divmod(abs(units), quantum)
         # An unreduced den can ask for more places than the value needs;
         # those trailing zeros go, and with them the point of an integer.
-        digits = str(frac).zfill(places).rstrip("0")
-        return f"{sign}{whole}.{digits}" if digits else f"{sign}{whole}"
+        return units_text(num * 10**places // den, places, trim=True)
     except ValueError:
         # Unneeded places can exceed the digit limit where the value's own
         # do not: retry in lowest terms before giving up.

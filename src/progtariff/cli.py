@@ -175,8 +175,10 @@ def _emit(args, result, to_dict, render) -> int:
     """Print *result* as ``to_json(to_dict(result))`` under --json, else as
     ``render(result)``.
 
-    The JSON text goes to stdout in chunks as it is rendered. The whole
-    payload is built first, so an error writes nothing.
+    The JSON text goes to stdout in chunks as it is rendered. The payload
+    is built first, with every figure in it formatted or proven printable,
+    so an error writes nothing; its slot-charge lists are rendered only as
+    they are written.
     """
     if args.json:
         write_json(to_dict(result), sys.stdout)

@@ -29,9 +29,10 @@ import json
 import re
 from datetime import datetime, timezone
 from fractions import Fraction
-from itertools import starmap
+from itertools import repeat, starmap
+from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Iterator, Optional, TextIO, Union
+from typing import Callable, Iterable, Iterator, Optional, TextIO, Union
 
 from .amounts import (
     MONEY_PLACES,
@@ -45,6 +46,7 @@ from .amounts import (
     format_money,
     fraction_str,
     too_large_error,
+    units_text,
 )
 from .errors import BillingError, ScheduleError, TraceError
 from .grouping import AllocationResult
@@ -418,32 +420,93 @@ def demand_dict(report: BillingReport) -> dict:
     }
 
 
-def _slot_charge_texts(report: BillingReport) -> Iterator[Iterator[tuple[str, ...]]]:
-    """Each consumer's slot charges, in ``report.consumers`` order, as a
-    (display texts, lossless texts) pair.
+class _SlotTexts:
+    """One consumer's slot-charge texts, a list that write_json writes.
 
-    Rendered from the report's slot columns as they are: a slot charge
-    repeats often, so each distinct numerator of a denominator is
-    rendered once, and the denominator is factored once per column. A
-    charge whose lossless text is its display text, such as ``12.34``,
-    keeps one ``str`` for both.
+    ``render(index)`` renders the texts of the consumer at *index* anew
+    each time the list is iterated, so that no report's worth of texts
+    is held.
     """
-    texts: dict[int, dict[int, tuple[str, str]]] = {}
-    columns = []
+
+    __slots__ = ("render", "index", "slots")
+
+    def __init__(self, render: Callable[[int], Iterable[str]], index: int, slots: int):
+        self.render, self.index, self.slots = render, index, slots
+
+    def __len__(self) -> int:
+        return self.slots
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.render(self.index))
+
+
+class _MinorUnitRows:
+    """Renders a consumer's row of a report's minor-unit columns.
+
+    A row's display texts are formatted cell by cell. Its lossless texts
+    are its display texts with trailing zeros trimmed (``12.30`` is
+    ``12.3`` and ``12.00`` is ``12``, as ``units_text(..., trim=True)``
+    gives), and write_json writes them just after the display texts. So
+    the display texts of the last row rendered are kept, and trimmed,
+    not formatted again.
+    """
+
+    def __init__(self, columns: list[tuple[int, ...]]):
+        self.columns = columns
+        self.index, self.texts = -1, []
+
+    def display(self, index: int) -> list[str]:
+        if index != self.index:
+            row = map(itemgetter(index), self.columns)
+            self.index, self.texts = index, list(map(units_text, row, repeat(MONEY_PLACES)))
+        return self.texts
+
+    def lossless(self, index: int) -> Iterator[str]:
+        return map(str.rstrip, map(str.rstrip, self.display(index), repeat("0")), repeat("."))
+
+
+def _slot_charge_texts(report: BillingReport) -> tuple[Callable[[int], Iterable[str]], ...]:
+    """How to render the slot charges of the consumer at an index: as
+    display texts, and as lossless texts.
+
+    A report whose every slot column is over ``10**MONEY_PLACES``, as
+    every slotted-group report's is, holds minor units, and its texts are
+    formatted cell by cell as they are written (see _MinorUnitRows). Only
+    the largest numerator of each column is formatted here, which proves
+    that every other one prints. In any other report a charge repeats
+    often, so each distinct numerator of a denominator is rendered here,
+    once, and the denominator is factored once per column. A charge whose
+    lossless text is its display text, such as ``12.34``, keeps one
+    ``str`` for both. So every text that can fail to print fails here,
+    before any write.
+    """
+    columns = [column for _, column in report.slot_columns]
+    if all(den == 10**MONEY_PLACES for den, _ in report.slot_columns):
+        for column in columns:
+            units_text(max(column, key=abs, default=0), MONEY_PLACES)
+        rows = _MinorUnitRows(columns)
+        return rows.display, rows.lossless
+    texts: dict[int, tuple[dict[int, str], dict[int, str]]] = {}
+    fixed_memos, exact_memos = [], []
     for den, column in report.slot_columns:
-        memo = texts.setdefault(den, {})
+        fixed, lossless = texts.setdefault(den, ({}, {}))
         form = decimal_form(den)
-        for num in set(column).difference(memo):
-            fixed, lossless = fixed_text(num, den, MONEY_PLACES), exact_text(num, den, form)
-            memo[num] = (fixed, fixed if lossless == fixed else lossless)
-        columns.append(map(memo.__getitem__, column))
-    return (zip(*pairs) for pairs in zip(*columns))
+        for num in set(column).difference(fixed):
+            fixed[num] = text = fixed_text(num, den, MONEY_PLACES)
+            exact = exact_text(num, den, form)
+            lossless[num] = text if exact == text else exact
+        fixed_memos.append(fixed)
+        exact_memos.append(lossless)
+    return tuple(
+        lambda index, memos=memos: map(dict.__getitem__, memos, map(itemgetter(index), columns))
+        for memos in (fixed_memos, exact_memos)
+    )
 
 
 def report_to_dict(report: BillingReport) -> dict:
-    charges = None
-    if report.slot_columns is not None:
-        charges = _slot_charge_texts(report)
+    """The JSON payload of *report*, with every figure in it formatted, or
+    proven printable, before it returns. Each consumer's slot charges are
+    lists that are rendered only as write_json writes them."""
     consumers = []
     for consumer in report.consumers:
         entry: dict = {"id": consumer}
@@ -451,11 +514,13 @@ def report_to_dict(report: BillingReport) -> dict:
             "billed": format_money(report.billed_totals[consumer]),
             "exact": exact_str(report.consumer_totals[consumer]),
         }
-        if charges is not None:
-            fixed, lossless = next(charges)
-            entry["slot_charges"] = list(fixed)
-            entry["slot_charges_exact"] = list(lossless)
         consumers.append(entry)
+    if report.slot_columns is not None:
+        fixed, lossless = _slot_charge_texts(report)
+        slots = len(report.slot_columns)
+        for index, entry in enumerate(consumers):
+            entry["slot_charges"] = _SlotTexts(fixed, index, slots)
+            entry["slot_charges_exact"] = _SlotTexts(lossless, index, slots)
     out = {
         "scheme": report.scheme.value,
         "currency": report.currency,
@@ -585,14 +650,14 @@ def _write_json(value, indent: str, write: Callable[[str], object]) -> None:
             _write_json(value[key], inner, write)
             separator = ",\n" + inner
         write("\n" + indent + "}")
-    elif isinstance(value, (list, tuple)) and value:
+    elif isinstance(value, (list, tuple, _SlotTexts)) and value:
         inner = indent + "  "
         separator = ",\n" + inner
         write("[\n" + inner)
-        try:
+        if isinstance(value, _SlotTexts) or all(isinstance(item, str) for item in value):
             # Slot charges and loads are long lists of strings: one join.
             write(separator.join(map(_escape, value)))
-        except TypeError:
+        else:
             for index, item in enumerate(value):
                 if index:
                     write(separator)
@@ -620,10 +685,14 @@ def write_json(payload: dict, stream: TextIO) -> None:
     stream, such as stdout on a terminal, from flushing at every piece
     that holds a newline.
 
-    An int with more digits than Python converts to text raises the
-    display-limit error, after the chunks before it have been written.
-    The payloads built here refuse such an int while they are built
-    (see _number_fields), so none of them fails part way.
+    A list is written with one join when its items are strings, which a
+    report's slot-charge lists (_SlotTexts) always are; they are rendered
+    here, as they are written. An int with more digits than Python
+    converts to text raises the display-limit error, after the chunks
+    before it have been written. The payloads built here refuse such an
+    int while they are built (see _number_fields), and prove every slot
+    charge printable (see _slot_charge_texts), so none of them fails
+    part way.
     """
     chunk: list[str] = []
     size = 0
@@ -708,16 +777,14 @@ def render_report(report: BillingReport) -> str:
         f"{exact_str(grid.slot_hours)}h slots ({grid.slot_count} slots)"
     )
     width = max(map(len, ["consumer", "aggregate", *report.consumers]))
-    lines.append(f"{'consumer':<{width}}  {'billed':>12}")
-    for consumer in report.consumers:
-        lines.append(
-            f"{consumer:<{width}}  "
-            f"{format_money(report.billed_totals[consumer]):>12}"
-        )
-    lines.append(
-        f"{'aggregate':<{width}}  {format_money(report.aggregate_billed):>12} "
-        f"{report.currency}"
-    )
+    billed = [format_money(report.billed_totals[consumer]) for consumer in report.consumers]
+    aggregate = format_money(report.aggregate_billed)
+    # A figure wider than the column widens it, so every figure stays aligned.
+    figure = max(12, len(aggregate), *map(len, billed))
+    lines.append(f"{'consumer':<{width}}  {'billed':>{figure}}")
+    for consumer, text in zip(report.consumers, billed):
+        lines.append(f"{consumer:<{width}}  {text:>{figure}}")
+    lines.append(f"{'aggregate':<{width}}  {aggregate:>{figure}} {report.currency}")
     if report.zero_filled:
         lines.append(f"note: {report.zero_filled} consumer-slot cells had no readings")
     lines.append(_demand_line(report))
@@ -728,9 +795,11 @@ def render_comparison(comparison: SchemeComparison) -> str:
     header = ("consumer", ["monthly", "slotted-ind", "slotted-group", "premium", "saving"])
     rows = [header, *_comparison_rows(comparison)]
     width = max(len(label) for label, _ in rows)
+    # A figure wider than its column widens it, so every figure stays aligned.
+    columns = zip(*(texts for _, texts in rows))
+    widths = [max(least, *map(len, texts)) for least, texts in zip((12, 12, 13, 10, 10), columns)]
     lines = [
-        f"{label:<{width}}  " + "  ".join(map(str.rjust, texts, (12, 12, 13, 10, 10)))
-        for label, texts in rows
+        f"{label:<{width}}  " + "  ".join(map(str.rjust, texts, widths)) for label, texts in rows
     ]
     lines.append(f"currency: {comparison.monthly.currency}")
     lines.append(_demand_line(comparison.monthly))

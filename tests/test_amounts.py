@@ -1,8 +1,9 @@
 """The integer text routines and the energy reader against their oracles.
 
 ``fixed_text`` and ``exact_text`` render ``num/den`` straight from
-integers, with ``den`` shared and not reduced; the oracles render a
-reduced Fraction. Both must give the same text, or the same error, for
+integers, with ``den`` shared and not reduced, and ``units_text``
+renders the minor units both end in; the oracles render a reduced
+Fraction. Both must give the same text, or the same error, for
 every value. ``exact`` reads plain decimals from their digits; its
 oracle reads every string with ``Fraction(str)``. The examples are
 derandomized, so every run checks the same cases.
@@ -14,7 +15,14 @@ from fractions import Fraction
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from progtariff.amounts import exact, exact_str, exact_text, fixed_text, format_fixed
+from progtariff.amounts import (
+    exact,
+    exact_str,
+    exact_text,
+    fixed_text,
+    format_fixed,
+    units_text,
+)
 
 from oracles import desk_exact, desk_exact_str, desk_format_fixed
 
@@ -89,6 +97,32 @@ def test_integer_renderers_match_oracles_past_the_digit_limit(
             desk_format_fixed, value, digits
         )
         assert outcome(exact_text, n, d) == outcome(desk_exact_str, value)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(numerators | st.sampled_from([0, 5, -5, 1230, -1230, 1200, -1200, -1234]), places)
+@example(-1234, 2)
+def test_minor_unit_texts_match_fraction_oracles(units, digits):
+    # -1234 is -12.34, not the -13.66 that divmod(-1234, 100) would give.
+    value = Fraction(units, 10**digits)
+    assert units_text(units, digits) == desk_format_fixed(value, digits)
+    assert units_text(units, digits, trim=True) == desk_exact_str(value)
+
+
+def test_minor_unit_texts_examples_and_digit_limit():
+    assert [units_text(u, 2) for u in (-1234, -5, 0, 5, 1230, 1200)] == [
+        "-12.34", "-0.05", "0.00", "0.05", "12.30", "12.00"
+    ]
+    assert [units_text(u, 2, trim=True) for u in (-1234, -5, 0, 5, 1230, 1200)] == [
+        "-12.34", "-0.05", "0", "0.05", "12.3", "12"
+    ]
+    # The whole part is what must print: under 10**LIMIT it does.
+    limit_error = f"amount too large to display: more than {LIMIT} digits"
+    for units in (10 ** (LIMIT + 2) - 1, -(10 ** (LIMIT + 2) - 1)):
+        assert len(units_text(units, 2)) == LIMIT + 3 + (units < 0)
+    for units in (10 ** (LIMIT + 2), -(10 ** (LIMIT + 2))):
+        for trim in (False, True):
+            assert outcome(units_text, units, 2, trim) == ("error", limit_error)
 
 
 def test_display_limit_examples():

@@ -582,6 +582,29 @@ def test_text_tables_pad_to_a_consumer_id_wider_than_aggregate(capsys, tmp_path)
             assert _column_ends(line)[1 : 1 + len(figures)] == figures
 
 
+@pytest.mark.parametrize("argv", [["compare"], ["simulate", "--scheme", "slotted-individual"]])
+def test_text_tables_widen_a_column_to_its_widest_figure(capsys, tmp_path, argv):
+    # b's figures, such as 3547252530.00, are 13 characters, wider than the
+    # 12 of the monthly and billed columns; the columns after them keep
+    # their places, and every figure still ends in its header's column.
+    trace = tmp_path / "wide-figures.csv"
+    trace.write_text(
+        "consumer_id,interval_start,energy_kwh\n"
+        "a,2025-01-01T00:00:00Z,1\n"
+        "b,2025-01-01T00:00:00Z,5000000\n"
+    )
+    status, out, err = run(capsys, *argv, "--schedule", SCHEDULE, "--trace", str(trace))
+    assert (status, err) == (0, "")
+    lines = out.splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("consumer "))
+    header, *rows = lines[start : start + 4]
+    assert [row.split()[0] for row in rows] == ["a", "b", "aggregate"]
+    assert len(rows[1].split()[1]) == 13
+    figures = _column_ends(header)[1:]
+    for line in rows:
+        assert _column_ends(line)[1 : 1 + len(figures)] == figures
+
+
 @pytest.mark.parametrize(
     "command, to_dict",
     [("compare", "comparison_to_dict"), ("simulate", "report_to_dict")],

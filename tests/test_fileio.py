@@ -1,6 +1,8 @@
 import dataclasses
+import io
 import itertools
 import json
+import random
 import sys
 import tracemalloc
 from contextlib import closing
@@ -27,8 +29,17 @@ from progtariff import (
     slot_factor,
     slot_partition,
 )
-from progtariff.fileio import TRACE_HEADER, report_to_dict, to_json
-from progtariff.simulate import SlotGrid, SlotUsageMatrix, run_scheme
+from progtariff import cli
+from progtariff.amounts import MONEY_PLACES, exact, fixed_text
+from progtariff.fileio import (
+    JSON_CHUNK_CHARS,
+    TRACE_HEADER,
+    comparison_to_dict,
+    report_to_dict,
+    to_json,
+    write_json,
+)
+from progtariff.simulate import SlotGrid, SlotUsageMatrix, compare_schemes, run_scheme
 
 from conftest import FIXTURES
 from oracles import (
@@ -710,11 +721,16 @@ def _report_with_charges(kepco, numerators, denominators):
 
 
 # Few distinct numerators, so that charges repeat across consumers and
-# slots; denominators shared across slots, terminating or not.
+# slots; denominators shared across slots, terminating or not. A report
+# whose every column is over 100 holds minor units, which are rendered
+# cell by cell; the pool then covers negative units, zero, a sub-unit
+# charge (0.05) and trailing zeros (12.30 and 12.3, 12.00 and 12).
+minor_units = st.sampled_from([0, 5, -5, 1230, -1230, 1200, -1200, -1234])
 charge_pools = st.lists(
-    st.integers(-(10**12), 10**12) | st.integers(0, 10**5), min_size=1, max_size=4
+    st.integers(-(10**12), 10**12) | st.integers(0, 10**5) | minor_units, min_size=1, max_size=4
 )
 charge_denominators = st.sampled_from([60_000, 7, 100, 3 * 10**6, 1])
+slot_denominators = st.lists(charge_denominators, min_size=30, max_size=30) | st.just([100] * 30)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -722,19 +738,37 @@ charge_denominators = st.sampled_from([60_000, 7, 100, 3 * 10**6, 1])
 def test_slot_charge_texts_match_per_cell_oracles(kepco, data):
     slots = 30
     pool = data.draw(charge_pools)
-    dens = data.draw(st.lists(charge_denominators, min_size=slots, max_size=slots))
+    dens = data.draw(slot_denominators)
     numerators = {
         f"c{index}": data.draw(st.lists(st.sampled_from(pool), min_size=slots, max_size=slots))
         for index in range(data.draw(st.integers(1, 5)))
     }
-    payload = report_to_dict(_report_with_charges(kepco, numerators, dens))
+    payload = json.loads(to_json(report_to_dict(_report_with_charges(kepco, numerators, dens))))
     for entry in payload["consumers"]:
         values = [Fraction(n, d) for n, d in zip(numerators[entry["id"]], dens)]
         assert entry["slot_charges"] == [desk_format_fixed(v, 2) for v in values]
         assert entry["slot_charges_exact"] == [desk_exact_str(v) for v in values]
-        # A charge whose two texts are equal keeps one str for both.
-        for fixed, lossless in zip(entry["slot_charges"], entry["slot_charges_exact"]):
-            assert (fixed is lossless) == (fixed == lossless)
+
+
+def test_minor_unit_slot_charges_match_the_desk_oracles(kepco):
+    # The same units in a report of minor-unit columns only, rendered cell
+    # by cell, and in one with a p/q column too, rendered through the memo.
+    units = [-1234, -5, 0, 5, 1230, -1230, 1200, -1200, 10**20 + 1, -(10**20)]
+    numerators = {f"c{index}": [u] * 30 for index, u in enumerate(units)}
+    for dens in ([100] * 30, [100] * 29 + [7]):
+        report = _report_with_charges(kepco, numerators, dens)
+        payload = to_json(report_to_dict(report))
+        entries = json.loads(payload)["consumers"]
+        for entry in entries:
+            value = Fraction(numerators[entry["id"]][0], 100)
+            assert entry["slot_charges"][:29] == [desk_format_fixed(value, 2)] * 29
+            assert entry["slot_charges_exact"][:29] == [desk_exact_str(value)] * 29
+        assert '"-12.34"' in payload and '"-13.66"' not in payload
+        # Rows read in another order than write_json's give the same texts.
+        rows = report_to_dict(report)["consumers"][::-1]
+        assert [list(row["slot_charges_exact"]) for row in rows][::-1] == [
+            entry["slot_charges_exact"] for entry in entries
+        ]
 
 
 def test_slot_charge_past_display_limit_is_input_error(kepco):
@@ -743,3 +777,68 @@ def test_slot_charge_past_display_limit_is_input_error(kepco):
     report = _report_with_charges(kepco, numerators, [60_000] * 30)
     with pytest.raises(ValueError, match=r"^amount too large to display: more than \d+ digits$"):
         report_to_dict(report)
+
+
+@pytest.mark.parametrize("den", [7, 10**MONEY_PLACES])
+def test_a_late_unprintable_slot_charge_writes_nothing(kepco, monkeypatch, capsys, den):
+    # Over 7 the charges are p/q prices, rendered through the memo; over
+    # 100 they are minor units, rendered cell by cell as they are written.
+    # Over four chunks of text come before the last consumer's last
+    # charge, and that charge has more digits than Python prints: the
+    # payload refuses it before the first chunk is written.
+    numerators = {
+        f"c{index:03d}": [123_457 * index + slot for slot in range(30)] for index in range(300)
+    }
+    mark = 987_654_321
+    numerators["c299"][-1] = mark
+    text = to_json(report_to_dict(_report_with_charges(kepco, numerators, [den] * 30)))
+    assert text.index(json.dumps(fixed_text(mark, den, MONEY_PLACES))) > 4 * JSON_CHUNK_CHARS
+    numerators["c299"][-1] = 10 ** (sys.get_int_max_str_digits() + 5)
+    report = _report_with_charges(kepco, numerators, [den] * 30)
+    error = f"amount too large to display: more than {sys.get_int_max_str_digits()} digits"
+    stream = io.StringIO()
+    with pytest.raises(ValueError, match=f"^{error}$"):
+        write_json(report_to_dict(report), stream)
+    assert stream.getvalue() == ""
+    monkeypatch.setattr(cli, "run_scheme", lambda *args: report)
+    argv = ["simulate", "--schedule", str(FIXTURES / "kepco_residential.json")]
+    argv += ["--trace", str(FIXTURES / "three_consumer_slot_exact.csv"), "--json"]
+    assert cli.run_cli(argv) == 1
+    assert capsys.readouterr() == ("", f"error: {error}\n")
+
+
+def test_rendering_a_comparison_holds_no_list_of_slot_charges(kepco):
+    # A seeded comparison of 200 consumers x 120 six-hour slots, drawn as
+    # the benchmark's traces are: heavy-tailed usages of three decimals, a
+    # tenth of the cells empty. Rendering it to a stream adds about
+    # 1.4 MiB to the comparison it reads, most of it the memo of distinct
+    # slot prices; formatting every slot charge's texts before the first
+    # write added about 3.2 MiB.
+    rng = random.Random(3)
+    rows = {}
+    for index in range(200):
+        scale = rng.lognormvariate(0.0, 0.6)
+        rows[f"c{index:04d}"] = [
+            0 if rng.random() < 0.1 else exact(f"{scale * rng.lognormvariate(-0.2, 0.9):.3f}")
+            for _ in range(120)
+        ]
+    grid = SlotGrid(Fraction(6), 30, datetime(2025, 1, 1, tzinfo=timezone.utc))
+    comparison = compare_schemes(SlotUsageMatrix.from_rows(rows), kepco, grid)
+    del rows
+    payload = comparison_to_dict(comparison)
+    text = to_json(payload)
+    assert to_json(payload) == text  # its rows are rendered anew on each pass
+    assert len(json.loads(text)["schemes"]["slotted-group"]["consumers"]) == 200
+    del payload, text
+
+    class Null:
+        def write(self, text):
+            pass
+
+    tracemalloc.start()
+    try:
+        write_json(comparison_to_dict(comparison), Null())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20, f"peak {peak / 2**20:.2f} MiB"

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 import re
@@ -30,7 +31,7 @@ from progtariff import (
     slot_partition,
     what_if_shift,
 )
-from progtariff.fileio import report_to_dict
+from progtariff.fileio import report_to_dict, to_json
 from progtariff.grouping import quantize
 
 from conftest import FIXTURES, KEPCO_TIERS, make_schedule
@@ -1013,7 +1014,7 @@ def test_slot_charges_match_per_cell_recomputation():
                     assert denominator == 10**MONEY_PLACES
             slot_charges = _slot_charges(report)
             assert set(slot_charges) == set(consumers)
-            entries = report_to_dict(report)["consumers"]
+            entries = json.loads(to_json(report_to_dict(report)))["consumers"]
             for consumer, entry in zip(consumers, entries):
                 charges = slot_charges[consumer]
                 assert report.consumer_totals[consumer] == sum(charges, Fraction(0)), case
