@@ -60,6 +60,7 @@ from .simulate import (
     demand_metrics,
     run_scheme,
     slot_partition,
+    slot_partition_from_earliest,
     what_if_shift,
 )
 from .tariff import (
@@ -119,6 +120,7 @@ __all__ = [
     "schedule_to_dict",
     "slot_factor",
     "slot_partition",
+    "slot_partition_from_earliest",
     "tier_breakdown",
     "validate_schedule",
     "what_if_shift",

@@ -9,8 +9,6 @@ pricing invariant fails.
 from __future__ import annotations
 
 import argparse
-import os
-import stat
 import sys
 from contextlib import closing
 from functools import partial
@@ -42,6 +40,7 @@ from .simulate import (
     compare_schemes,
     run_scheme,
     slot_partition,
+    slot_partition_from_earliest,
     what_if_shift,
 )
 
@@ -77,8 +76,7 @@ def _add_grid_flags(parser):
     parser.add_argument(
         "--period-start",
         default=None,
-        help="RFC 3339 period start; default: midnight UTC of the earliest reading, "
-        "found by reading the trace twice, so a pipe needs this flag",
+        help="RFC 3339 period start; default: midnight UTC of the earliest reading",
     )
 
 
@@ -149,28 +147,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _grid(args, start) -> SlotGrid:
-    return SlotGrid(
-        slot_hours=exact(args.slot_hours),
-        period_days=args.period_days,
-        period_start=start,
-    )
-
-
-def _require_regular_file(path: str):
-    """Refuse a path that exists but is not a regular file, such as a
-    pipe, which a second read would find drained. A path that cannot be
-    read at all is left for the reader to report."""
-    try:
-        regular = stat.S_ISREG(os.stat(path).st_mode)
-    except OSError:
-        return
-    if not regular:
-        raise _CliError(
-            f"{path}: not a regular file, so it cannot be read twice; pass --period-start"
-        )
-
-
 def _emit(args, result, to_dict, render) -> int:
     """Print *result* as ``to_json(to_dict(result))`` under --json, else as
     ``render(result)``.
@@ -195,24 +171,20 @@ def _load(args) -> tuple:
     to the matrix once billing returns, and the report is rendered
     without it.
 
-    The trace is streamed into the partition, and no list of readings is
-    held. Without ``--period-start`` the period starts at midnight UTC of
-    the earliest reading, which a first pass finds, checking every row;
-    so the trace must be a regular file, which can be read twice.
+    The trace, a file or a pipe, is read once, straight into the
+    partition, and no list of readings is held. Without ``--period-start``
+    the partition finds the period start as it reads: midnight UTC of the
+    earliest reading.
     """
     schedule = parse_schedule_file(args.schedule)
-    if args.period_start is not None:
-        start = parse_rfc3339(args.period_start)
-    else:
-        _require_regular_file(args.trace)
-        with closing(iter_trace_csv(args.trace)) as readings:
-            earliest = min((stamp for _, stamp, _, _ in readings.fields), default=None)
-        if earliest is None:
-            raise _CliError("empty trace: pass --period-start explicitly")
-        start = earliest.replace(hour=0, minute=0, second=0, microsecond=0)
-    grid = _grid(args, start)
+    slot_hours = exact(args.slot_hours)
     with closing(iter_trace_csv(args.trace)) as readings:
-        return slot_partition(readings, grid), schedule, grid
+        if args.period_start is None:
+            matrix, grid = slot_partition_from_earliest(readings, slot_hours, args.period_days)
+        else:
+            grid = SlotGrid(slot_hours, args.period_days, parse_rfc3339(args.period_start))
+            matrix = slot_partition(readings, grid)
+    return matrix, schedule, grid
 
 
 def _cmd_validate(args) -> int:

@@ -368,8 +368,8 @@ def iter_trace_csv(path: PathLike) -> _TraceReadings:
 
     The result can be iterated once, for MeterReadings, or its
     ``fields`` read once, for the same readings as plain ``(consumer,
-    start, energy, end)`` tuples; ``slot_partition`` reads the latter and
-    builds no MeterReading, and the CLI reads nothing else. Its ``len()``
+    start, energy, end)`` tuples; both partitions in ``simulate`` read the
+    latter, so the CLI opens a trace, file or pipe, once. Its ``len()``
     counts the readings read so far. Close it, for example with
     ``contextlib.closing``, to close the file before the last row.
     """

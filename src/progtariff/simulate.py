@@ -84,7 +84,7 @@ class MeterReading:
     reading is a point delta assigned to the slot containing ``start``.
 
     The constructor checks every field, and it is the only way one is
-    built. The CLI builds none: ``slot_partition`` reads a trace stream's
+    built. The CLI builds none: the partition reads a trace stream's
     checked fields instead.
     """
 
@@ -414,28 +414,56 @@ def slot_partition(readings: Iterable[MeterReading], grid: SlotGrid) -> SlotUsag
     interval readings must not overlap each other. Cells that received
     no reading hold zero, and the matrix's ``flags`` tell them apart.
 
-    *readings* may be any iterable of MeterReadings, a stream included.
-    A stream from ``fileio.iter_trace_csv`` is read through its
-    ``fields``, the checked ``(consumer, start, energy, end)`` of each
-    reading, so no MeterReading is built, and that is what the CLI passes
-    on every path; from any other iterable the same four fields are read
-    off each reading. Either way one loop reads them once and keeps no
-    reading: each one is added straight into its consumer's per-slot
-    cell sums. Consumers get rows in the order they first appear and are
-    sorted by id at the end. A reading outside the period is refused as
-    it is read, and so is the first reading of a consumer whose row would
-    take the partition past MAX_CELLS cells (consumers times slots);
-    overlapping intervals are found once every reading is read.
+    *readings* may be any iterable of MeterReadings, a stream included,
+    and each is read once, into its consumer's cell sums, and not kept;
+    of a stream from ``fileio.iter_trace_csv`` only the checked
+    ``fields`` are read, so no MeterReading is built. A reading outside
+    the period is refused as it is read, and so is the first reading of
+    a consumer whose row would take the partition past MAX_CELLS cells
+    (consumers times slots); overlapping intervals are found at the end.
+    """
+    return _partition(readings, grid, True)[0]
 
-    Time is counted in integer microseconds from the period start, the
-    resolution of ``datetime``. A slot lasts ``num/den`` microseconds, so
-    a point reading at offset ``t`` lands in slot ``t * den // num``, and
-    interval offsets scaled by ``den`` meet slot edges ``k * num`` on
-    integers. A point reading, or each piece of an interval, is an
-    integer share of its cell, added by ``grouping.add_share`` over the
-    lcm of the cell's own denominators. Each slot's column is built from
-    its cells by ``grouping.quantize_cells``, with one lcm and one gcd
-    per column.
+
+def slot_partition_from_earliest(
+    readings: Iterable[MeterReading], slot_hours: ExactLike, period_days: int
+) -> tuple[SlotUsageMatrix, SlotGrid]:
+    """The matrix and grid of ``slot_partition`` when the period starts at
+    midnight UTC of the earliest reading, found in the same one pass.
+
+    The flags are checked before the first reading is read; row faults
+    and the cell cap as rows are read; then a period that ends past the
+    last datetime, the first reading outside the period in file order,
+    and overlapping intervals. An empty trace is refused.
+    """
+    return _partition(readings, SlotGrid(slot_hours, period_days, _FIRST_MIDNIGHT), False)
+
+
+# A period too long to end from the first datetime ends from no start.
+_FIRST_MIDNIGHT = datetime.min.replace(tzinfo=timezone.utc)
+_DAY = 86_400 * 10**6  # microseconds
+
+
+def _outside(consumer: str, start: datetime, stop: Optional[datetime], grid: SlotGrid):
+    """The fault of a reading outside *grid*'s period: its start, or else its end."""
+    inside = stop is not None and grid.period_start <= start < grid.period_end
+    where = f"ending {stop.isoformat()}" if inside else f"at {start.isoformat()}"
+    return SimulationError(f"reading for {consumer!r} {where} lies outside the billing period")
+
+
+def _partition(readings, grid: SlotGrid, known: bool) -> tuple[SlotUsageMatrix, SlotGrid]:
+    """The one loop of ``slot_partition`` and ``slot_partition_from_earliest``.
+
+    Time counts in integer microseconds, the resolution of ``datetime``.
+    A slot lasts ``num/den`` microseconds, so a point reading at offset
+    ``t`` lands in slot ``t * den // num``, and interval offsets scaled by
+    ``den`` meet slot edges ``k * num`` on integers. Shares are added by
+    ``grouping.add_share``, and columns built by ``grouping.quantize_cells``.
+
+    Without a *known* origin, time counts from the first datetime and slot
+    ``k`` lands in cell ``k % slot_count``; a reading past the period from
+    the earliest start so far is not added, so no interval spans more than
+    a period. At the end each row is turned to start at that start's day.
     """
     fields = getattr(readings, "fields", None)
     if fields is None:
@@ -450,6 +478,9 @@ def slot_partition(readings: Iterable[MeterReading], grid: SlotGrid) -> SlotUsag
     # consumer -> its interval spans; a span that starts where the last
     # one ended extends it, which keeps a contiguous run as one span
     intervals: dict[str, list[tuple[int, int]]] = {}
+    # day from the origin -> the first reading whose last instant is on it
+    days: dict[int, tuple] = {}
+    first = 0 if known else math.inf  # the earliest start's offset
 
     for consumer, start, energy, stop in fields:
         cells = rows.get(consumer)
@@ -464,21 +495,24 @@ def slot_partition(readings: Iterable[MeterReading], grid: SlotGrid) -> SlotUsag
         energy_num, energy_den = energy.as_integer_ratio()
         # The same integer as (start - origin) // _MICROSECOND, at less cost
         delta = start - origin
-        offset = (delta.days * 86400 + delta.seconds) * 10**6 + delta.microseconds
-        if offset < 0 or offset >= period:
-            raise SimulationError(
-                f"reading for {consumer!r} at {start.isoformat()} "
-                "lies outside the billing period"
-            )
-        slot = offset * den // num
+        offset = last = (delta.days * 86400 + delta.seconds) * 10**6 + delta.microseconds
         if stop is not None:
             delta = stop - origin
             end = (delta.days * 86400 + delta.seconds) * 10**6 + delta.microseconds
-            if end > period:
-                raise SimulationError(
-                    f"reading for {consumer!r} ending {stop.isoformat()} "
-                    "lies outside the billing period"
-                )
+            last = end - 1
+        if known:
+            if offset < 0 or last >= period:
+                raise _outside(consumer, start, stop, grid)
+        else:
+            if offset < first:
+                first = offset
+            day = last // _DAY
+            if day not in days:
+                days[day] = consumer, start, stop
+            if day >= first // _DAY + grid.period_days:
+                continue
+        slot = offset * den // num
+        if stop is not None:
             spans = intervals.setdefault(consumer, [])
             if spans and spans[-1][1] == offset:
                 spans[-1] = (spans[-1][0], end)
@@ -494,12 +528,21 @@ def slot_partition(readings: Iterable[MeterReading], grid: SlotGrid) -> SlotUsag
                     overlap = min(high, (slot + 1) * num) - max(low, slot * num)
                     common = math.gcd(overlap, span)
                     piece_num = energy_num * (overlap // common)
-                    add_share(nums, dens, slot, piece_num, energy_den * (span // common))
-                    flags[slot] = 1
+                    cell = slot % slot_count
+                    add_share(nums, dens, cell, piece_num, energy_den * (span // common))
+                    flags[cell] = 1
                 continue
+        slot %= slot_count
         add_share(nums, dens, slot, energy_num, energy_den)
         flags[slot] = 1
 
+    if not known:
+        if not days:
+            raise SimulationError("empty trace: pass --period-start explicitly")
+        grid = SlotGrid(grid.slot_hours, grid.period_days, origin + timedelta(days=first // _DAY))
+        for day, late in days.items():
+            if day >= first // _DAY + grid.period_days:
+                raise _outside(*late, grid)
     for consumer, spans in intervals.items():
         spans.sort()
         for (_, prev_end), (next_start, _) in zip(spans, spans[1:]):
@@ -515,8 +558,10 @@ def slot_partition(readings: Iterable[MeterReading], grid: SlotGrid) -> SlotUsag
         numerators = zip(*(nums for nums, _, _ in ordered))
         denominators = zip(*(dens for _, dens, _ in ordered))
         columns = tuple(map(quantize_cells, numerators, denominators))
-    flag_rows = tuple(bytes(flags) for _, _, flags in ordered)
-    return SlotUsageMatrix._checked(consumers, slot_count, columns, flag_rows)
+    turn = first // _DAY * grid.slots_per_day % slot_count
+    columns = columns[turn:] + columns[:turn]
+    flag_rows = tuple(bytes(flags[turn:] + flags[:turn]) for _, _, flags in ordered)
+    return SlotUsageMatrix._checked(consumers, slot_count, columns, flag_rows), grid
 
 
 def demand_metrics(matrix: SlotUsageMatrix) -> DemandMetrics:

@@ -1,13 +1,18 @@
+import errno
 import gc
 import json
 import os
 import random
+import subprocess
+import sys
 import tracemalloc
 import weakref
 from datetime import datetime, timedelta, timezone
+from pathlib import Path
 
 import pytest
 
+import progtariff
 from progtariff import fileio
 from progtariff.cli import run_cli
 
@@ -545,6 +550,59 @@ def test_period_fault_order_depends_on_the_period_start_flag(capsys, tmp_path):
     assert err == f"error: {trace}:5: not a decimal or p/q number: 'oops'\n"
 
 
+def test_default_period_start_near_the_last_datetime(capsys, tmp_path):
+    # The first row's midnight is no period start: a 30-day period from it
+    # would end past the last datetime, one from the earliest midnight not.
+    trace = tmp_path / "late.csv"
+    trace.write_text(
+        "consumer_id,interval_start,energy_kwh\n"
+        "a,9999-12-15T00:00:00Z,1\n"
+        "a,9999-12-01T00:00:00Z,2\n"
+    )
+    base = ["compare", "--schedule", SCHEDULE, "--trace", str(trace), "--json"]
+    status, out, err = run(capsys, *base, "--period-start", "9999-12-01T00:00:00Z")
+    assert (status, err) == (0, "")
+    assert run(capsys, *base) == (0, out, "")
+
+
+def test_an_interval_over_millennia_is_refused_without_splitting_it(tmp_path):
+    # On one-minute slots the interval would be split over 3.7e9 slots; it
+    # lies past the period from its own start, so it is refused unsplit.
+    # The CLI runs in a child process, which a split would keep past the
+    # timeout.
+    trace = tmp_path / "long.csv"
+    trace.write_text(
+        "consumer_id,interval_start,energy_kwh,interval_end\n"
+        "a,2025-01-01T00:00:00Z,1,9000-01-01T00:00:00Z\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-m", "progtariff", "compare", "--schedule", SCHEDULE,
+         "--trace", str(trace), "--slot-hours", "1/60"],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(Path(progtariff.__file__).parents[1])),
+    )
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr == (
+        "error: reading for 'a' ending 9000-01-01T00:00:00+00:00 lies outside the billing period\n"
+    )
+
+
+@pytest.mark.parametrize("name", ["two_consumer_month.csv", "three_consumer_intervals.csv"])
+def test_default_period_start_from_the_last_row(capsys, tmp_path, name):
+    # Reversed, each trace opens on a later day than its earliest reading
+    # (the month's is its last row), so its slots are counted from a later
+    # midnight and every row is turned at the end.
+    header, *rows = (FIXTURES / name).read_text().splitlines()
+    trace = tmp_path / name
+    trace.write_text("\n".join([header, *reversed(rows)]) + "\n")
+    for form in ([], ["--json"]):
+        base = ["compare", "--schedule", SCHEDULE, *form]
+        start = ["--period-start", "2025-01-01T00:00:00Z"]
+        status, out, err = run(capsys, *base, "--trace", str(FIXTURES / name), *start)
+        assert (status, err) == (0, "")
+        assert run(capsys, *base, "--trace", str(trace)) == (0, out, "")
+
+
 def _column_ends(line):
     """Where each blank-separated field of a table line ends."""
     ends, inside = [], False
@@ -612,6 +670,7 @@ def test_text_tables_widen_a_column_to_its_widest_figure(capsys, tmp_path, argv)
 def test_trace_commands_render_without_the_usage_matrix(capsys, monkeypatch, command, to_dict):
     # The report is rendered once billing is done; the matrix billing read
     # must be gone by then, so the peak of rendering does not include it.
+    # The partition with --period-start and the one without are both hooked.
     import progtariff.cli as cli
 
     matrices = []
@@ -621,13 +680,20 @@ def test_trace_commands_render_without_the_usage_matrix(capsys, monkeypatch, com
         matrices.append(weakref.ref(matrix))
         return matrix
 
+    def partition_from_earliest(*args):
+        matrix, grid = cli_from_earliest(*args)
+        matrices.append(weakref.ref(matrix))
+        return matrix, grid
+
     def render(result):
         gc.collect()
         assert [ref() for ref in matrices] == [None]
         return cli_to_dict(result)
 
     cli_partition, cli_to_dict = cli.slot_partition, getattr(cli, to_dict)
+    cli_from_earliest = cli.slot_partition_from_earliest
     monkeypatch.setattr(cli, "slot_partition", partition)
+    monkeypatch.setattr(cli, "slot_partition_from_earliest", partition_from_earliest)
     monkeypatch.setattr(cli, to_dict, render)
     for start in ([], ["--period-start", "2025-01-01T00:00:00Z"]):
         matrices.clear()
@@ -647,37 +713,24 @@ def _pipe_path(data: bytes) -> tuple[int, str]:
 
 
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
-def test_a_pipe_needs_period_start_and_streams_with_it(capsys):
+@pytest.mark.parametrize("start", [[], ["--period-start", "2025-01-01T00:00:00Z"]])
+def test_a_pipe_streams_with_and_without_period_start(capsys, start):
+    # A pipe can be read only once, and the trace is read once either way,
+    # as a stream: the pipe prints what the file it holds prints.
     data = (FIXTURES / "two_consumer_month.csv").read_bytes()
-    base = ["compare", "--schedule", SCHEDULE, "--json"]
-    start = ["--period-start", "2025-01-01T00:00:00Z"]
-    # Without the flag the trace is read twice, which a pipe cannot be, so
-    # it is refused before the first read.
-    read_end, path = _pipe_path(data)
-    try:
-        status, out, err = run(capsys, *base, "--trace", path)
-        assert (status, out) == (1, "")
-        assert err == (
-            f"error: {path}: not a regular file, so it cannot be read twice; "
-            "pass --period-start\n"
-        )
-        assert os.read(read_end, len(data) + 1) == data
-    finally:
-        os.close(read_end)
-    # With it the pipe is read once, as a stream.
-    status, from_file, err = run(capsys, *base, "--trace", MONTH_TRACE, *start)
+    base = ["compare", "--schedule", SCHEDULE, "--json", *start]
+    status, from_file, err = run(capsys, *base, "--trace", MONTH_TRACE)
     assert (status, err) == (0, "")
     read_end, path = _pipe_path(data)
     try:
-        assert run(capsys, *base, "--trace", path, *start) == (0, from_file, "")
+        assert run(capsys, *base, "--trace", path) == (0, from_file, "")
     finally:
         os.close(read_end)
 
 
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
-def test_a_regular_file_by_descriptor_is_read_twice(capsys):
-    # Like /dev/stdin redirected from a file: each open of the path starts
-    # at the top of the file, so the default period start still works.
+def test_a_regular_file_by_descriptor_reads_like_its_path(capsys):
+    # Like /dev/stdin redirected from a file.
     base = ["compare", "--schedule", SCHEDULE, "--trace"]
     status, from_file, err = run(capsys, *base, MONTH_TRACE)
     assert (status, err) == (0, "")
@@ -686,6 +739,29 @@ def test_a_regular_file_by_descriptor_is_read_twice(capsys):
         assert run(capsys, *base, f"/dev/fd/{descriptor}") == (0, from_file, "")
     finally:
         os.close(descriptor)
+
+
+def test_default_period_start_opens_the_trace_once(capsys, monkeypatch):
+    opened = []
+    path_open = Path.open
+
+    def counted_open(self, *args, **kwargs):
+        opened.append(str(self))
+        return path_open(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "open", counted_open)
+    status, out, err = run(capsys, "compare", "--schedule", SCHEDULE, "--trace", MONTH_TRACE)
+    assert (status, err) == (0, "")
+    assert opened.count(MONTH_TRACE) == 1
+
+
+@pytest.mark.parametrize("start", [[], ["--period-start", "2025-01-01T00:00:00Z"]])
+def test_a_directory_as_trace_keeps_its_reason(capsys, tmp_path, start):
+    status, out, err = run(
+        capsys, "compare", "--schedule", SCHEDULE, "--trace", str(tmp_path), *start
+    )
+    assert (status, out) == (1, "")
+    assert err == f"error: {tmp_path}: {os.strerror(errno.EISDIR)}\n"
 
 
 def test_missing_trace_keeps_its_reason_without_period_start(capsys, tmp_path):
@@ -697,9 +773,9 @@ def test_missing_trace_keeps_its_reason_without_period_start(capsys, tmp_path):
 
 def test_default_period_start_holds_no_list_of_readings(capsys, tmp_path):
     # 2 consumers x 120 six-hour slots x 100 point readings per cell: 24,000
-    # rows, 0.7 MB. Without --period-start the trace is streamed twice, so
-    # the peak stays near the flag's (about 0.4 MiB); holding every reading
-    # in a list takes about 3 MiB.
+    # rows, 0.7 MB. Without --period-start the trace is streamed into the
+    # partition as with it, so the peak stays near the flag's (about 0.4
+    # MiB); holding every reading in a list takes about 3 MiB.
     origin = datetime(2025, 1, 1, tzinfo=timezone.utc)
     rows = ["consumer_id,interval_start,energy_kwh"]
     for slot in range(120):

@@ -29,6 +29,7 @@ from progtariff import (
     scale_schedule,
     simulate,
     slot_partition,
+    slot_partition_from_earliest,
     what_if_shift,
 )
 from progtariff.fileio import report_to_dict, to_json
@@ -381,6 +382,53 @@ def test_partition_errors_match_fraction_seconds_oracle():
         engine, oracle = _partition_error(readings, grid)
         assert engine == oracle
         assert ("overlapping" in engine) == (kind == 3)
+
+
+def _midnight(stamp):
+    return stamp.replace(hour=0, minute=0, second=0, microsecond=0)
+
+
+def test_partition_from_earliest_matches_oracle_from_earliest_midnight():
+    # Without a period start the partition is the oracle's on the grid from
+    # midnight UTC of the earliest reading, or fails with its first fault.
+    # The cases' grids start off midnight, so their last hours often lie
+    # past that period; points before and after it and intervals ending
+    # past it are mixed in too.
+    rng = random.Random(20261019)
+    day_us = 86_400 * 10**6
+    outcomes = []
+    for _ in range(600):
+        grid, readings, period_us, stamp = _random_partition_case(rng)
+        for _ in range(rng.choice([0, 0, 1, 2])):
+            kind = rng.randrange(3)
+            if kind == 0:
+                extra = MeterReading("z", stamp(-rng.randint(1, 3 * day_us)), 1)
+            elif kind == 1:
+                extra = MeterReading("y", stamp(period_us + rng.randint(0, 3 * day_us)), 1)
+            else:
+                low = stamp(period_us - rng.randint(1, day_us))
+                extra = MeterReading("x", low, 1, end=stamp(period_us + rng.randint(1, day_us)))
+            readings.insert(rng.randint(0, len(readings)), extra)
+        if not readings:
+            with pytest.raises(SimulationError, match="empty trace"):
+                slot_partition_from_earliest(readings, grid.slot_hours, grid.period_days)
+            continue
+        midnight = _midnight(min(reading.start for reading in readings))
+        oracle_grid = SlotGrid(grid.slot_hours, grid.period_days, midnight)
+        try:
+            expected = desk_partition(readings, oracle_grid)
+        except ValueError as fault:
+            with pytest.raises(SimulationError) as engine:
+                slot_partition_from_earliest(readings, grid.slot_hours, grid.period_days)
+            assert str(engine.value) == str(fault)
+            outcomes.append("fault")
+            continue
+        matrix, found = slot_partition_from_earliest(readings, grid.slot_hours, grid.period_days)
+        assert found == oracle_grid
+        assert (matrix.consumers, matrix.usage, matrix.observed) == expected
+        # "later": the first reading lies on a later day than the earliest.
+        outcomes.append("later" if midnight < _midnight(readings[0].start) else "first")
+    assert min(outcomes.count(kind) for kind in ("fault", "later", "first")) >= 40
 
 
 @st.composite
