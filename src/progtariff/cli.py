@@ -95,13 +95,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     cmd = commands.add_parser("validate", help="check a schedule file and print a summary")
     cmd.add_argument("--schedule", required=True)
-    cmd.add_argument("--json", action="store_true")
     cmd.set_defaults(func=_cmd_validate)
 
     cmd = commands.add_parser("bill", help="price a single usage and show the tier breakdown")
     cmd.add_argument("--schedule", required=True)
     cmd.add_argument("--usage", required=True, help="energy in kWh (decimal or p/q)")
-    cmd.add_argument("--json", action="store_true")
     cmd.set_defaults(func=_cmd_bill)
 
     cmd = commands.add_parser("simulate", help="bill a trace under one scheme")
@@ -114,7 +112,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_grid_flags(cmd)
     _add_policy_flag(cmd)
-    cmd.add_argument("--json", action="store_true")
     cmd.set_defaults(func=_cmd_simulate)
 
     cmd = commands.add_parser("compare", help="bill a trace under all three schemes")
@@ -122,14 +119,12 @@ def build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("--trace", required=True)
     _add_grid_flags(cmd)
     _add_policy_flag(cmd)
-    cmd.add_argument("--json", action="store_true")
     cmd.set_defaults(func=_cmd_compare)
 
     cmd = commands.add_parser("allocate", help="split a group price over individual prices")
     cmd.add_argument("--group", required=True)
     cmd.add_argument("--individual", required=True, help="comma-separated prices")
     _add_policy_flag(cmd)
-    cmd.add_argument("--json", action="store_true")
     cmd.set_defaults(func=_cmd_allocate)
 
     cmd = commands.add_parser("shift", help="evaluate moving energy between two slots")
@@ -141,9 +136,10 @@ def build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("--amount", required=True, help="energy in kWh (decimal or p/q)")
     _add_grid_flags(cmd)
     _add_policy_flag(cmd)
-    cmd.add_argument("--json", action="store_true")
     cmd.set_defaults(func=_cmd_shift)
 
+    for cmd in commands.choices.values():
+        cmd.add_argument("--json", action="store_true")
     return parser
 
 

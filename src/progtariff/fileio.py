@@ -30,7 +30,7 @@ import re
 from datetime import datetime, timezone
 from fractions import Fraction
 from itertools import repeat, starmap
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional, TextIO, Union
 
@@ -507,20 +507,20 @@ def report_to_dict(report: BillingReport) -> dict:
     """The JSON payload of *report*, with every figure in it formatted, or
     proven printable, before it returns. Each consumer's slot charges are
     lists that are rendered only as write_json writes them."""
+    charges: dict = {}
+    if report.slot_columns is not None:
+        fixed, lossless = _slot_charge_texts(report)
+        charges = {"slot_charges": fixed, "slot_charges_exact": lossless}
+    slots = len(report.slot_columns or ())
     consumers = []
-    for consumer in report.consumers:
-        entry: dict = {"id": consumer}
+    for index, consumer in enumerate(report.consumers):
+        entry = {key: _SlotTexts(render, index, slots) for key, render in charges.items()}
+        entry["id"] = consumer
         entry["total"] = {
             "billed": format_money(report.billed_totals[consumer]),
             "exact": exact_str(report.consumer_totals[consumer]),
         }
         consumers.append(entry)
-    if report.slot_columns is not None:
-        fixed, lossless = _slot_charge_texts(report)
-        slots = len(report.slot_columns)
-        for index, entry in enumerate(consumers):
-            entry["slot_charges"] = _SlotTexts(fixed, index, slots)
-            entry["slot_charges_exact"] = _SlotTexts(lossless, index, slots)
     out = {
         "scheme": report.scheme.value,
         "currency": report.currency,
@@ -581,29 +581,29 @@ def comparison_to_dict(comparison: SchemeComparison) -> dict:
     }
 
 
+# The figures a shift changes: JSON key, text label, JSON form, and the
+# report's before, after and delta fields.
+_SHIFT_CHANGES = (
+    ("allocated", "allocated (group scheme)", format_money,
+     attrgetter("allocated_before", "allocated_after", "allocated_delta")),
+    ("slotted_individual", "slotted-individual", _money,
+     attrgetter("individual_before", "individual_after", "individual_delta")),
+    ("group_aggregate", "group aggregate", format_money,
+     attrgetter("group_billed_before", "group_billed_after", "group_billed_delta")),
+)
+
+
 def shift_to_dict(report: ShiftReport) -> dict:
-    return {
+    out = {
         "consumer": report.consumer,
         "from_slot": report.from_slot,
         "to_slot": report.to_slot,
         "amount_kwh": _energy(report.amount),
-        "allocated": {
-            "before": format_money(report.allocated_before),
-            "after": format_money(report.allocated_after),
-            "delta": format_money(report.allocated_delta),
-        },
-        "slotted_individual": {
-            "before": _money(report.individual_before),
-            "after": _money(report.individual_after),
-            "delta": _money(report.individual_delta),
-        },
-        "group_aggregate": {
-            "before": format_money(report.group_billed_before),
-            "after": format_money(report.group_billed_after),
-            "delta": format_money(report.group_billed_delta),
-        },
         "par": {"before": _par_dict(report.par_before), "after": _par_dict(report.par_after)},
     }
+    for key, _, form, figures in _SHIFT_CHANGES:
+        out[key] = dict(zip(("before", "after", "delta"), map(form, figures(report))))
+    return out
 
 
 def bill_to_dict(schedule: TariffSchedule, usage) -> dict:
@@ -767,6 +767,18 @@ def _demand_line(report: BillingReport) -> str:
     )
 
 
+def _table(rows: list[tuple[str, list[str]]], least: Iterable[int]) -> list[str]:
+    """Rows of a label and figure texts as aligned lines. Labels are
+    left-aligned; each figure column is right-aligned to its *least*
+    width, or to its widest figure, so that every figure stays aligned."""
+    width = max(len(label) for label, _ in rows)
+    columns = zip(*(texts for _, texts in rows))
+    widths = [max(low, *map(len, texts)) for low, texts in zip(least, columns)]
+    return [
+        f"{label:<{width}}  " + "  ".join(map(str.rjust, texts, widths)) for label, texts in rows
+    ]
+
+
 def render_report(report: BillingReport) -> str:
     lines = [f"scheme: {report.scheme.value}"]
     if report.policy is not None:
@@ -776,15 +788,10 @@ def render_report(report: BillingReport) -> str:
         f"period: {format_rfc3339(grid.period_start)} for {grid.period_days} days, "
         f"{exact_str(grid.slot_hours)}h slots ({grid.slot_count} slots)"
     )
-    width = max(map(len, ["consumer", "aggregate", *report.consumers]))
-    billed = [format_money(report.billed_totals[consumer]) for consumer in report.consumers]
-    aggregate = format_money(report.aggregate_billed)
-    # A figure wider than the column widens it, so every figure stays aligned.
-    figure = max(12, len(aggregate), *map(len, billed))
-    lines.append(f"{'consumer':<{width}}  {'billed':>{figure}}")
-    for consumer, text in zip(report.consumers, billed):
-        lines.append(f"{consumer:<{width}}  {text:>{figure}}")
-    lines.append(f"{'aggregate':<{width}}  {aggregate:>{figure}} {report.currency}")
+    billed = [(c, [format_money(report.billed_totals[c])]) for c in report.consumers]
+    aggregate = ("aggregate", [format_money(report.aggregate_billed)])
+    lines += _table([("consumer", ["billed"]), *billed, aggregate], (12,))
+    lines[-1] += f" {report.currency}"
     if report.zero_filled:
         lines.append(f"note: {report.zero_filled} consumer-slot cells had no readings")
     lines.append(_demand_line(report))
@@ -793,34 +800,19 @@ def render_report(report: BillingReport) -> str:
 
 def render_comparison(comparison: SchemeComparison) -> str:
     header = ("consumer", ["monthly", "slotted-ind", "slotted-group", "premium", "saving"])
-    rows = [header, *_comparison_rows(comparison)]
-    width = max(len(label) for label, _ in rows)
-    # A figure wider than its column widens it, so every figure stays aligned.
-    columns = zip(*(texts for _, texts in rows))
-    widths = [max(least, *map(len, texts)) for least, texts in zip((12, 12, 13, 10, 10), columns)]
-    lines = [
-        f"{label:<{width}}  " + "  ".join(map(str.rjust, texts, widths)) for label, texts in rows
-    ]
+    lines = _table([header, *_comparison_rows(comparison)], (12, 12, 13, 10, 10))
     lines.append(f"currency: {comparison.monthly.currency}")
     lines.append(_demand_line(comparison.monthly))
     return "\n".join(lines)
 
 
 def render_shift(report: ShiftReport) -> str:
-    return "\n".join(
-        [
-            f"shift: {report.consumer} moves {format_energy(report.amount)} kWh "
-            f"from slot {report.from_slot} to slot {report.to_slot}",
-            f"allocated (group scheme): {format_money(report.allocated_before)} -> "
-            f"{format_money(report.allocated_after)} "
-            f"(delta {format_money(report.allocated_delta)})",
-            f"slotted-individual: {format_money(report.individual_before)} -> "
-            f"{format_money(report.individual_after)} "
-            f"(delta {format_money(report.individual_delta)})",
-            f"group aggregate: {format_money(report.group_billed_before)} -> "
-            f"{format_money(report.group_billed_after)} "
-            f"(delta {format_money(report.group_billed_delta)})",
-            f"PAR: {_par_text(report.par_before)} -> {_par_text(report.par_after)}",
-        ]
-    )
-
+    lines = [
+        f"shift: {report.consumer} moves {format_energy(report.amount)} kWh "
+        f"from slot {report.from_slot} to slot {report.to_slot}"
+    ]
+    for _, label, _, figures in _SHIFT_CHANGES:
+        before, after, delta = map(format_money, figures(report))
+        lines.append(f"{label}: {before} -> {after} (delta {delta})")
+    lines.append(f"PAR: {_par_text(report.par_before)} -> {_par_text(report.par_after)}")
+    return "\n".join(lines)
