@@ -271,9 +271,12 @@ def _trace_error(path: Path, line: int, message: str, row: Optional[list] = None
     The rows in front are clean, so the byte lies in the row if it lies on
     or before *line*. The file is decoded again up to it, 64 KiB at a
     time, only for a row that holds a surrogate, or that the csv module
-    refused (*row* None).
+    refused (*row* None). A trace that is not a regular file, such as a
+    pipe, cannot be read again, so such a row is reported at its line.
     """
     if row is None or _SURROGATE.search("".join(row)):
+        if not path.is_file():
+            return TraceError(f"{path}:{line}: {message if row is None else 'not UTF-8 text'}")
         decoder = codecs.getincrementaldecoder("utf-8")()
         offset = ends = 0  # bytes decoded, and the line ends among them
         last = b""

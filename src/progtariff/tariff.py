@@ -200,7 +200,8 @@ def validate_schedule(raw: Mapping) -> TariffSchedule:
     parsed to exact rationals. A tier may carry ``upper_kwh_exact`` (a
     lossless p/q string) which takes precedence over ``upper_kwh``; the
     same goes for ``rate_exact``. ``"allow_rate_decrease": true`` accepts
-    a non-progressive schedule. Raises ScheduleError on any violation.
+    a non-progressive schedule; the field, if present, must be a bool.
+    Raises ScheduleError on any violation.
     """
     if not isinstance(raw, Mapping):
         raise ScheduleError(f"schedule description must be a mapping, got {type(raw).__name__}")
@@ -236,13 +237,16 @@ def validate_schedule(raw: Mapping) -> TariffSchedule:
         rate = item.get("rate_exact", item.get("rate"))
         try:
             tiers.append(TariffTier(None if upper is None else energy_amount(upper), exact(rate)))
-        except (ValueError, TypeError) as err:
+        except (ValueError, TypeError, ScheduleError) as err:
             raise ScheduleError(f"tier {index}: {err}") from err
+    allow_rate_decrease = raw.get("allow_rate_decrease", False)
+    if not isinstance(allow_rate_decrease, bool):
+        raise ScheduleError("allow_rate_decrease must be true or false")
     return TariffSchedule(
         tiers=tuple(tiers),
         currency=currency,
         base_hours=base_days * HOURS_PER_DAY,
-        allow_rate_decrease=bool(raw.get("allow_rate_decrease", False)),
+        allow_rate_decrease=allow_rate_decrease,
     )
 
 

@@ -12,6 +12,7 @@ derandomized, so every run checks the same cases.
 import sys
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -206,3 +207,10 @@ plain = st.builds(
 def test_exact_reads_strings_as_the_fraction_oracle(text):
     """The same value, or the same exception type and message."""
     assert read_outcome(exact, text) == read_outcome(desk_exact, text)
+
+
+def test_exact_refuses_a_bool_or_an_object():
+    with pytest.raises(TypeError, match="^bool is not a quantity$"):
+        exact(True)
+    with pytest.raises(TypeError, match="^cannot convert object to an exact number$"):
+        exact(object())

@@ -741,6 +741,63 @@ def test_a_regular_file_by_descriptor_reads_like_its_path(capsys):
         os.close(descriptor)
 
 
+BAD_BYTE_ROWS = {
+    "consumer id": (b"\xff,2025-01-01T00:00:00Z,1\n", 38),
+    "energy": (b"a,2025-01-01T00:00:00Z,1\xff\n", 62),
+}
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+@pytest.mark.parametrize("field", sorted(BAD_BYTE_ROWS))
+def test_a_bad_byte_in_a_pipe_is_reported_at_its_line(capsys, tmp_path, field):
+    # A regular file, by its path or by a descriptor (like /dev/stdin
+    # redirected from a file), is read again to find the byte's offset; a
+    # pipe cannot be, so the byte is reported at its line.
+    row, byte = BAD_BYTE_ROWS[field]
+    data = b"consumer_id,interval_start,energy_kwh\n" + row
+    trace = tmp_path / "bad.csv"
+    trace.write_bytes(data)
+    base = ["compare", "--schedule", SCHEDULE, "--trace"]
+    offset = f"not UTF-8 text (invalid start byte at byte {byte})"
+    assert run(capsys, *base, str(trace)) == (1, "", f"error: {trace}: {offset}\n")
+    descriptor = os.open(trace, os.O_RDONLY)
+    try:
+        path = f"/dev/fd/{descriptor}"
+        assert run(capsys, *base, path) == (1, "", f"error: {path}: {offset}\n")
+    finally:
+        os.close(descriptor)
+    read_end, path = _pipe_path(data)
+    try:
+        assert run(capsys, *base, path) == (1, "", f"error: {path}:2: not UTF-8 text\n")
+    finally:
+        os.close(read_end)
+
+
+def test_a_bad_byte_in_a_pipe_held_open_is_reported_at_once():
+    # The writer keeps the pipe open, as an interactive producer does, so
+    # reading the pipe again to find the byte would wait for it forever.
+    child = subprocess.Popen(
+        [sys.executable, "-m", "progtariff", "compare", "--schedule", SCHEDULE,
+         "--trace", "/dev/stdin"],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=str(Path(progtariff.__file__).parents[1])),
+    )
+    with child:
+        try:
+            row = BAD_BYTE_ROWS["energy"][0]
+            child.stdin.write(b"consumer_id,interval_start,energy_kwh\n" + row)
+            child.stdin.flush()
+            try:
+                status = child.wait(timeout=60)
+            except subprocess.TimeoutExpired:
+                child.kill()
+                pytest.fail("the CLI waited for a pipe whose writer stays open")
+        finally:
+            child.stdin.close()
+        output = (status, child.stdout.read(), child.stderr.read())
+    assert output == (1, b"", b"error: /dev/stdin:2: not UTF-8 text\n")
+
+
 def test_default_period_start_opens_the_trace_once(capsys, monkeypatch):
     opened = []
     path_open = Path.open
@@ -797,3 +854,42 @@ def test_default_period_start_holds_no_list_of_readings(capsys, tmp_path):
     assert (status, err) == (0, "")
     assert len(json.loads(out)["consumers"]) == 2
     assert peak < 2**20, f"peak {peak / 2**20:.2f} MiB"
+
+
+FALLING = '[{"upper_kwh": 100, "rate": 10}, {"upper_kwh": null, "rate": 5}]'
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        (
+            f'{{"tiers": {FALLING}, "allow_rate_decrease": "false"}}',
+            "allow_rate_decrease must be true or false",
+        ),
+        (
+            '{"tiers": [{"upper_kwh": 100, "rate": 1}, {"upper_kwh": 0, "rate": 2}, '
+            '{"upper_kwh": null, "rate": 3}]}',
+            "tier 2: tier upper bound must be > 0, got 0",
+        ),
+        (
+            '{"tiers": [{"upper_kwh": 100, "rate": 1}, {"upper_kwh": 200, "rate": -1}, '
+            '{"upper_kwh": null, "rate": 3}]}',
+            "tier 2: tier rate must be >= 0, got -1",
+        ),
+    ],
+)
+def test_validate_refuses_a_string_flag_and_names_a_bad_tier(capsys, tmp_path, text, error):
+    schedule = tmp_path / "schedule.json"
+    schedule.write_text(text)
+    assert run(capsys, "validate", "--schedule", str(schedule)) == (1, "", f"error: {error}\n")
+
+
+def test_a_period_start_keeps_its_microseconds(capsys, tmp_path):
+    trace = tmp_path / "one.csv"
+    trace.write_text("consumer_id,interval_start,energy_kwh\na,2025-01-01T06:00:00Z,1\n")
+    status, out, err = run(
+        capsys, "compare", "--schedule", SCHEDULE, "--trace", str(trace), "--json",
+        "--period-start", "2025-01-01T00:00:00.5Z",
+    )
+    assert (status, err) == (0, "")
+    assert json.loads(out)["grid"]["period_start"] == "2025-01-01T00:00:00.500000Z"

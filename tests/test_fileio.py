@@ -3,6 +3,7 @@ import io
 import itertools
 import json
 import random
+import re
 import sys
 import tracemalloc
 from contextlib import closing
@@ -207,6 +208,13 @@ def test_parse_trace_rejects_bad_header(tmp_path):
     f = tmp_path / "head.csv"
     f.write_text("consumer,when,kwh\na,2025-01-01T00:00:00Z,1\n")
     with pytest.raises(TraceError, match="bad header"):
+        parse_trace_csv(f)
+
+
+def test_parse_trace_rejects_an_empty_file(tmp_path):
+    f = tmp_path / "empty.csv"
+    f.write_bytes(b"")
+    with pytest.raises(TraceError, match=f"^{re.escape(str(f))}: missing header$"):
         parse_trace_csv(f)
 
 

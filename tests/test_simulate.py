@@ -104,6 +104,8 @@ def test_partition_single_point_reading(month_grid):
         MeterReading("a", naive, 1)
     with pytest.raises(ValueError, match="reading end must be timezone-aware"):
         MeterReading("a", stamp, 1, end=naive)
+    with pytest.raises(ValueError, match="^consumer id must be a non-empty string$"):
+        MeterReading("", stamp, 1)
 
 
 def test_partition_point_reading_lands_in_its_slot(month_grid):
@@ -252,6 +254,28 @@ def test_matrix_refuses_a_consumer_id_that_is_not_a_non_empty_string(consumer):
     message = f"consumer id must be a non-empty string, got {consumer!r}"
     with pytest.raises(SimulationError, match=f"^{re.escape(message)}$"):
         SlotUsageMatrix((consumer,), 1, ((Fraction(1),),))
+
+
+@pytest.mark.parametrize(
+    "consumers, slots, usage, message",
+    [
+        (("a",), 0, ((),), "matrix needs at least one slot"),
+        (("a",), True, ((1,),), "matrix needs at least one slot"),
+        (("b", "a"), 1, ((1,), (1,)), "consumer ids must be unique and sorted"),
+        (("a", "a"), 1, ((1,), (1,)), "consumer ids must be unique and sorted"),
+        (("a", "b"), 1, ((1,),), "one usage row per consumer required"),
+        (("a",), 2, ((1,),), "consumer 'a': expected 2 slots, got 1"),
+    ],
+)
+def test_matrix_refuses_a_bad_shape(consumers, slots, usage, message):
+    with pytest.raises(SimulationError, match=f"^{re.escape(message)}$"):
+        SlotUsageMatrix(consumers, slots, usage)
+
+
+def test_an_empty_matrix_needs_a_slot_count():
+    with pytest.raises(SimulationError, match="^empty matrix needs an explicit slot count$"):
+        SlotUsageMatrix.from_rows({})
+    assert SlotUsageMatrix.from_rows({}, slots=2).slots == 2
 
 
 def test_matrix_observed_cells_must_lie_in_the_matrix():

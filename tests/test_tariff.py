@@ -126,6 +126,61 @@ def test_validate_rejects_decreasing_rates_without_override():
     assert not schedule.is_progressive
 
 
+FALLING = [{"upper_kwh": 100, "rate": 10}, {"upper_kwh": None, "rate": 5}]
+
+
+@pytest.mark.parametrize("value", ["false", "no", 0, 1, None])
+def test_allow_rate_decrease_must_be_a_json_boolean(value):
+    # bool("false") is True: a string must not switch off the convexity checks.
+    with pytest.raises(ScheduleError, match="^allow_rate_decrease must be true or false$"):
+        validate_schedule({"tiers": FALLING, "allow_rate_decrease": value})
+
+
+def test_allow_rate_decrease_accepts_true_false_or_nothing():
+    assert not validate_schedule({"tiers": FALLING, "allow_rate_decrease": True}).is_progressive
+    progressive = [{"upper_kwh": 100, "rate": 5}, {"upper_kwh": None, "rate": 10}]
+    for extra in ({"allow_rate_decrease": False}, {}):
+        assert not validate_schedule({"tiers": progressive, **extra}).allow_rate_decrease
+        with pytest.raises(ScheduleError, match="decreases"):
+            validate_schedule({"tiers": FALLING, **extra})
+
+
+@pytest.mark.parametrize(
+    "tier, message",
+    [
+        ({"upper_kwh": 0, "rate": 2}, "tier 2: tier upper bound must be > 0, got 0"),
+        ({"upper_kwh": 200, "rate": -1}, "tier 2: tier rate must be >= 0, got -1"),
+    ],
+)
+def test_tier_refusals_name_their_tier(tier, message):
+    tiers = [{"upper_kwh": 100, "rate": 1}, tier, {"upper_kwh": None, "rate": 3}]
+    with pytest.raises(ScheduleError) as caught:
+        validate_schedule({"tiers": tiers})
+    assert str(caught.value) == message
+
+
+TIERS = [{"upper_kwh": None, "rate": 1}]
+
+
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        ([], "schedule description must be a mapping, got list"),
+        ({"tiers": TIERS, "colour": "red"}, "unknown schedule fields: ['colour']"),
+        ({"tiers": TIERS, "base_period_days": "x"}, "base_period_days: not a decimal"),
+        ({"tiers": "none"}, "schedule needs a 'tiers' list"),
+        ({"tiers": [5]}, "tier 1: expected a mapping"),
+        ({"tiers": [{"rate": 1, "note": ""}]}, "tier 1: unknown fields ['note']"),
+        ({"tiers": [{"upper_kwh": None}]}, "tier 1: missing rate"),
+        ({"tiers": TIERS, "currency": ""}, "currency must be a non-empty string"),
+    ],
+)
+def test_validate_refuses_a_malformed_description(raw, message):
+    with pytest.raises(ScheduleError) as caught:
+        validate_schedule(raw)
+    assert str(caught.value).startswith(message)
+
+
 def test_validate_rejects_float_bounds():
     with pytest.raises(ScheduleError, match="float"):
         validate_schedule(
