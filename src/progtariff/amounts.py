@@ -59,14 +59,6 @@ def too_large_error() -> ValueError:
     )
 
 
-def fraction_str(value: Fraction) -> str:
-    """``str(value)``, with a clear error for a value too large to print."""
-    try:
-        return str(value)
-    except ValueError:
-        raise too_large_error() from None
-
-
 def _check_exponent(exponent: int, value: str) -> None:
     if abs(exponent) > MAX_DECIMAL_EXPONENT:
         raise ValueError(

@@ -44,7 +44,6 @@ from .amounts import (
     format_energy,
     format_fixed,
     format_money,
-    fraction_str,
     too_large_error,
     units_text,
 )
@@ -614,7 +613,7 @@ def bill_to_dict(schedule: TariffSchedule, usage) -> dict:
         "currency": schedule.currency,
         "price": format_money(progressive_price(schedule, usage)),
         "breakdown": [
-            {"tier": number, "energy_kwh": fraction_str(span), "charge": format_money(charge)}
+            {"tier": number, "energy_kwh": exact_str(span), "charge": format_money(charge)}
             for number, span, charge in tier_breakdown(schedule, usage)
         ],
     }
