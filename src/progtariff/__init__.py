@@ -19,7 +19,6 @@ from .amounts import (
     format_energy,
     format_money,
     money_amount,
-    round_half_up,
     round_money,
 )
 from .errors import (
@@ -113,7 +112,6 @@ __all__ = [
     "parse_trace_csv",
     "progressive_price",
     "proportional_allocation",
-    "round_half_up",
     "round_money",
     "run_scheme",
     "scale_schedule",

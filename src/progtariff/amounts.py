@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import math
 import sys
-from decimal import Decimal
 from fractions import Fraction
 from typing import Optional, Union
 
-ExactLike = Union[int, str, Fraction, Decimal]
+ExactLike = Union[int, str, Fraction]
 
 MONEY_PLACES = 2
 ENERGY_PLACES = 4
@@ -59,18 +58,11 @@ def too_large_error() -> ValueError:
     )
 
 
-def _check_exponent(exponent: int, value: str) -> None:
-    if abs(exponent) > MAX_DECIMAL_EXPONENT:
-        raise ValueError(
-            f"decimal exponent beyond +/-{MAX_DECIMAL_EXPONENT}: {_echo(value)}"
-        )
-
-
 def exact(value: ExactLike) -> Fraction:
     """Convert *value* to an exact Fraction.
 
-    Accepts ints, Fractions, Decimals, and strings in decimal ("60.7")
-    or ratio ("5/3") form. Floats are refused outright: a binary float
+    Accepts ints, Fractions, and strings in decimal ("60.7") or ratio
+    ("5/3") form. Floats are refused outright: a binary float
     is already an approximation, and letting one in would poison every
     exact comparison downstream. A decimal exponent larger in magnitude
     than MAX_DECIMAL_EXPONENT is refused before any power of ten is
@@ -94,9 +86,11 @@ def exact(value: ExactLike) -> Fraction:
             try:
                 exponent = int(text[mark + 1 :])
             except ValueError:
-                pass  # not an exponent; Fraction rejects the text below
-            else:
-                _check_exponent(exponent, value)
+                exponent = 0  # not an exponent; Fraction rejects the text below
+            if abs(exponent) > MAX_DECIMAL_EXPONENT:
+                raise ValueError(
+                    f"decimal exponent beyond +/-{MAX_DECIMAL_EXPONENT}: {_echo(value)}"
+                )
         if "_" in text:
             raise ValueError(f"not a decimal or p/q number: {_echo(value)}")
         try:
@@ -109,15 +103,10 @@ def exact(value: ExactLike) -> Fraction:
         raise TypeError("bool is not a quantity")
     if isinstance(value, float):
         raise TypeError(
-            f"refusing float {value!r}: pass a str, int, Decimal or Fraction "
+            f"refusing float {value!r}: pass a str, int or Fraction "
             "so the value stays exact"
         )
     if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, Decimal):
-        exponent = value.as_tuple().exponent
-        if isinstance(exponent, int):  # "n", "N" or "F" for NaN and infinity
-            _check_exponent(exponent, str(value))
         return Fraction(value)
     raise TypeError(f"cannot convert {type(value).__name__} to an exact number")
 
@@ -151,15 +140,11 @@ def half_up_units(num: int, den: int, places: int) -> int:
     return (2 * abs(num) * 10**places + den) // (2 * den)
 
 
-def round_half_up(value: Fraction, places: int = MONEY_PLACES) -> Fraction:
-    """Round to *places* decimals, halves away from zero, still exact."""
-    units = half_up_units(value.numerator, value.denominator, places)
-    return Fraction(-units if value.numerator < 0 else units, 10**places)
-
-
 def round_money(value: ExactLike) -> Fraction:
     """Quantize a money value to minor units (half-up, exact result)."""
-    return round_half_up(exact(value), MONEY_PLACES)
+    value = exact(value)
+    units = half_up_units(value.numerator, value.denominator, MONEY_PLACES)
+    return Fraction(-units if value.numerator < 0 else units, 10**MONEY_PLACES)
 
 
 def units_text(units: int, places: int, trim: bool = False) -> str:

@@ -430,13 +430,10 @@ class _SlotTexts:
     is held.
     """
 
-    __slots__ = ("render", "index", "slots")
+    __slots__ = ("render", "index")
 
-    def __init__(self, render: Callable[[int], Iterable[str]], index: int, slots: int):
-        self.render, self.index, self.slots = render, index, slots
-
-    def __len__(self) -> int:
-        return self.slots
+    def __init__(self, render: Callable[[int], Iterable[str]], index: int):
+        self.render, self.index = render, index
 
     def __iter__(self) -> Iterator[str]:
         return iter(self.render(self.index))
@@ -513,10 +510,9 @@ def report_to_dict(report: BillingReport) -> dict:
     if report.slot_columns is not None:
         fixed, lossless = _slot_charge_texts(report)
         charges = {"slot_charges": fixed, "slot_charges_exact": lossless}
-    slots = len(report.slot_columns or ())
     consumers = []
     for index, consumer in enumerate(report.consumers):
-        entry = {key: _SlotTexts(render, index, slots) for key, render in charges.items()}
+        entry = {key: _SlotTexts(render, index) for key, render in charges.items()}
         entry["id"] = consumer
         entry["total"] = {
             "billed": format_money(report.billed_totals[consumer]),
@@ -552,11 +548,10 @@ def _comparison_rows(comparison: SchemeComparison) -> list[tuple[str, list[str]]
     """Each consumer's row, then the aggregate's, of billed money texts:
     monthly, slotted-individual, slotted-group, slot premium, group saving."""
     reports = (comparison.monthly, comparison.slotted_individual, comparison.slotted_group)
-    premium, saving = comparison.per_consumer_premium, comparison.per_consumer_saving
-    rows = [
-        (c, [*(report.billed_totals[c] for report in reports), premium[c], saving[c]])
-        for c in comparison.monthly.consumers
-    ]
+    rows = []
+    for c in comparison.monthly.consumers:
+        monthly, slotted, grouped = (report.billed_totals[c] for report in reports)
+        rows.append((c, [monthly, slotted, grouped, slotted - monthly, slotted - grouped]))
     totals = [report.aggregate_billed for report in reports]
     rows.append(("aggregate", [*totals, comparison.slot_premium, comparison.group_saving]))
     return [(label, list(map(format_money, values))) for label, values in rows]

@@ -72,10 +72,6 @@ class GroupPricingResult:
     saving: Fraction
     currency: str
 
-    @property
-    def individual_total(self) -> Fraction:
-        return sum(self.individual_prices.values(), Fraction(0))
-
 
 def add_share(nums: list[int], dens: list[int], index: int, num: int, den: int):
     """Add ``num / den`` to the cell ``nums[index] / dens[index]``.

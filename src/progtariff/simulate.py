@@ -165,9 +165,10 @@ class SlotUsageMatrix:
     units)``: cell ``(i, s)`` is ``units[i] / quantum`` kWh, and the
     quantum is the lcm of the column's cell denominators in lowest terms.
     ``flags``, if recorded, holds one row of bytes per consumer: 1 where a
-    reading reached the cell, 0 where it was zero-filled. ``usage`` and
-    ``observed`` are derived from these on first read. The constructor
-    checks every id and cell; ``_checked`` builds from checked columns.
+    reading reached the cell, 0 where it was zero-filled; a partition
+    records them, the constructor does not. ``usage`` and ``observed`` are
+    derived from these on first read. The constructor checks every id and
+    cell; ``_checked`` builds from checked columns.
     """
 
     consumers: tuple[str, ...]
@@ -180,7 +181,6 @@ class SlotUsageMatrix:
         consumers: Sequence[str],
         slots: int,
         usage: Sequence[Sequence[ExactLike]],
-        observed: Optional[Iterable[tuple[str, int]]] = None,
     ):
         if not isinstance(slots, int) or isinstance(slots, bool) or slots < 1:
             raise SimulationError("matrix needs at least one slot")
@@ -200,15 +200,7 @@ class SlotUsageMatrix:
                 )
             rows.append([energy_amount(cell) for cell in row])
         columns = tuple(map(quantize, zip(*rows))) if rows else ((1, ()),) * slots
-        flags = None
-        if observed is not None:
-            cells = frozenset(observed)
-            flags = tuple(bytes((c, s) in cells for s in range(slots)) for c in consumers)
-            if sum(row.count(1) for row in flags) != len(cells):
-                raise SimulationError(
-                    "every observed cell must be a (consumer, slot) of the matrix"
-                )
-        self.__dict__.update(consumers=consumers, slots=slots, columns=columns, flags=flags)
+        self.__dict__.update(consumers=consumers, slots=slots, columns=columns, flags=None)
 
     @classmethod
     def from_rows(
@@ -368,8 +360,6 @@ class SchemeComparison:
     monthly: BillingReport
     slotted_individual: BillingReport
     slotted_group: BillingReport
-    per_consumer_premium: dict[str, Fraction]
-    per_consumer_saving: dict[str, Fraction]
     slot_premium: Fraction
     group_saving: Fraction
 
@@ -734,20 +724,10 @@ def compare_schemes(
                 raise InternalCheckError(
                     f"consumer {consumer!r}: slotted total fell below the monthly total"
                 )
-    premium = {
-        c: slotted.billed_totals[c] - monthly.billed_totals[c]
-        for c in matrix.consumers
-    }
-    saving = {
-        c: slotted.billed_totals[c] - grouped.billed_totals[c]
-        for c in matrix.consumers
-    }
     return SchemeComparison(
         monthly=monthly,
         slotted_individual=slotted,
         slotted_group=grouped,
-        per_consumer_premium=premium,
-        per_consumer_saving=saving,
         slot_premium=slotted.aggregate_billed - monthly.aggregate_billed,
         group_saving=slotted.aggregate_billed - grouped.aggregate_billed,
     )

@@ -128,7 +128,7 @@ def test_group_price_matches_widened_schedule_oracle(rng):
         assert result.individual_prices == {
             consumer: progressive_price(schedule, usage) for consumer, usage in usages
         }
-        assert result.saving == result.individual_total - expected
+        assert result.saving == sum(result.individual_prices.values(), Fraction(0)) - expected
     assert falling > 100
 
 
@@ -284,7 +284,7 @@ def test_allocation_independent_total_within_half_unit_per_consumer(rng):
 def test_group_saving_three_consumer_slot(kepco_slot, slot_usages):
     result = group_saving(kepco_slot, slot_usages)
     assert result.group_price == Fraction(933, 2)
-    assert result.saving == result.individual_total - result.group_price
+    assert result.saving == sum(result.individual_prices.values(), Fraction(0)) - result.group_price
 
 
 def test_group_saving_zero_inside_first_tier(kepco_slot):
