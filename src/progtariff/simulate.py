@@ -411,6 +411,9 @@ def slot_partition(readings: Iterable[MeterReading], grid: SlotGrid) -> SlotUsag
     the period is refused as it is read, and so is the first reading of
     a consumer whose row would take the partition past MAX_CELLS cells
     (consumers times slots); overlapping intervals are found at the end.
+    Intervals that cross more slot edges than intervals without overlaps
+    can are no longer split, so a trace that will be refused for them
+    costs about one pass over its rows.
     """
     return _partition(readings, grid, True)[0]
 
@@ -468,9 +471,15 @@ def _partition(readings, grid: SlotGrid, known: bool) -> tuple[SlotUsageMatrix, 
     # consumer -> its interval spans; a span that starts where the last
     # one ended extends it, which keeps a contiguous run as one span
     intervals: dict[str, list[tuple[int, int]]] = {}
-    # day from the origin -> the first reading whose last instant is on it
-    days: dict[int, tuple] = {}
+    # (day from the origin, reading) of each reading whose last instant is
+    # on a later day than every earlier reading's, kept while the latest is
+    # inside the period from the earliest start so far. The first reading
+    # past the final period is among them, and there are at most
+    # period_days + 1 of them.
+    late: list[tuple[int, tuple]] = []
+    latest = -1  # the day of the last of them
     first = 0 if known else math.inf  # the earliest start's offset
+    crossed = 0  # the slot edges inside the intervals split so far
 
     for consumer, start, energy, stop in fields:
         cells = rows.get(consumer)
@@ -497,9 +506,11 @@ def _partition(readings, grid: SlotGrid, known: bool) -> tuple[SlotUsageMatrix, 
             if offset < first:
                 first = offset
             day = last // _DAY
-            if day not in days:
-                days[day] = consumer, start, stop
-            if day >= first // _DAY + grid.period_days:
+            beyond = first // _DAY + grid.period_days  # the first day past the period
+            if day > latest and latest < beyond:
+                latest = day
+                late.append((day, (consumer, start, stop)))
+            if day >= beyond:
                 continue
         slot = offset * den // num
         if stop is not None:
@@ -510,6 +521,13 @@ def _partition(readings, grid: SlotGrid, known: bool) -> tuple[SlotUsageMatrix, 
                 spans.append((offset, end))
             low, high = offset * den, end * den
             if high > (slot + 1) * num:
+                # Intervals that neither overlap nor leave the period cross
+                # each of a consumer's slot edges at most once. Past that
+                # bound the trace will be refused at the end, so the rest
+                # are only recorded as spans, not split.
+                crossed += (high - 1) // num - slot
+                if crossed > len(rows) * slot_count:
+                    continue
                 # One piece per slot overlapped, overlap/span of the energy
                 # in lowest terms. A reading inside one slot stays whole
                 # below, which keeps the cell's lcm small.
@@ -527,12 +545,12 @@ def _partition(readings, grid: SlotGrid, known: bool) -> tuple[SlotUsageMatrix, 
         flags[slot] = 1
 
     if not known:
-        if not days:
+        if not late:
             raise SimulationError("empty trace: pass --period-start explicitly")
         grid = SlotGrid(grid.slot_hours, grid.period_days, origin + timedelta(days=first // _DAY))
-        for day, late in days.items():
+        for day, reading in late:
             if day >= first // _DAY + grid.period_days:
-                raise _outside(*late, grid)
+                raise _outside(*reading, grid)
     for consumer, spans in intervals.items():
         spans.sort()
         for (_, prev_end), (next_start, _) in zip(spans, spans[1:]):

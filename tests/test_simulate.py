@@ -201,6 +201,26 @@ def test_partition_finds_overlaps_with_a_run_of_touching_intervals(month_grid):
         assert slot_partition(iter(readings), month_grid).usage[0][:1] == (3,)
 
 
+def test_overlapping_intervals_are_refused_without_splitting_them_all(monkeypatch):
+    # 100 whole-period intervals of one consumer on 720 one-hour slots.
+    # Intervals without overlaps cross each slot edge at most once, so
+    # after the first the trace is certain to be refused, and the rest are
+    # not split; splitting every one adds 72,000 shares.
+    shares = []
+    add_share = simulate.add_share
+    monkeypatch.setattr(simulate, "add_share", lambda *a: shares.append(a) or add_share(*a))
+    readings = [MeterReading("a", ts(), 1, end=ts() + timedelta(days=30))] * 100
+    grid = SlotGrid(Fraction(1), 30, ts())
+    for partition in (
+        lambda: slot_partition(iter(readings), grid),
+        lambda: slot_partition_from_earliest(iter(readings), 1, 30),
+    ):
+        shares.clear()
+        with pytest.raises(SimulationError, match="^overlapping interval readings for consumer 'a'$"):
+            partition()
+        assert len(shares) < 1440
+
+
 def test_partition_rejects_overlapping_intervals(month_grid):
     readings = [
         MeterReading("a", ts(hour=1), 1, end=ts(hour=4)),
