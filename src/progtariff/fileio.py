@@ -27,6 +27,7 @@ import csv
 import io
 import json
 import re
+import sys
 from datetime import datetime, timezone
 from fractions import Fraction
 from itertools import repeat, starmap
@@ -125,6 +126,10 @@ def parse_rfc3339(text: str) -> datetime:
         # OverflowError: the UTC time lies outside the datetime range.
         raise ValueError(f"not an RFC 3339 timestamp: {text!r}") from err
     if not tail:
+        # fromisoformat reads a stamp cut short after the minutes' colon,
+        # "...T00:00:", as a time with an offset.
+        if len(raw) < 19:
+            raise ValueError(f"not an RFC 3339 timestamp: {text!r}")
         raise ValueError(f"timestamp {text!r} has no UTC offset")
     return stamp
 
@@ -166,6 +171,13 @@ def parse_schedule_file(path: PathLike) -> TariffSchedule:
         raw = json.loads(text, parse_float=str)
     except json.JSONDecodeError as err:
         raise ScheduleError(f"{path}:{err.lineno}:{err.colno}: {err.msg}") from err
+    except ValueError as err:
+        # The one other ValueError: an integer literal longer than int() reads.
+        raise ScheduleError(
+            f"{path}: an integer has more than {sys.get_int_max_str_digits()} digits"
+        ) from err
+    except RecursionError as err:
+        raise ScheduleError(f"{path}: arrays or objects nested too deeply") from err
     return validate_schedule(raw)
 
 

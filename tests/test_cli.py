@@ -884,6 +884,69 @@ def test_validate_refuses_a_string_flag_and_names_a_bad_tier(capsys, tmp_path, t
     assert run(capsys, "validate", "--schedule", str(schedule)) == (1, "", f"error: {error}\n")
 
 
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("[" * 100_000, "arrays or objects nested too deeply"),
+        (
+            '{"base_period_days": ' + "1" * 5000 + ', "tiers": []}',
+            f"an integer has more than {sys.get_int_max_str_digits()} digits",
+        ),
+    ],
+    ids=["nested", "long-integer"],
+)
+def test_validate_refuses_a_schedule_python_cannot_parse(tmp_path, text, error):
+    # A child process, so that a traceback would show on its stderr.
+    schedule = tmp_path / "schedule.json"
+    schedule.write_text(text)
+    done = subprocess.run(
+        [sys.executable, "-m", "progtariff", "validate", "--schedule", str(schedule)],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(Path(progtariff.__file__).parents[1])),
+    )
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr == f"error: {schedule}: {error}\n"
+
+
+def test_a_stamp_cut_short_after_the_minutes_is_not_rfc_3339(capsys, tmp_path):
+    trace = tmp_path / "short.csv"
+    trace.write_text("consumer_id,interval_start,energy_kwh\na,2025-01-01T00:00:,1\n")
+    base = ["compare", "--schedule", SCHEDULE, "--trace"]
+    assert run(capsys, *base, str(trace)) == (
+        1, "", f"error: {trace}:2: not an RFC 3339 timestamp: '2025-01-01T00:00:'\n"
+    )
+    assert run(capsys, *base, SLOT_TRACE, "--period-start", "2025-01-01T00:00:") == (
+        1, "", "error: not an RFC 3339 timestamp: '2025-01-01T00:00:'\n"
+    )
+
+
+def test_a_refused_daily_trace_holds_no_entry_per_day(capsys, tmp_path):
+    # 40,000 daily point readings, 1 MB, from 2000-01-01. Without
+    # --period-start the reading on day 31 lies past the period, so the
+    # trace is refused. The partition keeps at most 31 of the readings
+    # for that check (peak about 0.1 MiB); keeping the first reading of
+    # every distinct day until the end takes about 6.5 MiB.
+    origin = datetime(2000, 1, 1)
+    trace = tmp_path / "daily.csv"
+    with trace.open("w") as handle:
+        handle.write("consumer_id,interval_start,energy_kwh\n")
+        for day in range(40_000):
+            handle.write(f"a,{(origin + timedelta(days=day)):%Y-%m-%d}T00:00:00Z,1\n")
+    argv = ["compare", "--schedule", SCHEDULE, "--trace", str(trace)]
+    tracemalloc.start()
+    try:
+        status = run_cli(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out, err = capsys.readouterr()
+    assert (status, out) == (1, "")
+    assert err == (
+        "error: reading for 'a' at 2000-01-31T00:00:00+00:00 lies outside the billing period\n"
+    )
+    assert peak < 2**20, f"peak {peak / 2**20:.2f} MiB"
+
+
 def test_a_period_start_keeps_its_microseconds(capsys, tmp_path):
     trace = tmp_path / "one.csv"
     trace.write_text("consumer_id,interval_start,energy_kwh\na,2025-01-01T06:00:00Z,1\n")

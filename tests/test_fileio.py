@@ -302,6 +302,8 @@ _NOT_RFC = "not an RFC 3339 timestamp"
         ("9999-12-31T23:30:00-01:00", _NOT_RFC),
         ("yesterday", _NOT_RFC),
         ("", _NOT_RFC),
+        ("2025-01-01T00:00:", _NOT_RFC),
+        ("2025-01-01T00:00:Z", _NOT_RFC),
         ("2025-01-01T00:00:00", "has no UTC offset"),
         ("2025-01-01T00:00:00.5", "has no UTC offset"),
     ],
