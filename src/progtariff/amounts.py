@@ -62,9 +62,9 @@ def exact(value: ExactLike) -> Fraction:
     """Convert *value* to an exact Fraction.
 
     Accepts ints, Fractions, and strings in decimal ("60.7") or ratio
-    ("5/3") form. Floats are refused outright: a binary float
-    is already an approximation, and letting one in would poison every
-    exact comparison downstream. A decimal exponent larger in magnitude
+    ("5/3") form. Floats are refused outright: a binary float is already
+    an approximation, and letting one in would poison every exact
+    comparison downstream. A decimal exponent larger in magnitude
     than MAX_DECIMAL_EXPONENT is refused before any power of ten is
     built. Underscores ("1_000") are refused, as Fraction's parser does on
     Python 3.10 but not from 3.11 on, so every version reads alike.
