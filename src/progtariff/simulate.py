@@ -655,14 +655,6 @@ class _Billing:
         shares, _ = allocate_units(group_num, group_den, numerators, policy)
         return (10**MONEY_PLACES, shares), Fraction(group_num, group_den)
 
-    def allocated(
-        self, policy: AllocationPolicy
-    ) -> tuple[tuple[Column, ...], tuple[Fraction, ...]]:
-        """Every slot's share column and collective price, from bill_slot."""
-        slots = enumerate(zip(self.matrix.columns, self.prices))
-        shares, prices = zip(*(self.bill_slot(slot, *pair, policy) for slot, pair in slots))
-        return shares, prices
-
     def report(
         self, scheme: SchemeKind, policy: AllocationPolicy = AllocationPolicy.EXACT_SUM
     ) -> BillingReport:
@@ -679,7 +671,9 @@ class _Billing:
                 columns = self.prices
             else:
                 used_policy = policy
-                columns, group_prices = self.allocated(policy)
+                slots = enumerate(zip(self.matrix.columns, self.prices))
+                bills = (self.bill_slot(slot, *pair, policy) for slot, pair in slots)
+                columns, group_prices = zip(*bills)
             sums = _row_sums(columns)
         totals = dict(zip(self.matrix.consumers, sums))
         billed = {consumer: round_money(total) for consumer, total in totals.items()}
@@ -763,36 +757,39 @@ def what_if_shift(
 ) -> ShiftReport:
     """Evaluate one hypothetical shift without touching the input matrix.
 
-    The input matrix is billed once. A shift changes only the columns of
-    its two slots, so only those columns of the shifted matrix are
-    priced and allocated again, and every billed "after" figure is the
-    "before" figure plus the change on them: allocated shares in integer
-    minor units, individual prices as exact rationals.
+    One pass over the slots bills both matrices. A shift changes only the
+    columns of its two slots and shares every other column, so a slot it
+    leaves alone is priced and allocated once and counts on both sides.
+    Allocated shares are summed in integer minor units, individual prices
+    as exact rationals.
     """
     moved = energy_amount(amount)
     shifted = matrix.with_shift(consumer, from_slot, to_slot, moved)
     policy = AllocationPolicy(policy)
     billing = _Billing(matrix, schedule, grid)
-    shares, _ = billing.allocated(policy)
+    table = billing.table
     index = matrix.consumers.index(consumer)
-
-    def solo(prices: Column) -> Fraction:
-        denominator, numerators = prices
-        return Fraction(numerators[index], denominator)
-
-    allocated_before = sum(units[index] for _, units in shares)
-    group_before = sum(sum(units) for _, units in shares)
-    (individual_before,) = _row_sums((den, (nums[index],)) for den, nums in billing.prices)
-    allocated_after, group_after = allocated_before, group_before
-    individual_after = individual_before
-    for slot in sorted({from_slot, to_slot}):
-        usage = shifted.columns[slot]
-        [prices] = billing.table.prices([usage])
-        (_, after), _ = billing.bill_slot(slot, usage, prices, policy)
-        _, before = shares[slot]
-        allocated_after += after[index] - before[index]
-        group_after += sum(after) - sum(before)
-        individual_after += solo(prices) - solo(billing.prices[slot])
+    # Before and after the shift (sides 0 and 1): the consumer's allocated
+    # share and the group's shares, in minor units, and the consumer's
+    # stand-alone price in each slot, as a one-cell column.
+    allocated, group, solo = [0, 0], [0, 0], ([], [])
+    columns = zip(matrix.columns, shifted.columns, table.prices(matrix.columns))
+    for slot, (usage, shifted_usage, prices) in enumerate(columns):
+        bills = [(usage, prices, (0, 1))]
+        if shifted_usage is not usage:
+            [shifted_prices] = table.prices([shifted_usage])
+            bills = [(usage, prices, (0,)), (shifted_usage, shifted_prices, (1,))]
+        for column, column_prices, sides in bills:
+            (_, shares), _ = billing.bill_slot(slot, column, column_prices, policy)
+            denominator, numerators = column_prices
+            share, total = shares[index], sum(shares)
+            for side in sides:
+                allocated[side] += share
+                group[side] += total
+                solo[side].append((denominator, (numerators[index],)))
+    (individual_before,), (individual_after,) = map(_row_sums, solo)
+    allocated_before, allocated_after = allocated
+    group_before, group_after = group
 
     minor = 10**MONEY_PLACES
     return ShiftReport(

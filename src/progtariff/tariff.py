@@ -23,7 +23,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .amounts import ExactLike, echo_value, energy_amount, exact, scale_value
 from .errors import ScheduleError
@@ -87,21 +87,20 @@ class TierTable:
             self.charges.append(self.charges[-1] + rate * (bound - lower))
             lower = bound
 
-    def prices(self, columns: Sequence[Column]) -> list[Column]:
-        """The price column of each usage column: cell ``units[i] / quantum``
-        kWh costs ``numerators[i] / (quantum * bound_scale * rate_scale)``.
-        Usages must be >= 0.
+    def prices(self, columns: Iterable[Column]) -> Iterator[Column]:
+        """Yield the price column of each usage column as it is priced:
+        cell ``units[i] / quantum`` kWh costs ``numerators[i] / (quantum *
+        bound_scale * rate_scale)``. Usages must be >= 0.
 
         Each distinct cell usage, a ``(quantum, unit)`` pair, is priced
-        once per call, and equal cells share one numerator ``int``. The
-        memo of prices lives for this call only.
+        once per pass, and equal cells share one numerator ``int``. The
+        memo of prices lives as long as the pass.
         """
         scale = self.bound_scale
         rates = self.rates
         # quantum -> its price denominator, tier edges, tier lows, tier
         # base charges and the numerators priced so far, by unit
         memos: dict[int, tuple[int, list[int], list[int], list[int], dict[int, int]]] = {}
-        priced = []
         for quantum, units in columns:
             found = memos.get(quantum)
             if found is None:
@@ -121,8 +120,7 @@ class TierTable:
                     tier = bisect_left(edges, level)
                     price = memo[unit] = bases[tier] + rates[tier] * (level - lows[tier])
                 numerators.append(price)
-            priced.append((denominator, numerators))
-        return priced
+            yield denominator, numerators
 
 
 @dataclass(frozen=True)

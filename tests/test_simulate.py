@@ -3,6 +3,7 @@ import json
 import math
 import random
 import re
+import tracemalloc
 from datetime import datetime, timedelta, timezone
 from fractions import Fraction
 
@@ -907,6 +908,30 @@ def test_shift_rejects_bad_arguments(kepco, month_grid, month_matrix):
         what_if_shift(month_matrix, kepco, month_grid, "c2", 2, 0, 1)
     with pytest.raises(SimulationError, match="unknown consumer"):
         what_if_shift(month_matrix, kepco, month_grid, "zz", 0, 1, 0)
+
+
+def test_shift_holds_one_slot_of_columns_beyond_the_matrix(kepco):
+    # The shift bills both matrices in one pass over the slots, so beside
+    # the two matrices it holds one slot's price and share columns and the
+    # price memo, not every slot's. Holding all 120 slots' columns took
+    # about 6 MiB here; one slot's takes under 1 MiB.
+    rng = random.Random(25)
+    rows = {
+        f"c{n:04d}": [Fraction(rng.randint(0, 5000), 1000) for _ in range(120)]
+        for n in range(1000)
+    }
+    rows["c0000"][0] = Fraction(3)
+    matrix = SlotUsageMatrix.from_rows(rows)
+    del rows
+    grid = SlotGrid(Fraction(6), 30, ts())
+    tracemalloc.start()
+    try:
+        report = what_if_shift(matrix, kepco, grid, "c0000", 0, 1, Fraction(2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.amount == 2
+    assert peak < 2 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
 
 def _shift_schedule(rng, days):

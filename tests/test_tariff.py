@@ -472,7 +472,7 @@ def test_prices_of_many_columns_match_the_oracles(name, columns):
     schedule = _PRICED_SCHEDULES[name]
     bounds = [tier.upper_bound for tier in schedule.tiers]
     rates = [tier.rate for tier in schedule.tiers]
-    priced = schedule.table.prices(columns)
+    priced = list(schedule.table.prices(columns))
     assert len(priced) == len(columns)
     # (quantum, unit) -> the numerator it was first priced at
     first = {}
