@@ -96,6 +96,9 @@ def exact(value: ExactLike) -> Fraction:
         try:
             return Fraction(text)
         except (ValueError, ZeroDivisionError) as err:
+            if "integer string conversion" in str(err):  # int()'s digit limit
+                limit = sys.get_int_max_str_digits()
+                raise ValueError(f"more than {limit} digits in {_echo(value)}") from err
             raise ValueError(f"not a decimal or p/q number: {_echo(value)}") from err
     if isinstance(value, Fraction):
         return value

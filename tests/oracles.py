@@ -344,8 +344,9 @@ def _desk_echo(text):
 def desk_exact(text):
     """A string read as an exact number by Fraction's own parser, every
     string alike: the exponent cap first, then underscores refused (as
-    Python 3.10's parser does), then ``Fraction(str)``. Raises ValueError
-    with the package's messages."""
+    Python 3.10's parser does), then ``Fraction(str)``, whose refusal of
+    an integer past ``sys.int_max_str_digits`` keeps its own message.
+    Raises ValueError with the package's messages."""
     stripped = text.strip()
     mark = max(stripped.rfind("e"), stripped.rfind("E"))
     if mark >= 0:
@@ -364,6 +365,10 @@ def desk_exact(text):
     try:
         return Fraction(stripped)
     except (ValueError, ZeroDivisionError) as err:
+        if str(err).startswith("Exceeds the limit"):
+            raise ValueError(
+                f"more than {sys.get_int_max_str_digits()} digits in {_desk_echo(text)}"
+            ) from err
         raise ValueError(f"not a decimal or p/q number: {_desk_echo(text)}") from err
 
 

@@ -209,6 +209,17 @@ def test_exact_reads_strings_as_the_fraction_oracle(text):
     assert read_outcome(exact, text) == read_outcome(desk_exact, text)
 
 
+@pytest.mark.parametrize(
+    "text", ["1" * 5000, "0." + "1" * 5000, "1/" + "1" * 5000], ids=["int", "decimal", "ratio"]
+)
+def test_exact_names_the_digit_limit(text):
+    with pytest.raises(ValueError) as caught:
+        exact(text)
+    assert str(caught.value) == (
+        f"more than {LIMIT} digits in {text[:40]!r}... ({len(text)} characters)"
+    )
+
+
 def test_exact_refuses_a_bool_or_an_object():
     with pytest.raises(TypeError, match="^bool is not a quantity$"):
         exact(True)

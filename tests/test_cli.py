@@ -250,6 +250,17 @@ def test_underscored_energy_in_trace_is_reported_with_line(capsys, tmp_path):
     assert err == f"error: {trace}:2: not a decimal or p/q number: '1_000'\n"
 
 
+def test_energy_with_too_many_digits_names_the_limit(capsys, tmp_path):
+    digits = "1" * 5000
+    trace = tmp_path / "long.csv"
+    trace.write_text(f"consumer_id,interval_start,energy_kwh\na,2025-01-01T00:00:00Z,{digits}\n")
+    status, out, err = run(capsys, "compare", "--schedule", SCHEDULE, "--trace", str(trace))
+    assert (status, out) == (1, "")
+    limit = sys.get_int_max_str_digits()
+    echo = f"{digits[:40]!r}... (5000 characters)"
+    assert err == f"error: {trace}:2: more than {limit} digits in {echo}\n"
+
+
 def test_value_too_large_to_display_is_input_error(capsys, tmp_path):
     # 1e4300 is accepted, but its price has more digits than Python
     # converts to text. A free schedule prices it at 0, so only the
