@@ -101,7 +101,7 @@ def quantize_cells(nums: Sequence[int], dens: Sequence[int]) -> Column:
     built here.
     """
     common = math.lcm(*set(dens))
-    units = [num * (common // den) for num, den in zip(nums, dens)]
+    units = [num if den == common else num * (common // den) for num, den in zip(nums, dens)]
     divisor = math.gcd(common, *units)
     if divisor > 1:
         return common // divisor, tuple(unit // divisor for unit in units)
