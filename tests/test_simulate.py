@@ -913,8 +913,8 @@ def test_shift_rejects_bad_arguments(kepco, month_grid, month_matrix):
 def test_shift_holds_one_slot_of_columns_beyond_the_matrix(kepco):
     # The shift bills both matrices in one pass over the slots, so beside
     # the two matrices it holds one slot's price and share columns and the
-    # price memo, not every slot's. Holding all 120 slots' columns took
-    # about 6 MiB here; one slot's takes under 1 MiB.
+    # price memo, not every slot's: every slot's columns would take about
+    # 6 MiB here, one slot's take under 1 MiB.
     rng = random.Random(25)
     rows = {
         f"c{n:04d}": [Fraction(rng.randint(0, 5000), 1000) for _ in range(120)]
