@@ -34,8 +34,8 @@ from .amounts import (
     ExactLike,
     echo_value,
     energy_amount,
+    exact,
     round_money,
-    scale_value,
 )
 from .errors import InternalCheckError, SimulationError
 from .grouping import (
@@ -119,10 +119,8 @@ class SlotGrid:
     period_start: datetime
 
     def __post_init__(self):
-        hours = scale_value(self.slot_hours)
-        # slot_factor re-checks the divides-24 rule and the day count.
-        slot_factor(hours, self.period_days)
-        object.__setattr__(self, "slot_hours", hours)
+        slot_factor(self.slot_hours, self.period_days)
+        object.__setattr__(self, "slot_hours", exact(self.slot_hours))
         object.__setattr__(
             self, "period_start", _require_utc(self.period_start, "period start")
         )

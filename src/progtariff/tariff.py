@@ -313,11 +313,13 @@ def slot_factor(slot_hours: ExactLike, days_per_period: int) -> Fraction:
     the factor is then slot_hours / (24 * days_per_period). With 6-hour
     slots and a 30-day period this is exactly 1/120.
     """
-    hours = scale_value(slot_hours)
+    hours = exact(slot_hours)
+    if hours.numerator <= 0:
+        raise ValueError(f"slot_hours must be > 0, got {echo_value(hours)}")
     if (Fraction(HOURS_PER_DAY) / hours).denominator != 1:
         raise ValueError(f"slot_hours must divide 24 evenly, got {echo_value(hours)}")
     if isinstance(days_per_period, bool) or not isinstance(days_per_period, int):
-        raise TypeError("days_per_period must be an integer")
+        raise TypeError("period_days must be an integer")
     if days_per_period < 1:
-        raise ValueError(f"days_per_period must be >= 1, got {days_per_period}")
+        raise ValueError(f"period_days must be >= 1, got {days_per_period}")
     return hours / (HOURS_PER_DAY * days_per_period)

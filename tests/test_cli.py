@@ -349,6 +349,17 @@ def test_grid_past_datetime_range_or_slot_cap_is_input_error(capsys):
         assert err.startswith("error: ") and reason in err, flags
 
 
+def test_grid_refusals_name_their_flags(capsys):
+    base = ["compare", "--schedule", SCHEDULE, "--trace", SLOT_TRACE]
+    cases = [
+        (["--slot-hours", "0"], "error: slot_hours must be > 0, got 0\n"),
+        (["--slot-hours", "-1"], "error: slot_hours must be > 0, got -1\n"),
+        (["--period-days", "0"], "error: period_days must be >= 1, got 0\n"),
+    ]
+    for flags, message in cases:
+        assert run(capsys, *base, *flags) == (1, "", message), flags
+
+
 def test_grid_past_cell_cap_is_input_error(capsys):
     # 3 consumers on 1/463 h slots: 333,360 slots, under the slot cap, but
     # 1,000,080 cells, over the cell cap. Refused at the third consumer.
@@ -370,7 +381,7 @@ def test_huge_rejected_value_keeps_its_reason(capsys, tmp_path):
         (["bill", "--schedule", SCHEDULE, "--usage=-1e4300"], f"energy must be >= 0, got -{huge}"),
         (
             ["compare", "--schedule", SCHEDULE, "--trace", SLOT_TRACE, "--slot-hours=-1e4300"],
-            f"scale factor must be > 0, got -{huge}",
+            f"slot_hours must be > 0, got -{huge}",
         ),
         (["allocate", "--group=-1e4300", "--individual", "1,2"], f"money must be >= 0, got -{huge}"),
         (

@@ -78,6 +78,12 @@ def test_grid_admits_one_minute_slots_for_a_leap_year():
     assert SlotGrid(Fraction(24, MAX_SLOTS), 1, ts()).slot_count == MAX_SLOTS
 
 
+def test_grid_refuses_a_zero_slot_length_by_its_name():
+    with pytest.raises(ValueError) as caught:
+        SlotGrid(0, 30, ts())
+    assert str(caught.value) == "slot_hours must be > 0, got 0"
+
+
 def test_grid_refuses_a_period_past_the_last_datetime():
     last = datetime(9999, 12, 1, tzinfo=UTC)
     assert SlotGrid(Fraction(6), 30, last).period_end == datetime(9999, 12, 31, tzinfo=UTC)
