@@ -570,8 +570,14 @@ def _comparison_rows(comparison: SchemeComparison) -> list[tuple[str, list[str]]
 
 
 def comparison_to_dict(comparison: SchemeComparison) -> dict:
+    """The JSON payload of *comparison*. The three schemes share one grid
+    and one demand, so those are written once, at the top level."""
     keys = ("monthly", "slotted_individual", "slotted_group", "slot_premium", "group_saving")
     *rows, (_, aggregate) = _comparison_rows(comparison)
+    schemes = {}
+    for report in (comparison.monthly, comparison.slotted_individual, comparison.slotted_group):
+        schemes[report.scheme.value] = scheme = report_to_dict(report)
+        del scheme["grid"], scheme["demand"]
     return {
         "currency": comparison.monthly.currency,
         "grid": _grid_dict(comparison.monthly.grid),
@@ -579,14 +585,7 @@ def comparison_to_dict(comparison: SchemeComparison) -> dict:
         "aggregate": dict(zip(keys, aggregate)),
         "allocation_policy": comparison.slotted_group.policy.value,
         "demand": demand_dict(comparison.monthly),
-        "schemes": {
-            report.scheme.value: report_to_dict(report)
-            for report in (
-                comparison.monthly,
-                comparison.slotted_individual,
-                comparison.slotted_group,
-            )
-        },
+        "schemes": schemes,
     }
 
 

@@ -127,6 +127,20 @@ def test_compare_json_deterministic(capsys):
     assert payload["aggregate"]["slotted_individual"] == "518.16"
 
 
+def test_compare_json_writes_the_shared_grid_and_demand_once(capsys):
+    base = ("--schedule", SCHEDULE, "--trace", SLOT_TRACE, "--json")
+    status, out, _ = run(capsys, "compare", *base)
+    assert status == 0
+    comparison = json.loads(out)
+    for name, scheme in comparison["schemes"].items():
+        assert "grid" not in scheme and "demand" not in scheme, name
+    status, out, _ = run(capsys, "simulate", *base)
+    assert status == 0
+    report = json.loads(out)
+    assert comparison["grid"] == report["grid"]
+    assert comparison["demand"] == report["demand"]
+
+
 def test_simulate_monthly_single_consumer(capsys, tmp_path):
     trace = tmp_path / "one.csv"
     trace.write_text(
