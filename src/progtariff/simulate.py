@@ -25,7 +25,6 @@ from datetime import datetime, timedelta, timezone
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from itertools import repeat
 from operator import attrgetter
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -164,9 +163,9 @@ class SlotUsageMatrix:
     quantum is the lcm of the column's cell denominators in lowest terms.
     ``flags``, if recorded, holds one row of bytes per consumer: 1 where a
     reading reached the cell, 0 where it was zero-filled; a partition
-    records them, the constructor does not. ``usage`` and ``observed`` are
-    derived from these on first read. The constructor checks every id and
-    cell; ``_checked`` builds from checked columns.
+    records them, the constructor does not. ``observed`` is derived from
+    them on first read. The constructor checks every id and cell;
+    ``_checked`` builds from checked columns.
     """
 
     consumers: tuple[str, ...]
@@ -222,12 +221,6 @@ class SlotUsageMatrix:
         matrix = object.__new__(cls)
         matrix.__dict__.update(consumers=consumers, slots=slots, columns=columns, flags=flags)
         return matrix
-
-    @cached_property
-    def usage(self) -> tuple[tuple[Fraction, ...], ...]:
-        """Every consumer's cells as Fractions, one row per consumer."""
-        columns = (map(Fraction, units, repeat(quantum)) for quantum, units in self.columns)
-        return tuple(zip(*columns))
 
     @cached_property
     def observed(self) -> Optional[frozenset[tuple[str, int]]]:

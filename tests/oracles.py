@@ -232,12 +232,19 @@ def desk_partition(readings, grid):
     return tuple(consumers), usage, observed
 
 
+def usage_rows(matrix):
+    """Every consumer's cells of a SlotUsageMatrix as Fractions, one tuple
+    per consumer, read from its integer columns."""
+    columns = [[Fraction(units, quantum) for units in cells] for quantum, cells in matrix.columns]
+    return tuple(zip(*columns))
+
+
 def desk_demand(matrix):
     """Slot loads, peak, mean and peak-to-average ratio of a usage matrix,
     each load a Fraction sum of its slot's cells. The ratio is None when
     the matrix holds no load."""
     loads = tuple(
-        sum((row[slot] for row in matrix.usage), Fraction(0))
+        sum((row[slot] for row in usage_rows(matrix)), Fraction(0))
         for slot in range(matrix.slots)
     )
     peak = max(loads)

@@ -49,6 +49,7 @@ from oracles import (
     desk_parse_trace_csv,
     desk_partition,
     desk_read_trace,
+    usage_rows,
 )
 
 
@@ -466,7 +467,7 @@ def test_streamed_and_listed_traces_partition_alike(tmp_path_factory, rng):
         expected = "error", str(err)
     kind, found = listed
     if kind == "readings":
-        found = (found.consumers, found.usage, found.observed)
+        found = (found.consumers, usage_rows(found), found.observed)
     assert (kind, found) == expected
 
 

@@ -42,6 +42,7 @@ from oracles import (
     desk_partition,
     desk_schemes,
     desk_shift,
+    usage_rows,
     widened_group_price,
 )
 
@@ -95,8 +96,8 @@ def test_partition_single_point_reading(month_grid):
     matrix = slot_partition(
         [MeterReading("a", ts(), Fraction(5, 6))], month_grid
     )
-    assert matrix.usage[0][0] == Fraction(5, 6)
-    assert sum(map(sum, matrix.usage), Fraction(0)) == Fraction(5, 6)
+    assert usage_rows(matrix)[0][0] == Fraction(5, 6)
+    assert sum(map(sum, usage_rows(matrix)), Fraction(0)) == Fraction(5, 6)
     assert matrix.observed == {("a", 0)}
     # A UTC stamp is kept as it is, an offset stamp is converted to UTC,
     # and a naive stamp is refused.
@@ -117,15 +118,15 @@ def test_partition_single_point_reading(month_grid):
 
 def test_partition_point_reading_lands_in_its_slot(month_grid):
     matrix = slot_partition([MeterReading("a", ts(day=2, hour=6), 2)], month_grid)
-    assert matrix.usage[0][5] == 2  # day 2, second slot of the day
+    assert usage_rows(matrix)[0][5] == 2  # day 2, second slot of the day
 
 
 def test_partition_month_trace_repeats_daily_pattern(month_grid, month_matrix):
     readings = parse_trace_csv(FIXTURES / "two_consumer_month.csv")
     matrix = slot_partition(readings, month_grid)
     assert matrix.consumers == ("c1", "c2")
-    assert matrix.usage == month_matrix.usage
-    assert sum(map(sum, matrix.usage), Fraction(0)) == 30 * Fraction(18, 5)
+    assert usage_rows(matrix) == usage_rows(month_matrix)
+    assert sum(map(sum, usage_rows(matrix)), Fraction(0)) == 30 * Fraction(18, 5)
     assert len(matrix.observed) == 120
 
 
@@ -134,16 +135,16 @@ def test_partition_splits_interval_reading_by_overlap(month_grid):
     # evenly, so the energy splits in half.
     reading = MeterReading("a", ts(hour=9), Fraction(9, 10), end=ts(hour=15))
     matrix = slot_partition([reading], month_grid)
-    assert matrix.usage[0][1] == Fraction(9, 20)
-    assert matrix.usage[0][2] == Fraction(9, 20)
+    assert usage_rows(matrix)[0][1] == Fraction(9, 20)
+    assert usage_rows(matrix)[0][2] == Fraction(9, 20)
 
 
 def test_partition_uneven_interval_split(month_grid):
     # 05:00 to 08:00: one third before the slot boundary, two thirds after.
     reading = MeterReading("a", ts(hour=5), Fraction(3, 2), end=ts(hour=8))
     matrix = slot_partition([reading], month_grid)
-    assert matrix.usage[0][0] == Fraction(1, 2)
-    assert matrix.usage[0][1] == Fraction(1)
+    assert usage_rows(matrix)[0][0] == Fraction(1, 2)
+    assert usage_rows(matrix)[0][1] == Fraction(1)
 
 
 def test_partition_rejects_reading_before_period(month_grid):
@@ -166,7 +167,7 @@ def test_partition_rejects_reading_past_period_end(month_grid):
 def test_partition_cell_cap_counts_consumers_times_slots(month_grid, monkeypatch):
     monkeypatch.setattr(simulate, "MAX_CELLS", 2 * month_grid.slot_count)
     readings = [MeterReading("a", ts(), 1), MeterReading("b", ts(day=2), 1)]
-    assert sum(map(sum, slot_partition(readings, month_grid).usage), Fraction(0)) == 2
+    assert sum(map(sum, usage_rows(slot_partition(readings, month_grid))), Fraction(0)) == 2
     readings.append(MeterReading("c", ts(day=3), 1))
     with pytest.raises(SimulationError, match="^3 consumers on 120 slots would need more than 240 cells$"):
         slot_partition(readings, month_grid)
@@ -205,7 +206,7 @@ def test_partition_finds_overlaps_with_a_run_of_touching_intervals(month_grid):
             slot_partition(iter(readings), month_grid)
     touching = run + [MeterReading("a", ts(hour=3), 1, end=ts(hour=4))]
     for readings in itertools.permutations(touching):
-        assert slot_partition(iter(readings), month_grid).usage[0][:1] == (3,)
+        assert usage_rows(slot_partition(iter(readings), month_grid))[0][:1] == (3,)
 
 
 def test_overlapping_intervals_are_refused_without_splitting_them_all(monkeypatch):
@@ -238,7 +239,7 @@ def test_partition_rejects_overlapping_intervals(month_grid):
     # Same spans on different consumers are fine.
     readings[1] = MeterReading("b", ts(hour=3), 1, end=ts(hour=5))
     matrix = slot_partition(readings, month_grid)
-    assert sum(map(sum, matrix.usage), Fraction(0)) == 2
+    assert sum(map(sum, usage_rows(matrix)), Fraction(0)) == 2
 
 
 def test_partition_conserves_energy(month_grid, rng):
@@ -261,15 +262,15 @@ def test_partition_conserves_energy(month_grid, rng):
     # this random soup; keep only point readings for half the runs.
     point_only = [r for r in readings if r.end is None]
     matrix = slot_partition(point_only, month_grid)
-    assert sum(map(sum, matrix.usage), Fraction(0)) == sum((r.energy for r in point_only), Fraction(0))
+    assert sum(map(sum, usage_rows(matrix)), Fraction(0)) == sum((r.energy for r in point_only), Fraction(0))
 
 
 def test_matrix_checks_only_rows_that_are_not_plain_fractions():
     exact_row = (Fraction(1, 3), Fraction(0))
     matrix = SlotUsageMatrix(("a", "b"), 2, (exact_row, [2, "0.5"]))
-    assert matrix.usage[0] == exact_row
-    assert matrix.usage[1] == (Fraction(2), Fraction(1, 2))
-    assert all(type(cell) is Fraction for cell in matrix.usage[1])
+    assert usage_rows(matrix)[0] == exact_row
+    assert usage_rows(matrix)[1] == (Fraction(2), Fraction(1, 2))
+    assert all(type(cell) is Fraction for cell in usage_rows(matrix)[1])
     with pytest.raises(ValueError, match=">= 0"):
         SlotUsageMatrix(("a",), 2, ((Fraction(1), Fraction(-1, 3)),))
     with pytest.raises(TypeError, match="float"):
@@ -310,7 +311,7 @@ def test_matrix_attributes_cannot_be_assigned(month_matrix):
         with pytest.raises(AttributeError):
             setattr(month_matrix, name, None)
     assert month_matrix.slots == 120
-    assert month_matrix.usage[0][0] == Fraction(3, 5)
+    assert usage_rows(month_matrix)[0][0] == Fraction(3, 5)
 
 
 PARTITION_SLOT_HOURS = [
@@ -395,7 +396,7 @@ def test_partition_matches_fraction_seconds_oracle():
         matrix = slot_partition(readings, grid)
         consumers, usage, observed = desk_partition(readings, grid)
         assert matrix.consumers == consumers
-        assert matrix.usage == usage
+        assert usage_rows(matrix) == usage
         assert matrix.observed == observed
         # The constructor builds the same columns from Fraction rows.
         assert SlotUsageMatrix(consumers, grid.slot_count, usage).columns == matrix.columns
@@ -468,7 +469,7 @@ def test_partition_from_earliest_matches_oracle_from_earliest_midnight():
             continue
         matrix, found = slot_partition_from_earliest(readings, grid.slot_hours, grid.period_days)
         assert found == oracle_grid
-        assert (matrix.consumers, matrix.usage, matrix.observed) == expected
+        assert (matrix.consumers, usage_rows(matrix), matrix.observed) == expected
         # "later": the first reading lies on a later day than the earliest.
         outcomes.append("later" if midnight < _midnight(readings[0].start) else "first")
     assert min(outcomes.count(kind) for kind in ("fault", "later", "first")) >= 40
@@ -532,7 +533,7 @@ def test_streamed_partition_matches_fraction_seconds_oracle(case):
     grid, readings = case
     matrix = slot_partition(iter(readings), grid)
     consumers, usage, observed = desk_partition(readings, grid)
-    assert (matrix.consumers, matrix.usage, matrix.observed) == (consumers, usage, observed)
+    assert (matrix.consumers, usage_rows(matrix), matrix.observed) == (consumers, usage, observed)
     assert SlotUsageMatrix(consumers, grid.slot_count, usage).columns == matrix.columns
 
 
@@ -646,11 +647,11 @@ def test_demand_matches_desk_oracle():
 
 def test_with_shift_moves_energy_and_preserves_total(month_matrix):
     shifted = month_matrix.with_shift("c2", 1, 2, Fraction(6, 5))
-    assert shifted.usage[1][1] == 0
-    assert shifted.usage[1][2] == Fraction(6, 5)
-    assert sum(shifted.usage[1]) == sum(month_matrix.usage[1])
+    assert usage_rows(shifted)[1][1] == 0
+    assert usage_rows(shifted)[1][2] == Fraction(6, 5)
+    assert sum(usage_rows(shifted)[1]) == sum(usage_rows(month_matrix)[1])
     # original untouched
-    assert month_matrix.usage[1][1] == Fraction(6, 5)
+    assert usage_rows(month_matrix)[1][1] == Fraction(6, 5)
 
 
 def test_with_shift_rejects_overdraw(month_matrix):
@@ -842,7 +843,7 @@ def test_shift_into_quietest_slot_can_raise_shifters_allocated_bill():
         }
     )
     amount = Fraction("4.326")
-    assert matrix.usage[1].index(max(matrix.usage[1])) == 1
+    assert usage_rows(matrix)[1].index(max(usage_rows(matrix)[1])) == 1
     for usage in (matrix, matrix.with_shift("c1", 1, 2, amount)):
         slot_loads = demand_metrics(usage).slot_loads
         assert min(slot_loads) == slot_loads[2]
@@ -906,7 +907,7 @@ def test_shift_within_one_tier_is_free_individually(kepco, month_grid, month_mat
 
 def test_shift_preserves_consumer_total(kepco, month_grid, month_matrix):
     shifted = month_matrix.with_shift("c2", 1, 3, Fraction(1, 2))
-    assert sum(shifted.usage[1]) == sum(month_matrix.usage[1])
+    assert sum(usage_rows(shifted)[1]) == sum(usage_rows(month_matrix)[1])
 
 
 def test_shift_rejects_bad_arguments(kepco, month_grid, month_matrix):
@@ -1028,7 +1029,7 @@ def test_shift_errors_match_whole_matrix_oracle():
             _random_shift_case(rng, "random")
         )
         fault = case % 3
-        amount = matrix.usage[matrix.consumers.index(consumer)][from_slot] + Fraction(1, rng.randint(1, 1000))
+        amount = usage_rows(matrix)[matrix.consumers.index(consumer)][from_slot] + Fraction(1, rng.randint(1, 1000))
         if fault == 1:
             amount = Fraction(0)
             bad = rng.choice([-1, matrix.slots, matrix.slots + 7])
@@ -1100,7 +1101,7 @@ def test_slot_charges_match_per_cell_recomputation():
         consumers = matrix.consumers
         slotted = run_scheme(matrix, schedule, grid, "slotted-individual")
         charges = _slot_charges(slotted)
-        for consumer, row in zip(consumers, matrix.usage):
+        for consumer, row in zip(consumers, usage_rows(matrix)):
             assert charges[consumer] == tuple(
                 progressive_price(slot_schedule, cell) for cell in row
             ), case
@@ -1111,7 +1112,7 @@ def test_slot_charges_match_per_cell_recomputation():
             if not consumers:
                 assert grouped.group_slot_prices == (Fraction(0),) * matrix.slots
                 continue
-            for slot, cells in enumerate(zip(*matrix.usage)):
+            for slot, cells in enumerate(zip(*usage_rows(matrix))):
                 column = dict(zip(consumers, cells))
                 price = widened_group_price(slot_schedule, list(cells))
                 assert grouped.group_slot_prices[slot] == price, case
