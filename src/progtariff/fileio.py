@@ -515,9 +515,15 @@ def _slot_charge_texts(report: BillingReport) -> tuple[Callable[[int], Iterable[
 
 
 def report_to_dict(report: BillingReport) -> dict:
-    """The JSON payload of *report*, with every figure in it formatted, or
-    proven printable, before it returns. Each consumer's slot charges are
-    lists that are rendered only as write_json writes them."""
+    """The JSON payload of *report*: its grid and demand, and its scheme's
+    own figures from _scheme_dict."""
+    return {**_scheme_dict(report), "grid": _grid_dict(report.grid), "demand": demand_dict(report)}
+
+
+def _scheme_dict(report: BillingReport) -> dict:
+    """The figures of *report* that are its scheme's own, each formatted,
+    or proven printable, before it returns. Each consumer's slot charges
+    are lists that are rendered only as write_json writes them."""
     charges: dict = {}
     if report.slot_columns is not None:
         fixed, lossless = _slot_charge_texts(report)
@@ -534,13 +540,11 @@ def report_to_dict(report: BillingReport) -> dict:
     out = {
         "scheme": report.scheme.value,
         "currency": report.currency,
-        "grid": _grid_dict(report.grid),
         "consumers": consumers,
         "aggregate": {
             "billed": format_money(report.aggregate_billed),
             "exact": exact_str(report.aggregate_exact),
         },
-        "demand": demand_dict(report),
     }
     if report.policy is not None:
         out["allocation_policy"] = report.policy.value
@@ -574,10 +578,6 @@ def comparison_to_dict(comparison: SchemeComparison) -> dict:
     and one demand, so those are written once, at the top level."""
     keys = ("monthly", "slotted_individual", "slotted_group", "slot_premium", "group_saving")
     *rows, (_, aggregate) = _comparison_rows(comparison)
-    schemes = {}
-    for report in (comparison.monthly, comparison.slotted_individual, comparison.slotted_group):
-        schemes[report.scheme.value] = scheme = report_to_dict(report)
-        del scheme["grid"], scheme["demand"]
     return {
         "currency": comparison.monthly.currency,
         "grid": _grid_dict(comparison.monthly.grid),
@@ -585,7 +585,14 @@ def comparison_to_dict(comparison: SchemeComparison) -> dict:
         "aggregate": dict(zip(keys, aggregate)),
         "allocation_policy": comparison.slotted_group.policy.value,
         "demand": demand_dict(comparison.monthly),
-        "schemes": schemes,
+        "schemes": {
+            report.scheme.value: _scheme_dict(report)
+            for report in (
+                comparison.monthly,
+                comparison.slotted_individual,
+                comparison.slotted_group,
+            )
+        },
     }
 
 
