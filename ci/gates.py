@@ -1,6 +1,6 @@
 """Peak-memory, time and refusal gates of the progtariff CLI, on inputs too
-large or too hostile for the unit tests. Run from the repository root on
-Python 3.11, the benchmark's version: ``python ci/gates.py``.
+large or too hostile for the unit tests. Run it on Python 3.11, the
+benchmark's version: ``python ci/gates.py``.
 
 Every input is written once into a temporary directory. Each case runs the
 CLI in a fresh process under perfbench/run.py's launcher, which writes the
@@ -117,23 +117,25 @@ def run_case(argv: list, pipe, timeout: float) -> tuple:
     launcher's peak line, of one fresh CLI process, killed at *timeout*."""
     cat = pipe and subprocess.Popen(["cat", pipe], stdout=subprocess.PIPE)
     start = time.perf_counter()
-    child = subprocess.Popen(
-        [sys.executable, "-c", run.LAUNCHER, *argv], cwd=ROOT,
-        stdin=cat.stdout if cat else subprocess.DEVNULL,
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-        env=dict(os.environ, PYTHONPATH="src"),
-    )
-    if cat:
-        cat.stdout.close()  # so that cat stops once the child has gone
     try:
-        stdout, stderr = child.communicate(timeout=timeout)
-    except subprocess.TimeoutExpired:
-        child.kill()
-        stdout, stderr = child.communicate()
+        with subprocess.Popen(
+            [sys.executable, "-c", run.LAUNCHER, *argv], cwd=ROOT,
+            stdin=cat.stdout if cat else subprocess.DEVNULL,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH="src"),
+        ) as child:
+            if cat:
+                cat.stdout.close()  # so that cat stops once the child has gone
+            try:
+                stdout, stderr = child.communicate(timeout=timeout)
+            except subprocess.TimeoutExpired:
+                child.kill()
+                stdout, stderr = child.communicate()
+    finally:
+        if cat:
+            cat.kill()
+            cat.wait()
     seconds = time.perf_counter() - start
-    if cat:
-        cat.kill()
-        cat.wait()
     stderr, tag, kib = stderr.decode(errors="replace").rpartition(f"\n{run.PEAK_TAG} ")
     peak = int(kib) / 1024 if tag else None
     return child.returncode, seconds, peak, stdout, stderr if tag else kib
