@@ -545,6 +545,7 @@ def _scheme_dict(report: BillingReport) -> dict:
             "billed": format_money(report.aggregate_billed),
             "exact": exact_str(report.aggregate_exact),
         },
+        "zero_filled_cells": report.zero_filled,
     }
     if report.policy is not None:
         out["allocation_policy"] = report.policy.value
@@ -555,8 +556,6 @@ def _scheme_dict(report: BillingReport) -> dict:
         out["group_slot_prices_exact"] = [
             exact_str(price) for price in report.group_slot_prices
         ]
-    if report.zero_filled is not None:
-        out["zero_filled_cells"] = report.zero_filled
     return out
 
 

@@ -126,9 +126,11 @@ class SlotGrid:
         try:
             self.period_end
         except OverflowError:
+            # Too long from the first datetime is too long from any start.
+            start = self.period_start
+            start = "any start" if start == _FIRST_MIDNIGHT else start.isoformat()
             raise ValueError(
-                f"a {self.period_days}-day period from "
-                f"{self.period_start.isoformat()} ends past the last datetime"
+                f"a {self.period_days}-day period from {start} ends past the last datetime"
             ) from None
         if self.slot_count > MAX_SLOTS:
             raise ValueError(f"the grid would hold more than {MAX_SLOTS} slots")
@@ -154,87 +156,69 @@ class SlotGrid:
         return slot_factor(self.slot_hours, self.period_days)
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class SlotUsageMatrix:
     """Per-consumer, per-slot energy grid, stored as integer slot columns.
 
     Consumers are in sorted id order. ``columns[s]`` is ``(quantum,
     units)``: cell ``(i, s)`` is ``units[i] / quantum`` kWh, and the
     quantum is the lcm of the column's cell denominators in lowest terms.
-    ``flags``, if recorded, holds one row of bytes per consumer: 1 where a
-    reading reached the cell, 0 where it was zero-filled; a partition
-    records them, the constructor does not. ``observed`` is derived from
-    them on first read. The constructor checks every id and cell;
-    ``_checked`` builds from checked columns.
+    ``flags`` holds one row of bytes per consumer: 1 where a reading
+    reached the cell, 0 where it was zero-filled. The constructor checks
+    the ids and the shape, never a cell; ``from_rows`` checks every cell.
     """
 
     consumers: tuple[str, ...]
-    slots: int
     columns: tuple[Column, ...]
-    flags: Optional[tuple[bytes, ...]]
+    flags: tuple[bytes, ...]
 
-    def __init__(
-        self,
-        consumers: Sequence[str],
-        slots: int,
-        usage: Sequence[Sequence[ExactLike]],
-    ):
-        if not isinstance(slots, int) or isinstance(slots, bool) or slots < 1:
-            raise SimulationError("matrix needs at least one slot")
-        consumers = tuple(consumers)
-        for consumer in consumers:
+    def __post_init__(self):
+        ids, count, slots = self.consumers, len(self.consumers), len(self.columns)
+        for consumer in ids:
             if not consumer or not isinstance(consumer, str):
                 raise SimulationError(f"consumer id must be a non-empty string, got {consumer!r}")
-        if list(consumers) != sorted(set(consumers)):
+        if any(a >= b for a, b in zip(ids, ids[1:])):
             raise SimulationError("consumer ids must be unique and sorted")
-        if len(usage) != len(consumers):
-            raise SimulationError("one usage row per consumer required")
-        rows = []
-        for consumer, row in zip(consumers, usage):
-            if len(row) != slots:
-                raise SimulationError(
-                    f"consumer {consumer!r}: expected {slots} slots, got {len(row)}"
-                )
-            rows.append([energy_amount(cell) for cell in row])
-        columns = tuple(map(quantize, zip(*rows))) if rows else ((1, ()),) * slots
-        self.__dict__.update(consumers=consumers, slots=slots, columns=columns, flags=None)
+        if not slots:
+            raise SimulationError("matrix needs at least one slot")
+        if any(len(units) != count for _, units in self.columns):
+            raise SimulationError("every column needs one unit per consumer")
+        if len(self.flags) != count or any(len(row) != slots for row in self.flags):
+            raise SimulationError("every consumer needs one row of flags, one per slot")
 
     @classmethod
     def from_rows(
         cls, rows: Mapping[str, Sequence[ExactLike]], slots: Optional[int] = None
     ) -> "SlotUsageMatrix":
-        """Build from a consumer->usages mapping, sorting consumers by id."""
+        """Build from a consumer->usages mapping, sorting consumers by id.
+        Every cell is checked, and every cell counts as observed."""
         consumers = tuple(sorted(rows))
         if slots is None:
             if not consumers:
                 raise SimulationError("empty matrix needs an explicit slot count")
             slots = len(rows[consumers[0]])
-        return cls(consumers=consumers, slots=slots, usage=[rows[c] for c in consumers])
+        for consumer in consumers:
+            if len(rows[consumer]) != slots:
+                raise SimulationError(
+                    f"consumer {consumer!r}: expected {slots} slots, got {len(rows[consumer])}"
+                )
+        cells = [[energy_amount(cell) for cell in rows[consumer]] for consumer in consumers]
+        columns = tuple(quantize([row[slot] for row in cells]) for slot in range(slots))
+        return cls(consumers, columns, (b"\1" * slots,) * len(consumers))
 
-    @classmethod
-    def _checked(
-        cls, consumers: tuple[str, ...], slots: int, columns: tuple, flags: Optional[tuple]
-    ) -> "SlotUsageMatrix":
-        """A matrix from fields the caller has already checked: at least one
-        slot, unique non-empty consumer ids in sorted order, one column per
-        slot in lowest terms, and one row of flags per consumer or None."""
-        matrix = object.__new__(cls)
-        matrix.__dict__.update(consumers=consumers, slots=slots, columns=columns, flags=flags)
-        return matrix
+    @property
+    def slots(self) -> int:
+        return len(self.columns)
 
     @cached_property
-    def observed(self) -> Optional[frozenset[tuple[str, int]]]:
-        """The cells that received at least one reading, if recorded."""
-        if self.flags is None:
-            return None
+    def observed(self) -> frozenset[tuple[str, int]]:
+        """The cells that received at least one reading."""
         rows = zip(self.consumers, self.flags)
         return frozenset((c, slot) for c, row in rows for slot, flag in enumerate(row) if flag)
 
     @property
-    def zero_filled(self) -> Optional[int]:
-        """How many cells no reading reached, if observation is recorded."""
-        if self.flags is None:
-            return None
+    def zero_filled(self) -> int:
+        """How many cells no reading reached."""
         return self.slots * len(self.consumers) - sum(row.count(1) for row in self.flags)
 
     def index_of(self, consumer: str) -> int:
@@ -273,7 +257,7 @@ class SlotUsageMatrix:
             nums, dens = list(units), [quantum] * len(units)
             add_share(nums, dens, row, sign * moved_num, moved_den)
             columns[slot] = quantize_cells(nums, dens)
-        return SlotUsageMatrix._checked(self.consumers, self.slots, tuple(columns), self.flags)
+        return SlotUsageMatrix(self.consumers, tuple(columns), self.flags)
 
 
 class SchemeKind(Enum):
@@ -336,7 +320,7 @@ class BillingReport:
     group_slot_prices: Optional[tuple[Fraction, ...]]
     policy: Optional[AllocationPolicy]
     demand: DemandMetrics
-    zero_filled: Optional[int]
+    zero_filled: int
 
 
 @dataclass(frozen=True)
@@ -560,7 +544,7 @@ def _partition(readings, grid: SlotGrid, known: bool) -> tuple[SlotUsageMatrix, 
     turn = first // _DAY * grid.slots_per_day % slot_count
     columns = columns[turn:] + columns[:turn]
     flag_rows = tuple(bytes(flags[turn:] + flags[:turn]) for _, _, flags in ordered)
-    return SlotUsageMatrix._checked(consumers, slot_count, columns, flag_rows), grid
+    return SlotUsageMatrix(consumers, columns, flag_rows), grid
 
 
 def demand_metrics(matrix: SlotUsageMatrix) -> DemandMetrics:

@@ -361,6 +361,8 @@ def test_grid_past_datetime_range_or_slot_cap_is_input_error(capsys):
         status, out, err = run(capsys, *base, *flags)
         assert (status, out) == (1, ""), flags
         assert err.startswith("error: ") and reason in err, flags
+        # The partition's placeholder start is not a date the user gave.
+        assert "0001-01-01" not in err, flags
 
 
 def test_grid_refusals_name_their_flags(capsys):

@@ -267,36 +267,58 @@ def test_partition_conserves_energy(month_grid, rng):
 
 def test_matrix_checks_only_rows_that_are_not_plain_fractions():
     exact_row = (Fraction(1, 3), Fraction(0))
-    matrix = SlotUsageMatrix(("a", "b"), 2, (exact_row, [2, "0.5"]))
+    matrix = SlotUsageMatrix.from_rows({"a": exact_row, "b": [2, "0.5"]})
     assert usage_rows(matrix)[0] == exact_row
     assert usage_rows(matrix)[1] == (Fraction(2), Fraction(1, 2))
     with pytest.raises(ValueError, match=">= 0"):
-        SlotUsageMatrix(("a",), 2, ((Fraction(1), Fraction(-1, 3)),))
+        SlotUsageMatrix.from_rows({"a": (Fraction(1), Fraction(-1, 3))})
     with pytest.raises(TypeError, match="float"):
-        SlotUsageMatrix(("a",), 1, ((0.5,),))
+        SlotUsageMatrix.from_rows({"a": (0.5,)})
 
 
 @pytest.mark.parametrize("consumer", ["", 1, None])
 def test_matrix_refuses_a_consumer_id_that_is_not_a_non_empty_string(consumer):
     message = f"consumer id must be a non-empty string, got {consumer!r}"
     with pytest.raises(SimulationError, match=f"^{re.escape(message)}$"):
-        SlotUsageMatrix((consumer,), 1, ((Fraction(1),),))
+        SlotUsageMatrix.from_rows({consumer: (Fraction(1),)})
+
+
+UNITS = "every column needs one unit per consumer"
+FLAGS = "every consumer needs one row of flags, one per slot"
 
 
 @pytest.mark.parametrize(
-    "consumers, slots, usage, message",
+    "consumers, columns, flags, message",
     [
-        (("a",), 0, ((),), "matrix needs at least one slot"),
-        (("a",), True, ((1,),), "matrix needs at least one slot"),
-        (("b", "a"), 1, ((1,), (1,)), "consumer ids must be unique and sorted"),
-        (("a", "a"), 1, ((1,), (1,)), "consumer ids must be unique and sorted"),
-        (("a", "b"), 1, ((1,),), "one usage row per consumer required"),
-        (("a",), 2, ((1,),), "consumer 'a': expected 2 slots, got 1"),
+        (("a",), (), (b"",), "matrix needs at least one slot"),
+        (("b", "a"), ((1, (1, 1)),), (b"\1", b"\1"), "consumer ids must be unique and sorted"),
+        (("a", "a"), ((1, (1, 1)),), (b"\1", b"\1"), "consumer ids must be unique and sorted"),
+        (("a", "b"), ((1, (1,)),), (b"\1", b"\1"), UNITS),
+        (("a",), ((1, (1,)), (1, (1, 2))), (b"\1\1",), UNITS),
+        ((), ((1, (1,)),), (), UNITS),
+        (("a", "b"), ((1, (1, 1)),), (b"\1",), FLAGS),
+        (("a",), ((1, (1,)),), (b"\1", b"\1"), FLAGS),
+        (("a", "b"), ((1, (1, 1)), (1, (0, 0))), (b"\1\1", b"\1"), FLAGS),
+        (("a",), ((1, (1,)),), (b"\1\0",), FLAGS),
     ],
 )
-def test_matrix_refuses_a_bad_shape(consumers, slots, usage, message):
+def test_matrix_refuses_a_bad_shape(consumers, columns, flags, message):
     with pytest.raises(SimulationError, match=f"^{re.escape(message)}$"):
-        SlotUsageMatrix(consumers, slots, usage)
+        SlotUsageMatrix(consumers, columns, flags)
+
+
+@pytest.mark.parametrize(
+    "rows, slots, message",
+    [
+        ({"a": ()}, None, "matrix needs at least one slot"),
+        ({}, 0, "matrix needs at least one slot"),
+        ({"a": (1,)}, 2, "consumer 'a': expected 2 slots, got 1"),
+        ({"a": (1,), "b": (1, 2)}, None, "consumer 'b': expected 1 slots, got 2"),
+    ],
+)
+def test_matrix_from_rows_refuses_a_bad_shape(rows, slots, message):
+    with pytest.raises(SimulationError, match=f"^{re.escape(message)}$"):
+        SlotUsageMatrix.from_rows(rows, slots)
 
 
 def test_an_empty_matrix_needs_a_slot_count():
@@ -397,8 +419,9 @@ def test_partition_matches_fraction_seconds_oracle():
         assert matrix.consumers == consumers
         assert usage_rows(matrix) == usage
         assert matrix.observed == observed
-        # The constructor builds the same columns from Fraction rows.
-        assert SlotUsageMatrix(consumers, grid.slot_count, usage).columns == matrix.columns
+        # from_rows builds the same columns from Fraction rows.
+        rows = dict(zip(consumers, usage))
+        assert SlotUsageMatrix.from_rows(rows, grid.slot_count).columns == matrix.columns
 
 
 def test_partition_errors_match_fraction_seconds_oracle():
@@ -533,7 +556,8 @@ def test_streamed_partition_matches_fraction_seconds_oracle(case):
     matrix = slot_partition(iter(readings), grid)
     consumers, usage, observed = desk_partition(readings, grid)
     assert (matrix.consumers, usage_rows(matrix), matrix.observed) == (consumers, usage, observed)
-    assert SlotUsageMatrix(consumers, grid.slot_count, usage).columns == matrix.columns
+    rows = dict(zip(consumers, usage))
+    assert SlotUsageMatrix.from_rows(rows, grid.slot_count).columns == matrix.columns
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -615,11 +639,7 @@ def _demand_case(rng, kind):
         else:
             row = [Fraction(0)] * slots
         rows[f"c{i}"] = row
-    matrix = (
-        SlotUsageMatrix.from_rows(rows)
-        if rows
-        else SlotUsageMatrix(consumers=(), slots=slots, usage=())
-    )
+    matrix = SlotUsageMatrix.from_rows(rows, slots)
     grid = SlotGrid(Fraction(6), days, ts())
     return matrix, make_schedule(KEPCO_TIERS, base_days=days), grid
 
@@ -740,8 +760,10 @@ def test_zero_filled_cells_reach_the_report(kepco, month_grid):
     matrix = slot_partition(readings, month_grid)
     report = run_scheme(matrix, kepco, month_grid, "slotted-group")
     assert report.zero_filled == 3 * 120 - 3
-    direct = SlotUsageMatrix.from_rows({"a": [1] * 120})
-    assert run_scheme(direct, kepco, month_grid, "slotted-group").zero_filled is None
+    # Every cell handed to from_rows counts as observed.
+    direct = SlotUsageMatrix.from_rows({"a": [1] * 120, "b": [0] * 120})
+    assert direct.observed == {(c, slot) for c in "ab" for slot in range(120)}
+    assert run_scheme(direct, kepco, month_grid, "slotted-group").zero_filled == 0
 
 
 def test_decimal_trace_variant_reproduces_same_displays(kepco, month_grid):
@@ -1072,11 +1094,7 @@ def _slot_charge_case(rng, kind):
         for slot in rng.sample(range(slots), rng.randint(1, slots - 1)):
             for row in rows.values():
                 row[slot] = Fraction(0)
-    matrix = (
-        SlotUsageMatrix.from_rows(rows)
-        if rows
-        else SlotUsageMatrix(consumers=(), slots=slots, usage=())
-    )
+    matrix = SlotUsageMatrix.from_rows(rows, slots)
     return matrix, schedule, grid
 
 
