@@ -28,8 +28,8 @@ from enum import Enum
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence, Union
 
-from .amounts import MONEY_PLACES, ExactLike, energy_amount, half_up_units, money_amount
-from .errors import AllocationError
+from .amounts import MONEY_PLACES, ExactLike, echo_value, energy_amount, half_up_units, money_amount
+from .errors import AllocationError, InternalCheckError
 from .tariff import Column, TariffSchedule, TierTable
 
 UsageVectorLike = Union[Mapping[str, ExactLike], Sequence[tuple[str, ExactLike]]]
@@ -114,18 +114,27 @@ def quantize(values: Sequence[Fraction]) -> Column:
     return quantize_cells([num for num, _ in ratios], [den for _, den in ratios])
 
 
-def price_group(table: TierTable, column: Column, size: int) -> tuple[int, int]:
-    """Collective price of a usage column for a group of *size* consumers.
+def price_group(table: TierTable, usage: Column, prices: Column) -> tuple[int, int]:
+    """Collective price of a usage column, one consumer per cell.
 
     Returns a numerator and a denominator. The price of the pooled usage
-    u on the table widened by *size* is exactly size * P(u / size) on the
-    table itself, and u / size is sum(units) / (quantum * size) kWh. An
-    empty group pays nothing.
+    u on the table widened by the group size N is exactly N * P(u / N) on
+    the table itself, and u / N is sum(units) / (quantum * N) kWh. An
+    empty group pays nothing. On a progressive table a price above the
+    sum of the stand-alone *prices* raises InternalCheckError; no other
+    code makes this check.
     """
-    quantum, units = column
-    if not size:
+    quantum, units = usage
+    if not units:
         return 0, 1
+    size = len(units)
     [(denominator, (numerator,))] = table.prices([(quantum * size, (sum(units),))])
+    if table.progressive and size * numerator * prices[0] > sum(prices[1]) * denominator:
+        group, pooled = Fraction(size * numerator, denominator), Fraction(sum(units), quantum)
+        raise InternalCheckError(
+            f"collective price {echo_value(group)} of {echo_value(pooled)} kWh pooled "
+            "exceeds the sum of individual prices"
+        )
     return size * numerator, denominator
 
 
@@ -148,21 +157,11 @@ def _members(
     return ids, amounts
 
 
-def _price_slot(
-    slot_schedule: TariffSchedule, usages: UsageVectorLike
-) -> tuple[dict[str, Fraction], Column]:
-    """Every member's stand-alone price, and the slot's usage column."""
-    ids, cells = _members(usages, energy_amount)
-    column = quantize(cells)
-    [(denominator, numerators)] = slot_schedule.table.prices([column])
-    return {c: Fraction(n, denominator) for c, n in zip(ids, numerators)}, column
-
-
 def individual_slot_prices(
     slot_schedule: TariffSchedule, usages: UsageVectorLike
 ) -> dict[str, Fraction]:
     """Price every consumer's slot usage on its own, exactly."""
-    return _price_slot(slot_schedule, usages)[0]
+    return group_saving(slot_schedule, usages).individual_prices
 
 
 def group_slot_price(
@@ -264,10 +263,13 @@ def group_saving(
     slot_schedule: TariffSchedule, usages: UsageVectorLike
 ) -> GroupPricingResult:
     """Individual prices, collective price, and the resulting saving."""
-    individual, column = _price_slot(slot_schedule, usages)
-    if not individual:
+    ids, cells = _members(usages, energy_amount)
+    if not ids:
         raise ValueError("group must contain at least one consumer")
-    group = Fraction(*price_group(slot_schedule.table, column, len(individual)))
+    usage = quantize(cells)
+    [prices] = slot_schedule.table.prices([usage])
+    individual = {c: Fraction(n, prices[0]) for c, n in zip(ids, prices[1])}
+    group = Fraction(*price_group(slot_schedule.table, usage, prices))
     return GroupPricingResult(
         individual_prices=individual,
         group_price=group,

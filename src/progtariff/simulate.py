@@ -165,7 +165,7 @@ class SlotUsageMatrix:
     quantum is the lcm of the column's cell denominators in lowest terms.
     ``flags`` holds one row of bytes per consumer: 1 where a reading
     reached the cell, 0 where it was zero-filled. The constructor checks
-    the ids and the shape, never a cell; ``from_rows`` checks every cell.
+    ids, containers and shape, never a cell; ``from_rows`` checks every cell.
     """
 
     consumers: tuple[str, ...]
@@ -173,17 +173,24 @@ class SlotUsageMatrix:
     flags: tuple[bytes, ...]
 
     def __post_init__(self):
-        ids, count, slots = self.consumers, len(self.consumers), len(self.columns)
+        ids, columns, flags = self.consumers, self.columns, self.flags
+        if not all(isinstance(part, tuple) for part in (ids, columns, flags)):
+            raise SimulationError("consumers, columns and flags must be tuples")
         for consumer in ids:
             if not consumer or not isinstance(consumer, str):
                 raise SimulationError(f"consumer id must be a non-empty string, got {consumer!r}")
         if any(a >= b for a, b in zip(ids, ids[1:])):
             raise SimulationError("consumer ids must be unique and sorted")
-        if not slots:
+        if not columns:
             raise SimulationError("matrix needs at least one slot")
-        if any(len(units) != count for _, units in self.columns):
-            raise SimulationError("every column needs one unit per consumer")
-        if len(self.flags) != count or any(len(row) != slots for row in self.flags):
+        for pair in columns:
+            if not (isinstance(pair, tuple) and len(pair) == 2 and isinstance(pair[1], tuple)):
+                raise SimulationError("every column must be a tuple of a quantum and a units tuple")
+            if len(pair[1]) != len(ids):
+                raise SimulationError("every column needs one unit per consumer")
+        if any(not isinstance(row, bytes) for row in flags):
+            raise SimulationError("every row of flags must be bytes")
+        if len(flags) != len(ids) or any(len(row) != len(columns) for row in flags):
             raise SimulationError("every consumer needs one row of flags, one per slot")
 
     @classmethod
@@ -597,7 +604,6 @@ class _Billing:
         self.matrix = matrix
         self.schedule = schedule
         self.grid = grid
-        self.progressive = schedule.is_progressive
         self.table = scale_schedule(schedule, grid.factor).table
 
     @cached_property
@@ -610,24 +616,16 @@ class _Billing:
         return demand_metrics(self.matrix)
 
     def bill_slot(
-        self, slot: int, usage: Column, prices: Column, policy: AllocationPolicy
+        self, usage: Column, prices: Column, policy: AllocationPolicy
     ) -> tuple[Column, Fraction]:
         """Collective price of one slot's usage column, allocated by its
         price column.
 
         Returns the ``(10**MONEY_PLACES, shares)`` column of every
-        consumer's share in minor units, and the collective price. For a
-        progressive schedule the collective price is checked against the
-        sum of the individual prices.
+        consumer's share in minor units, and the checked collective price.
         """
-        denominator, numerators = prices
-        group_num, group_den = price_group(self.table, usage, len(self.matrix.consumers))
-        if self.progressive and group_num * denominator > sum(numerators) * group_den:
-            raise InternalCheckError(
-                f"slot {slot}: collective price {Fraction(group_num, group_den)} "
-                "exceeds the sum of individual prices"
-            )
-        shares, _ = allocate_units(group_num, group_den, numerators, policy)
+        group_num, group_den = price_group(self.table, usage, prices)
+        shares, _ = allocate_units(group_num, group_den, prices[1], policy)
         return (10**MONEY_PLACES, shares), Fraction(group_num, group_den)
 
     def report(
@@ -646,8 +644,8 @@ class _Billing:
                 columns = self.prices
             else:
                 used_policy = policy
-                slots = enumerate(zip(self.matrix.columns, self.prices))
-                bills = (self.bill_slot(slot, *pair, policy) for slot, pair in slots)
+                pairs = zip(self.matrix.columns, self.prices)
+                bills = (self.bill_slot(usage, prices, policy) for usage, prices in pairs)
                 columns, group_prices = zip(*bills)
             sums = _row_sums(columns)
         totals = dict(zip(self.matrix.consumers, sums))
@@ -678,11 +676,8 @@ def run_scheme(
 ) -> BillingReport:
     """Bill the matrix under one scheme.
 
-    The schedule must be quoted for the grid's period. For the group
-    scheme the collective slot price is checked against the sum of
-    individual prices (it can never exceed it for a progressive
-    schedule); a violation raises InternalCheckError since it would mean
-    the engine itself is wrong.
+    The schedule must be quoted for the grid's period. Every collective
+    slot price is checked by ``grouping.price_group``.
     """
     scheme = SchemeKind(scheme)
     policy = AllocationPolicy(policy)
@@ -749,13 +744,13 @@ def what_if_shift(
     # stand-alone price in each slot, as a one-cell column.
     allocated, group, solo = [0, 0], [0, 0], ([], [])
     columns = zip(matrix.columns, shifted.columns, table.prices(matrix.columns))
-    for slot, (usage, shifted_usage, prices) in enumerate(columns):
+    for usage, shifted_usage, prices in columns:
         bills = [(usage, prices, (0, 1))]
         if shifted_usage is not usage:
             [shifted_prices] = table.prices([shifted_usage])
             bills = [(usage, prices, (0,)), (shifted_usage, shifted_prices, (1,))]
         for column, column_prices, sides in bills:
-            (_, shares), _ = billing.bill_slot(slot, column, column_prices, policy)
+            (_, shares), _ = billing.bill_slot(column, column_prices, policy)
             denominator, numerators = column_prices
             share, total = shares[index], sum(shares)
             for side in sides:

@@ -71,9 +71,10 @@ class TierTable:
     ``charges[i]`` is the cumulative charge at the lower end of tier i, in
     units of 1/(``bound_scale`` * ``rate_scale``). Integers never
     overflow, so the table is exact for any rational schedule.
+    ``progressive`` is True when no rate decreases (a convex price).
     """
 
-    __slots__ = ("bound_scale", "rate_scale", "bounds", "rates", "charges")
+    __slots__ = ("bound_scale", "rate_scale", "bounds", "rates", "charges", "progressive")
 
     def __init__(self, tiers: Sequence[TariffTier]):
         finite = [tier.upper_bound for tier in tiers[:-1]]
@@ -81,6 +82,7 @@ class TierTable:
         self.rate_scale = math.lcm(*(tier.rate.denominator for tier in tiers))
         self.bounds = [b.numerator * (self.bound_scale // b.denominator) for b in finite]
         self.rates = [t.rate.numerator * (self.rate_scale // t.rate.denominator) for t in tiers]
+        self.progressive = all(a <= b for a, b in zip(self.rates, self.rates[1:]))
         self.charges = [0]
         lower = 0
         for bound, rate in zip(self.bounds, self.rates):
@@ -180,8 +182,7 @@ class TariffSchedule:
     @property
     def is_progressive(self) -> bool:
         """True when rates never decrease (convex price function)."""
-        rates = [tier.rate for tier in self.tiers]
-        return all(a <= b for a, b in zip(rates, rates[1:]))
+        return self.table.progressive
 
 
 def validate_schedule(raw: Mapping) -> TariffSchedule:

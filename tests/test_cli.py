@@ -337,6 +337,19 @@ def test_internal_check_failure_exits_two(capsys, monkeypatch):
     assert "internal check failed" in err
 
 
+def test_a_failed_claim_1_check_exits_two_and_writes_no_report(capsys, monkeypatch):
+    # c3's slot usage stays in the first tier, so its slotted total equals
+    # its monthly total until every monthly price is raised by one unit.
+    def raised(*args):
+        return progtariff.progressive_price(*args) + 1
+
+    monkeypatch.setattr(progtariff.simulate, "progressive_price", raised)
+    argv = ["compare", "--schedule", SCHEDULE, "--trace", SLOT_TRACE, "--json"]
+    status, out, err = run(capsys, *argv)
+    message = "consumer 'c3': slotted total fell below the monthly total"
+    assert (status, out, err) == (2, "", f"internal check failed: {message}\n")
+
+
 def test_help_exits_zero(capsys):
     status, out, _ = run(capsys, "--help")
     assert status == 0

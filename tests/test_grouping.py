@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from progtariff import (
     AllocationError,
     AllocationPolicy,
+    InternalCheckError,
     exact,
     format_money,
     group_saving,
@@ -14,6 +16,7 @@ from progtariff import (
     proportional_allocation,
     round_money,
 )
+from progtariff.grouping import price_group, quantize
 
 from conftest import make_schedule, random_fraction, random_progressive_schedule
 from oracles import remainder_allocate, widened_group_price
@@ -64,14 +67,48 @@ def test_group_price_equal_usages_scales_linearly(kepco_slot):
     assert group == 5 * progressive_price(kepco_slot, usage)
 
 
-def test_group_price_rejects_empty_group(kepco_slot):
-    with pytest.raises(ValueError, match="at least one consumer"):
-        group_slot_price(kepco_slot, {})
+GROUP_FUNCTIONS = [individual_slot_prices, group_slot_price, group_saving]
 
 
-def test_group_price_rejects_duplicate_ids(kepco_slot):
-    with pytest.raises(ValueError, match="duplicate"):
-        group_slot_price(kepco_slot, [("a", 1), ("a", 2)])
+@pytest.mark.parametrize("price", GROUP_FUNCTIONS, ids=lambda fn: fn.__name__)
+def test_group_price_rejects_empty_group(kepco_slot, price):
+    with pytest.raises(ValueError, match="^group must contain at least one consumer$"):
+        price(kepco_slot, {})
+
+
+@pytest.mark.parametrize("price", GROUP_FUNCTIONS, ids=lambda fn: fn.__name__)
+def test_group_price_rejects_duplicate_ids(kepco_slot, price):
+    with pytest.raises(ValueError, match="^duplicate consumer id 'a'$"):
+        price(kepco_slot, [("a", 1), ("a", 2)])
+
+
+def _priced(schedule, usages):
+    """A slot's usage column and its stand-alone price column."""
+    usage = quantize(usages)
+    [prices] = schedule.table.prices([usage])
+    return usage, prices
+
+
+def test_price_group_checks_claim_2_on_a_progressive_table(kepco_slot):
+    # Both cells sit in tier 2, so the group price equals the sum of the
+    # stand-alone prices: one unit off the price column breaks claim 2.
+    usage, (denominator, numerators) = _priced(kepco_slot, [Fraction(9, 10), Fraction(6, 5)])
+    group = price_group(kepco_slot.table, usage, (denominator, numerators))
+    assert Fraction(*group) == Fraction(sum(numerators), denominator) == Fraction(46717, 300)
+    under = (denominator, [numerators[0] - 1, numerators[1]])
+    message = "collective price 46717/300 of 21/10 kWh pooled exceeds the sum of individual prices"
+    with pytest.raises(InternalCheckError, match=f"^{re.escape(message)}$"):
+        price_group(kepco_slot.table, usage, under)
+
+
+def test_price_group_skips_the_check_on_a_falling_table():
+    # With falling rates the group pays 2 * P(1) = 20, more than
+    # P(1/2) + P(3/2) = 5 + 12.5: claim 2 fails and is not checked.
+    falling = make_schedule([(1, 10), (None, 5)], allow_rate_decrease=True)
+    usage, (denominator, numerators) = _priced(falling, [Fraction(1, 2), Fraction(3, 2)])
+    assert not falling.table.progressive
+    assert Fraction(sum(numerators), denominator) == Fraction(35, 2)
+    assert Fraction(*price_group(falling.table, usage, (denominator, numerators))) == 20
 
 
 def test_group_price_permutation_invariant(kepco_slot, rng):

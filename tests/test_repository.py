@@ -1,7 +1,8 @@
-"""Checks on the repository itself: the demos run, and the source stays
-within its line width."""
+"""Checks on the repository itself: the demos run, the source stays
+within its line width, and every test README names exists."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -37,3 +38,17 @@ def test_no_source_line_is_over_the_width():
         if len(line) > MAX_LINE
     ]
     assert long_lines == []
+
+
+def test_every_test_named_in_the_readme_is_defined():
+    # README cites tests as evidence for its claims; a renamed or deleted
+    # one would leave a claim that no test checks.
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    named = set(re.findall(r"`(test_\w+)`", readme))
+    defined = {
+        name
+        for path in (ROOT / "tests").rglob("*.py")
+        for name in re.findall(r"^\s*def (test_\w+)", path.read_text(encoding="utf-8"), re.M)
+    }
+    assert named
+    assert sorted(named - defined) == []

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from progtariff import (
     MONEY_PLACES,
+    InternalCheckError,
     MeterReading,
     SchemeKind,
     SimulationError,
@@ -285,6 +286,9 @@ def test_matrix_refuses_a_consumer_id_that_is_not_a_non_empty_string(consumer):
 
 UNITS = "every column needs one unit per consumer"
 FLAGS = "every consumer needs one row of flags, one per slot"
+TUPLES = "consumers, columns and flags must be tuples"
+COLUMN = "every column must be a tuple of a quantum and a units tuple"
+BYTES = "every row of flags must be bytes"
 
 
 @pytest.mark.parametrize(
@@ -300,6 +304,16 @@ FLAGS = "every consumer needs one row of flags, one per slot"
         (("a",), ((1, (1,)),), (b"\1", b"\1"), FLAGS),
         (("a", "b"), ((1, (1, 1)), (1, (0, 0))), (b"\1\1", b"\1"), FLAGS),
         (("a",), ((1, (1,)),), (b"\1\0",), FLAGS),
+        # A list or bytearray anywhere would make the matrix unhashable,
+        # unequal to its tuple twin, or mutable after the checks.
+        (["a"], ((1, (1,)),), (b"\1",), TUPLES),
+        (("a",), [(1, (1,))], (b"\1",), TUPLES),
+        (("a",), ((1, (1,)),), [b"\1"], TUPLES),
+        (("a",), ([1, (1,)],), (b"\1",), COLUMN),
+        (("a",), ((1, [1]),), (b"\1",), COLUMN),
+        (("a",), ((1,),), (b"\1",), COLUMN),
+        (("a",), ((1, (1,), 2),), (b"\1",), COLUMN),
+        (("a",), ((1, (1,)),), (bytearray(b"\1"),), BYTES),
     ],
 )
 def test_matrix_refuses_a_bad_shape(consumers, columns, flags, message):
@@ -328,7 +342,7 @@ def test_an_empty_matrix_needs_a_slot_count():
 
 
 def test_matrix_attributes_cannot_be_assigned(month_matrix):
-    for name in ("consumers", "slots", "columns", "flags", "usage", "observed"):
+    for name in ("consumers", "slots", "columns", "flags", "observed"):
         with pytest.raises(AttributeError):
             setattr(month_matrix, name, None)
     assert month_matrix.slots == 120
@@ -753,6 +767,16 @@ def test_compare_three_consumer_slot(kepco, month_grid, slot_usages):
     assert format_money(comparison.slotted_group.aggregate_billed) == "466.50"
     assert format_money(comparison.group_saving) == "51.66"
     assert format_money(comparison.monthly.aggregate_billed) == "303.50"
+
+
+def test_compare_checks_claim_1_and_names_the_consumer(kepco, month_grid, monkeypatch):
+    # One unit more on every monthly price puts "b", whose slot usage stays
+    # in the first tier, below its monthly total; "a" stays far above it.
+    monkeypatch.setattr(simulate, "progressive_price", lambda *args: progressive_price(*args) + 1)
+    matrix = SlotUsageMatrix.from_rows({"a": [5] + [0] * 119, "b": [Fraction(1, 2)] + [0] * 119})
+    message = "consumer 'b': slotted total fell below the monthly total"
+    with pytest.raises(InternalCheckError, match=f"^{re.escape(message)}$"):
+        compare_schemes(matrix, kepco, month_grid)
 
 
 def test_zero_filled_cells_reach_the_report(kepco, month_grid):

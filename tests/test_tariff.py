@@ -136,6 +136,14 @@ def test_allow_rate_decrease_must_be_a_json_boolean(value):
         validate_schedule({"tiers": FALLING, "allow_rate_decrease": value})
 
 
+def test_convexity_is_read_from_the_compiled_table(kepco):
+    falling = validate_schedule({"tiers": FALLING, "allow_rate_decrease": True})
+    equal = make_schedule([(100, 5), (None, 5)])
+    for schedule, progressive in ((kepco, True), (equal, True), (falling, False)):
+        assert schedule.table.progressive is schedule.is_progressive is progressive
+        assert scale_schedule(schedule, Fraction(1, 120)).table.progressive is progressive
+
+
 def test_allow_rate_decrease_accepts_true_false_or_nothing():
     assert not validate_schedule({"tiers": FALLING, "allow_rate_decrease": True}).is_progressive
     progressive = [{"upper_kwh": 100, "rate": 5}, {"upper_kwh": None, "rate": 10}]
