@@ -30,6 +30,7 @@ import re
 import sys
 from datetime import datetime, timezone
 from fractions import Fraction
+from functools import lru_cache
 from itertools import repeat, starmap
 from operator import attrgetter, itemgetter
 from pathlib import Path
@@ -48,7 +49,7 @@ from .amounts import (
     too_large_error,
     units_text,
 )
-from .errors import BillingError, ScheduleError, TraceError
+from .errors import ScheduleError, TraceError
 from .grouping import AllocationResult
 from .simulate import (
     BillingReport,
@@ -146,25 +147,20 @@ def format_rfc3339(stamp: datetime) -> str:
 # ----------------------------------------------------------------------
 
 
-def _read_text(path: Path, error: type[BillingError]) -> str:
-    """The UTF-8 text of *path*; a file that cannot be read or decoded
-    raises *error* naming the path."""
-    try:
-        return path.read_text(encoding="utf-8")
-    except OSError as err:
-        raise error(f"{path}: {err.strerror or err}") from err
-    except UnicodeDecodeError as err:
-        raise error(f"{path}: not UTF-8 text ({err.reason} at byte {err.start})") from err
-
-
 def parse_schedule_file(path: PathLike) -> TariffSchedule:
     """Load and validate a schedule JSON file.
 
-    Parse errors carry the file position; validation errors from
-    validate_schedule pass through unchanged.
+    A file that cannot be read, or is not UTF-8, raises ScheduleError
+    naming the path. Parse errors carry the file position; validation
+    errors from validate_schedule pass through unchanged.
     """
     path = Path(path)
-    text = _read_text(path, ScheduleError)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except OSError as err:
+        raise ScheduleError(f"{path}: {err.strerror or err}") from err
+    except UnicodeDecodeError as err:
+        raise ScheduleError(f"{path}: not UTF-8 text ({err.reason} at byte {err.start})") from err
     try:
         # Floats never enter: JSON number literals are kept as strings and
         # re-parsed exactly.
@@ -410,9 +406,7 @@ def _energy(value: Fraction) -> dict:
 
 
 def _par_dict(par: Optional[Fraction]) -> Optional[dict]:
-    if par is None:
-        return None
-    return {"display": format_fixed(par, 4), "exact": exact_str(par)}
+    return None if par is None else _energy(par)
 
 
 def _grid_dict(grid: SlotGrid) -> dict:
@@ -451,52 +445,38 @@ class _SlotTexts:
         return iter(self.render(self.index))
 
 
-class _MinorUnitRows:
-    """Renders a consumer's row of a report's minor-unit columns.
-
-    A row's display texts are formatted cell by cell. Its lossless texts
-    are its display texts with trailing zeros trimmed (``12.30`` is
-    ``12.3`` and ``12.00`` is ``12``, as ``units_text(..., trim=True)``
-    gives), and write_json writes them just after the display texts. So
-    the display texts of the last row rendered are kept, and trimmed,
-    not formatted again.
-    """
-
-    def __init__(self, columns: list[tuple[int, ...]]):
-        self.columns = columns
-        self.index, self.texts = -1, []
-
-    def display(self, index: int) -> list[str]:
-        if index != self.index:
-            row = map(itemgetter(index), self.columns)
-            self.index, self.texts = index, list(map(units_text, row, repeat(MONEY_PLACES)))
-        return self.texts
-
-    def lossless(self, index: int) -> Iterator[str]:
-        return map(str.rstrip, map(str.rstrip, self.display(index), repeat("0")), repeat("."))
-
-
-def _slot_charge_texts(report: BillingReport) -> tuple[Callable[[int], Iterable[str]], ...]:
-    """How to render the slot charges of the consumer at an index: as
-    display texts, and as lossless texts.
+def _slot_charge_texts(report: BillingReport) -> dict[str, Callable[[int], Iterable[str]]]:
+    """How to render the slot charges of the consumer at an index, keyed
+    by JSON field: as display texts, and as lossless texts.
 
     A report whose every slot column is over ``10**MONEY_PLACES``, as
-    every slotted-group report's is, holds minor units, and its texts are
-    formatted cell by cell as they are written (see _MinorUnitRows). Only
-    the largest numerator of each column is formatted here, which proves
-    that every other one prints. In any other report a charge repeats
-    often, so each distinct numerator of a denominator is rendered here,
-    once, and the denominator is factored once per column. A charge whose
-    lossless text is its display text, such as ``12.34``, keeps one
-    ``str`` for both. So every text that can fail to print fails here,
-    before any write.
+    every slotted-group report's is, holds minor units, and its display
+    texts are formatted cell by cell as they are written. Its lossless
+    texts are those texts with trailing zeros trimmed (``12.30`` is
+    ``12.3`` and ``12.00`` is ``12``, as ``units_text(..., trim=True)``
+    gives), and write_json writes them just after the display texts, so
+    the last row rendered is cached and trimmed, not formatted again.
+    Only the largest numerator of each column is formatted here, which
+    proves that every other one prints. In any other report a charge
+    repeats often, so each distinct numerator of a denominator is
+    rendered here, once, and the denominator is factored once per
+    column. A charge whose lossless text is its display text, such as
+    ``12.34``, keeps one ``str`` for both. So every text that can fail
+    to print fails here, before any write.
     """
     columns = [column for _, column in report.slot_columns]
     if all(den == 10**MONEY_PLACES for den, _ in report.slot_columns):
         for column in columns:
             units_text(max(column, key=abs, default=0), MONEY_PLACES)
-        rows = _MinorUnitRows(columns)
-        return rows.display, rows.lossless
+
+        @lru_cache(maxsize=1)
+        def display(index: int) -> list[str]:
+            return list(map(units_text, map(itemgetter(index), columns), repeat(MONEY_PLACES)))
+
+        def lossless(index: int) -> Iterator[str]:
+            return map(str.rstrip, map(str.rstrip, display(index), repeat("0")), repeat("."))
+
+        return {"slot_charges": display, "slot_charges_exact": lossless}
     texts: dict[int, tuple[dict[int, str], dict[int, str]]] = {}
     fixed_memos, exact_memos = [], []
     for den, column in report.slot_columns:
@@ -508,10 +488,11 @@ def _slot_charge_texts(report: BillingReport) -> tuple[Callable[[int], Iterable[
             lossless[num] = text if exact == text else exact
         fixed_memos.append(fixed)
         exact_memos.append(lossless)
-    return tuple(
-        lambda index, memos=memos: map(dict.__getitem__, memos, map(itemgetter(index), columns))
-        for memos in (fixed_memos, exact_memos)
-    )
+
+    def row(memos: list[dict[int, str]]) -> Callable[[int], Iterator[str]]:
+        return lambda index: map(dict.__getitem__, memos, map(itemgetter(index), columns))
+
+    return {"slot_charges": row(fixed_memos), "slot_charges_exact": row(exact_memos)}
 
 
 def report_to_dict(report: BillingReport) -> dict:
@@ -524,10 +505,7 @@ def _scheme_dict(report: BillingReport) -> dict:
     """The figures of *report* that are its scheme's own, each formatted,
     or proven printable, before it returns. Each consumer's slot charges
     are lists that are rendered only as write_json writes them."""
-    charges: dict = {}
-    if report.slot_columns is not None:
-        fixed, lossless = _slot_charge_texts(report)
-        charges = {"slot_charges": fixed, "slot_charges_exact": lossless}
+    charges = {} if report.slot_columns is None else _slot_charge_texts(report)
     consumers = []
     for index, consumer in enumerate(report.consumers):
         entry = {key: _SlotTexts(render, index) for key, render in charges.items()}
