@@ -142,7 +142,8 @@ def _members(
     pairs: UsageVectorLike, convert: Callable[[ExactLike], Fraction]
 ) -> tuple[list[str], list[Fraction]]:
     """Distinct non-empty consumer ids and their amounts, each checked by
-    *convert* (``energy_amount`` or ``money_amount``), in input order."""
+    *convert* (``energy_amount`` or ``money_amount``), in input order.
+    An empty group raises ValueError."""
     ids: list[str] = []
     amounts = []
     seen = set()
@@ -154,6 +155,8 @@ def _members(
         seen.add(consumer)
         ids.append(consumer)
         amounts.append(convert(amount))
+    if not ids:
+        raise ValueError("group must contain at least one consumer")
     return ids, amounts
 
 
@@ -238,9 +241,9 @@ def proportional_allocation(
     remaining units to the largest fractional remainders, ties broken by
     consumer id, so the shares sum exactly to round_money(group_price).
 
-    A zero price sum with a positive group price has no defined
-    proportions and raises AllocationError; an all-zero group allocates
-    zero to everyone.
+    An empty group raises ValueError. A zero price sum with a positive
+    group price has no defined proportions and raises AllocationError;
+    an all-zero group allocates zero to everyone.
     """
     policy = AllocationPolicy(policy)
     group = money_amount(group_price)
@@ -264,8 +267,6 @@ def group_saving(
 ) -> GroupPricingResult:
     """Individual prices, collective price, and the resulting saving."""
     ids, cells = _members(usages, energy_amount)
-    if not ids:
-        raise ValueError("group must contain at least one consumer")
     usage = quantize(cells)
     [prices] = slot_schedule.table.prices([usage])
     individual = {c: Fraction(n, prices[0]) for c, n in zip(ids, prices[1])}

@@ -576,10 +576,11 @@ def _row_sums(columns: Iterable[Column]) -> list[Fraction]:
 
 
 def _check_grid(matrix: SlotUsageMatrix, schedule: TariffSchedule, grid: SlotGrid):
-    if schedule.base_hours != HOURS_PER_DAY * grid.period_days:
+    days = schedule.base_hours / HOURS_PER_DAY
+    if days != grid.period_days:
         raise SimulationError(
-            f"schedule is quoted for {echo_value(schedule.base_hours)} hours but "
-            f"the grid covers {HOURS_PER_DAY * grid.period_days}"
+            f"schedule is quoted for {echo_value(days)} days but "
+            f"the grid covers {grid.period_days}"
         )
     if matrix.slots != grid.slot_count:
         raise SimulationError(

@@ -389,6 +389,19 @@ def test_grid_refusals_name_their_flags(capsys):
         assert run(capsys, *base, *flags) == (1, "", message), flags
 
 
+def test_a_period_mismatch_is_named_in_days(capsys, tmp_path):
+    base = ["compare", "--trace", SLOT_TRACE]
+    message = "error: schedule is quoted for 30 days but the grid covers 31\n"
+    assert run(capsys, *base, "--schedule", SCHEDULE, "--period-days", "31") == (1, "", message)
+    schedule = json.loads(Path(SCHEDULE).read_text(encoding="utf-8"))
+    schedule["base_period_days"] = "30.5"
+    path = tmp_path / "half_day.json"
+    path.write_text(json.dumps(schedule), encoding="utf-8")
+    # The days are exact, in echo_value's p/q form, not rounded to a whole day.
+    message = "error: schedule is quoted for 61/2 days but the grid covers 30\n"
+    assert run(capsys, *base, "--schedule", str(path)) == (1, "", message)
+
+
 def test_grid_past_cell_cap_is_input_error(capsys):
     # 3 consumers on 1/463 h slots: 333,360 slots, under the slot cap, but
     # 1,000,080 cells, over the cell cap. Refused at the third consumer.

@@ -30,7 +30,7 @@ from progtariff import (
     slot_factor,
     slot_partition,
 )
-from progtariff import cli
+from progtariff import cli, fileio
 from progtariff.amounts import MONEY_PLACES, exact, fixed_text
 from progtariff.fileio import (
     JSON_CHUNK_CHARS,
@@ -780,6 +780,32 @@ def test_minor_unit_slot_charges_match_the_desk_oracles(kepco):
         assert [list(row["slot_charges_exact"]) for row in rows][::-1] == [
             entry["slot_charges_exact"] for entry in entries
         ]
+
+
+def test_each_minor_unit_cell_is_formatted_once_per_write(kepco, monkeypatch):
+    # A slotted-group report holds minor units. Its payload formats one
+    # cell per slot, the column's largest, to prove that every cell
+    # prints; each write formats every cell once, since a row's lossless
+    # texts trim the display texts just rendered.
+    consumers, slots = 7, 120
+    rng = random.Random(5)
+    rows = {
+        f"c{index}": [exact(f"{rng.uniform(0, 3):.3f}") for _ in range(slots)]
+        for index in range(consumers)
+    }
+    grid = SlotGrid(Fraction(6), 30, datetime(2025, 1, 1, tzinfo=timezone.utc))
+    report = run_scheme(SlotUsageMatrix.from_rows(rows), kepco, grid, "slotted-group")
+    calls = []
+    units_text = fileio.units_text
+    monkeypatch.setattr(fileio, "units_text", lambda *args: calls.append(args) or units_text(*args))
+    payload = report_to_dict(report)
+    assert len(calls) == slots
+    texts = []
+    for _ in range(2):
+        calls.clear()
+        texts.append(to_json(payload))
+        assert len(calls) == slots * consumers
+    assert texts[0] == texts[1]
 
 
 def test_slot_charge_past_display_limit_is_input_error(kepco):

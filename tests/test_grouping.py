@@ -225,6 +225,12 @@ def test_allocation_rejects_empty_and_duplicate_ids():
         proportional_allocation("10", [("a", "5"), ("a", "5")])
 
 
+@pytest.mark.parametrize("group", [1, 0])
+def test_allocation_rejects_empty_group(group):
+    with pytest.raises(ValueError, match="^group must contain at least one consumer$"):
+        proportional_allocation(group, {})
+
+
 def test_allocation_zero_group_zero_prices():
     for policy in AllocationPolicy:
         result = proportional_allocation(0, [("a", 0), ("b", 0)], policy)

@@ -1,16 +1,22 @@
 """Checks on the repository itself: the demos run, the source stays
-within its line width, and every test README names exists."""
+within its line width and holds no dead names, and every test README
+names exists."""
 
+import ast
 import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+import progtariff
+
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+SOURCES = sorted((ROOT / "src" / "progtariff").glob("*.py"))
 MAX_LINE = 100
 
 
@@ -33,7 +39,7 @@ def test_no_source_line_is_over_the_width():
     # Keeps the source line count honest: it cannot fall through denser lines.
     long_lines = [
         f"{path.relative_to(ROOT)}:{number}: {len(line)} characters"
-        for path in sorted((ROOT / "src" / "progtariff").glob("*.py"))
+        for path in SOURCES
         for number, line in enumerate(path.read_text(encoding="utf-8").split("\n"), 1)
         if len(line) > MAX_LINE
     ]
@@ -52,3 +58,64 @@ def test_every_test_named_in_the_readme_is_defined():
     }
     assert named
     assert sorted(named - defined) == []
+
+
+def _trees() -> dict[str, ast.Module]:
+    return {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+
+
+def _loaded(tree: ast.AST) -> Counter:
+    """How often *tree* reads each name: as a bare name, an attribute or
+    an imported name."""
+    names = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            names[node.attr] += 1
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_every_imported_name_is_used():
+    unused = []
+    for name, tree in _trees().items():
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        if name == "__init__.py":
+            used.update(progtariff.__all__)  # the package's re-exports
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                unused += [
+                    f"{name}:{node.lineno}: {alias.asname or alias.name}"
+                    for alias in node.names
+                    if (alias.asname or alias.name.partition(".")[0]) not in used
+                ]
+    assert unused == []
+
+
+def test_every_private_module_name_is_referenced():
+    # A reference inside the name's own definition, such as a recursive
+    # call, does not count.
+    trees = _trees()
+    loaded = sum(map(_loaded, trees.values()), Counter())
+    unreferenced = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined = [target.id for target in targets if isinstance(target, ast.Name)]
+            else:
+                continue
+            own = _loaded(node)
+            unreferenced += [
+                f"{name}:{node.lineno}: {private}"
+                for private in defined
+                if private.startswith("_") and not private.startswith("__")
+                and loaded[private] == own[private]
+            ]
+    assert unreferenced == []
