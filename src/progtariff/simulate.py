@@ -728,39 +728,32 @@ def what_if_shift(
 ) -> ShiftReport:
     """Evaluate one hypothetical shift without touching the input matrix.
 
-    One pass over the slots bills both matrices. A shift changes only the
-    columns of its two slots and shares every other column, so a slot it
-    leaves alone is priced and allocated once and counts on both sides.
-    Allocated shares are summed in integer minor units, individual prices
-    as exact rationals.
+    Every slot is billed once, and each slot the shift changes is billed
+    again. Shares are summed in minor units, individual prices exactly.
     """
     moved = energy_amount(amount)
     shifted = matrix.with_shift(consumer, from_slot, to_slot, moved)
     policy = AllocationPolicy(policy)
     billing = _Billing(matrix, schedule, grid)
-    table = billing.table
     index = matrix.consumers.index(consumer)
-    # Before and after the shift (sides 0 and 1): the consumer's allocated
-    # share and the group's shares, in minor units, and the consumer's
-    # stand-alone price in each slot, as a one-cell column.
-    allocated, group, solo = [0, 0], [0, 0], ([], [])
-    columns = zip(matrix.columns, shifted.columns, table.prices(matrix.columns))
-    for usage, shifted_usage, prices in columns:
-        bills = [(usage, prices, (0, 1))]
-        if shifted_usage is not usage:
-            [shifted_prices] = table.prices([shifted_usage])
-            bills = [(usage, prices, (0,)), (shifted_usage, shifted_prices, (1,))]
-        for column, column_prices, sides in bills:
-            (_, shares), _ = billing.bill_slot(column, column_prices, policy)
-            denominator, numerators = column_prices
-            share, total = shares[index], sum(shares)
-            for side in sides:
-                allocated[side] += share
-                group[side] += total
-                solo[side].append((denominator, (numerators[index],)))
-    (individual_before,), (individual_after,) = map(_row_sums, solo)
-    allocated_before, allocated_after = allocated
-    group_before, group_after = group
+
+    def figures(usage: Column, prices: Column) -> tuple[int, int, Column]:
+        """The consumer's share and the group's shares summed, in minor
+        units, and the consumer's stand-alone price as a one-cell column."""
+        (_, shares), _ = billing.bill_slot(usage, prices, policy)
+        return shares[index], sum(shares), (prices[0], (prices[1][index],))
+
+    def totals(side: list[tuple[int, int, Column]]) -> tuple[int, int, Fraction]:
+        shares, group_shares, solo = zip(*side)
+        return sum(shares), sum(group_shares), _row_sums(solo)[0]
+
+    before = list(map(figures, matrix.columns, billing.table.prices(matrix.columns)))
+    after = before.copy()
+    for slot in {from_slot, to_slot}:
+        [prices] = billing.table.prices([shifted.columns[slot]])
+        after[slot] = figures(shifted.columns[slot], prices)
+    allocated_before, group_before, individual_before = totals(before)
+    allocated_after, group_after, individual_after = totals(after)
 
     minor = 10**MONEY_PLACES
     return ShiftReport(

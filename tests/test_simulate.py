@@ -35,7 +35,7 @@ from progtariff import (
     what_if_shift,
 )
 from progtariff.fileio import report_to_dict, to_json
-from progtariff.grouping import quantize
+from progtariff.grouping import price_group, quantize
 
 from conftest import FIXTURES, KEPCO_TIERS, make_schedule
 from oracles import (
@@ -962,11 +962,28 @@ def test_shift_rejects_bad_arguments(kepco, month_grid, month_matrix):
         what_if_shift(month_matrix, kepco, month_grid, "zz", 0, 1, 0)
 
 
+@pytest.mark.parametrize("policy", ["exact-sum", "independent"])
+@pytest.mark.parametrize("from_slot, to_slot, calls", [(0, 3, 122), (1, 1, 121)])
+def test_shift_bills_every_slot_once_and_each_changed_slot_again(
+    kepco, month_grid, month_matrix, monkeypatch, policy, from_slot, to_slot, calls
+):
+    # 120 slots, plus the distinct slots the shift changes.
+    billed = []
+
+    def counting(*args):
+        billed.append(args)
+        return price_group(*args)
+
+    monkeypatch.setattr(simulate, "price_group", counting)
+    what_if_shift(month_matrix, kepco, month_grid, "c2", from_slot, to_slot, "1/2", policy)
+    assert month_matrix.slots == 120 and len(billed) == calls
+
+
 def test_shift_holds_one_slot_of_columns_beyond_the_matrix(kepco):
-    # The shift bills both matrices in one pass over the slots, so beside
-    # the two matrices it holds one slot's price and share columns and the
-    # price memo, not every slot's: every slot's columns would take about
-    # 6 MiB here, one slot's take under 1 MiB.
+    # Beside the two matrices, the shift holds three small figures per slot
+    # and the price memo, and prices and allocates one slot at a time: every
+    # slot's price and share columns would take about 6 MiB here, one
+    # slot's take under 1 MiB.
     rng = random.Random(25)
     rows = {
         f"c{n:04d}": [Fraction(rng.randint(0, 5000), 1000) for _ in range(120)]
