@@ -136,10 +136,7 @@ def parse_rfc3339(text: str) -> datetime:
 
 
 def format_rfc3339(stamp: datetime) -> str:
-    utc = stamp.astimezone(timezone.utc)
-    if utc.microsecond:
-        return utc.strftime("%Y-%m-%dT%H:%M:%S.%fZ")
-    return utc.strftime("%Y-%m-%dT%H:%M:%SZ")
+    return stamp.astimezone(timezone.utc).replace(tzinfo=None).isoformat() + "Z"
 
 
 # ----------------------------------------------------------------------

@@ -1020,3 +1020,18 @@ def test_a_period_start_keeps_its_microseconds(capsys, tmp_path):
     )
     assert (status, err) == (0, "")
     assert json.loads(out)["grid"]["period_start"] == "2025-01-01T00:00:00.500000Z"
+
+
+def test_a_period_start_before_year_1000_prints_four_year_digits(capsys, tmp_path):
+    # The printed start is RFC 3339, so it can be passed back as the flag.
+    trace = tmp_path / "early.csv"
+    trace.write_text("consumer_id,interval_start,energy_kwh\na,0999-03-01T00:00:00Z,1.5\n")
+    base = ["compare", "--schedule", SCHEDULE, "--trace", str(trace)]
+    status, out, err = run(capsys, *base, "--json")
+    assert (status, err) == (0, "")
+    start = json.loads(out)["grid"]["period_start"]
+    assert start == "0999-03-01T00:00:00Z"
+    assert run(capsys, *base, "--json", "--period-start", start) == (0, out, "")
+    status, out, err = run(capsys, "simulate", *base[1:], "--scheme", "slotted-group")
+    assert (status, err) == (0, "")
+    assert "period: 0999-03-01T00:00:00Z for 30 days, " in out

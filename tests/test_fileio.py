@@ -36,6 +36,7 @@ from progtariff.fileio import (
     JSON_CHUNK_CHARS,
     TRACE_HEADER,
     comparison_to_dict,
+    format_rfc3339,
     report_to_dict,
     to_json,
     write_json,
@@ -260,6 +261,26 @@ def test_parse_rfc3339_forms():
     assert parse_rfc3339("2025-01-01T00:00:00+00:00") == utc
     with pytest.raises(ValueError, match="offset"):
         parse_rfc3339("2025-01-01T00:00:00")
+
+
+# Offsets one day inside the datetime range, so that no UTC time overflows.
+_STAMPS = st.datetimes(
+    min_value=datetime(1, 1, 2),
+    max_value=datetime(9999, 12, 30),
+    timezones=st.sampled_from(
+        [timezone.utc, timezone(timedelta(hours=9)), timezone(timedelta(hours=-5, minutes=-30))]
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.one_of(_STAMPS, _STAMPS.map(lambda stamp: stamp.replace(microsecond=0))))
+def test_a_formatted_stamp_parses_back_to_itself(stamp):
+    # Years 1-9999 keep four digits, and a fraction appears only when the
+    # microseconds are nonzero.
+    text = format_rfc3339(stamp)
+    assert parse_rfc3339(text) == stamp
+    assert text[4] == "-" and ("." in text) == bool(stamp.microsecond)
 
 
 _NEW_YEAR = datetime(2025, 1, 1, tzinfo=timezone.utc)
