@@ -51,9 +51,9 @@ class TariffTier:
 
     def __post_init__(self):
         if self.upper_bound is not None:
-            bound = energy_amount(self.upper_bound)
+            bound = exact(self.upper_bound)
             if bound <= 0:
-                raise ScheduleError(f"tier upper bound must be > 0, got {bound}")
+                raise ScheduleError(f"tier upper bound must be > 0, got {echo_value(bound)}")
             object.__setattr__(self, "upper_bound", bound)
         rate = exact(self.rate)
         if rate < 0:
@@ -235,7 +235,7 @@ def validate_schedule(raw: Mapping) -> TariffSchedule:
             raise ScheduleError(f"tier {index}: missing rate")
         rate = item.get("rate_exact", item.get("rate"))
         try:
-            tiers.append(TariffTier(None if upper is None else energy_amount(upper), exact(rate)))
+            tiers.append(TariffTier(upper, rate))
         except (ValueError, TypeError, ScheduleError) as err:
             raise ScheduleError(f"tier {index}: {err}") from err
     allow_rate_decrease = raw.get("allow_rate_decrease", False)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from progtariff import (
     ScheduleError,
+    TariffTier,
     exact,
     format_energy,
     format_money,
@@ -81,12 +82,27 @@ def test_validate_rejects_non_increasing_bounds():
             "only the last tier may be unbounded",
         ),
         ([{"upper_kwh": None, "rate": -1}], "rate must be >= 0"),
-        ([{"upper_kwh": -5, "rate": 1}, {"upper_kwh": None, "rate": 1}], ">= 0"),
+        (
+            [{"upper_kwh": -5, "rate": 1}, {"upper_kwh": None, "rate": 1}],
+            "tier 1: tier upper bound must be > 0, got -5",
+        ),
     ],
 )
 def test_validate_rejects_malformed_tiers(tiers, message):
     with pytest.raises(ScheduleError, match=message):
         validate_schedule({"tiers": tiers})
+
+
+def test_a_tier_bound_below_zero_is_refused_like_zero():
+    # TariffTier reads the bound itself, so one rule and one message hold
+    # for a bound of 0, a negative one and one too long to print.
+    with pytest.raises(ScheduleError) as caught:
+        TariffTier(-5, 1)
+    assert str(caught.value) == "tier upper bound must be > 0, got -5"
+    with pytest.raises(ScheduleError) as caught:
+        validate_schedule({"tiers": [{"upper_kwh": "-1e4300", "rate": 1}, {"rate": 1}]})
+    assert str(caught.value).startswith("tier 1: tier upper bound must be > 0, got")
+    assert str(caught.value).endswith("got -<more than 4300 digits>")
 
 
 def test_schedule_errors_keep_their_reason_for_unprintable_values():
