@@ -1,13 +1,17 @@
-"""Byte-for-byte CLI outputs on the bundled fixtures.
+"""Byte-for-byte CLI outputs on the bundled fixtures, and the demos' output.
 
 Every subcommand runs on every bundled fixture it accepts, in text and
 ``--json`` form, under both allocation policies where the command takes
-one. The expected stdout of each case is a file in ``tests/golden/``.
-Regenerate the files only for an intended output change:
+one. The expected stdout of each case is a file in ``tests/golden/``, as
+is each demo's, ``demo-<stem>.txt``, which
+``test_demo_runs_cleanly_in_a_fresh_process`` checks. Regenerate the
+files only for an intended output change:
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import os
+import subprocess
 import sys
 from contextlib import redirect_stdout
 from io import StringIO
@@ -19,6 +23,7 @@ from progtariff.cli import run_cli
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 SCHEDULE = "fixtures/kepco_residential.json"
 TRACES = [
     "three_consumer_intervals",
@@ -96,6 +101,19 @@ def _cases():
 CASES = _cases()
 
 
+def demo_golden(demo: Path) -> Path:
+    return GOLDEN / f"demo-{demo.stem}.txt"
+
+
+def run_demo(demo: Path) -> subprocess.CompletedProcess:
+    """Run one demo script in a fresh process, from the repository root."""
+    return subprocess.run(
+        [sys.executable, str(demo)],
+        capture_output=True, text=True, timeout=120, cwd=ROOT,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+    )
+
+
 def _stdout(argv) -> str:
     # Paths in the arguments are relative to the repository root.
     resolved = [str(ROOT / arg) if arg.startswith("fixtures/") else arg for arg in argv]
@@ -113,7 +131,8 @@ def test_cli_output_matches_golden(name):
 
 
 def test_every_golden_file_has_a_case():
-    assert sorted(path.name for path in GOLDEN.iterdir()) == sorted(CASES)
+    demos = [demo_golden(demo).name for demo in DEMOS]
+    assert sorted(path.name for path in GOLDEN.iterdir()) == sorted([*CASES, *demos])
 
 
 if __name__ == "__main__":
@@ -122,4 +141,9 @@ if __name__ == "__main__":
         stale.unlink()
     for name, argv in CASES.items():
         (GOLDEN / name).write_text(_stdout(argv), encoding="utf-8")
-    print(f"wrote {len(CASES)} files to {GOLDEN}", file=sys.stderr)
+    for demo in DEMOS:
+        done = run_demo(demo)
+        if (done.returncode, done.stderr) != (0, ""):
+            sys.exit(f"{demo.name} failed:\n{done.stderr}")
+        demo_golden(demo).write_text(done.stdout, encoding="utf-8")
+    print(f"wrote {len(CASES) + len(DEMOS)} files to {GOLDEN}", file=sys.stderr)

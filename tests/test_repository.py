@@ -1,12 +1,9 @@
-"""Checks on the repository itself: the demos run, the source stays
-within its line width and holds no dead names, and every test README
-names exists."""
+"""Checks on the repository itself: the demos run and print their golden
+output, the source stays within its line width and holds no dead names,
+and every test README names exists."""
 
 import ast
-import os
 import re
-import subprocess
-import sys
 from collections import Counter
 from pathlib import Path
 
@@ -14,8 +11,9 @@ import pytest
 
 import progtariff
 
+from test_golden import DEMOS, demo_golden, run_demo
+
 ROOT = Path(__file__).resolve().parent.parent
-DEMOS = sorted((ROOT / "demos").glob("*.py"))
 SOURCES = sorted((ROOT / "src" / "progtariff").glob("*.py"))
 MAX_LINE = 100
 
@@ -26,13 +24,9 @@ def test_there_are_demos():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
 def test_demo_runs_cleanly_in_a_fresh_process(demo):
-    done = subprocess.run(
-        [sys.executable, str(demo)],
-        capture_output=True, text=True, timeout=120, cwd=ROOT,
-        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
-    )
+    done = run_demo(demo)
     assert (done.returncode, done.stderr) == (0, "")
-    assert done.stdout
+    assert done.stdout == demo_golden(demo).read_text(encoding="utf-8")
 
 
 def test_no_source_line_is_over_the_width():
