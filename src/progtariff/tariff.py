@@ -43,7 +43,8 @@ class TariffTier:
     """One consumption block: its cumulative upper bound and its rate.
 
     ``upper_bound`` is the cumulative kWh level where the tier ends, or
-    None for the open-ended last tier.
+    None for the open-ended last tier. Both are read with ``exact``; a
+    bound must be > 0 and a rate >= 0.
     """
 
     upper_bound: Optional[Fraction]

@@ -28,10 +28,7 @@ KEPCO_TIERS = [
 
 def make_schedule(tiers, currency="KRW", base_days=30, allow_rate_decrease=False):
     return TariffSchedule(
-        tiers=tuple(
-            TariffTier(None if bound is None else exact(bound), exact(rate))
-            for bound, rate in tiers
-        ),
+        tiers=tuple(TariffTier(bound, rate) for bound, rate in tiers),
         currency=currency,
         base_hours=exact(base_days) * 24,
         allow_rate_decrease=allow_rate_decrease,
