@@ -79,8 +79,10 @@ def cases(temp: str, argv: dict) -> list:
         ("compare --json without it", without, None, 120, 43, same_report),
         ("compare --json from a pipe", piped, f"{temp}/trace.csv", 120, 43, same_report),
         # One pass over the slots holds one slot's price and share columns at
-        # a time: 27.8 MiB (36.5 MiB with every slot's columns held, then the
-        # two shifted slots billed again).
+        # a time, and the trace's energies reach the partition as integer
+        # pairs: 25.1-25.3 MiB (27.8-28.0 MiB with a Fraction per distinct energy
+        # text, 36.5 MiB with every slot's columns held, then the two shifted
+        # slots billed again).
         ("shift --json", argv["shift"], None, 120, 32,
          lambda out: None if json.loads(out)["consumer"] == consumer else "another consumer"),
         # The byte's offset is found by decoding the file again 64 KiB at a

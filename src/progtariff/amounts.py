@@ -58,6 +58,18 @@ def too_large_error() -> ValueError:
     )
 
 
+def decimal_ratio(text: str) -> Optional[tuple[int, int]]:
+    """The unreduced ``(digits, 10**places)`` of a plain ASCII decimal such
+    as "12.345", or None for any other text and one longer than int() reads."""
+    whole, point, frac = text.partition(".")
+    if text.isascii() and whole.isdecimal() and (frac.isdecimal() or not point):
+        try:
+            return int(whole + frac), 10 ** len(frac)
+        except ValueError:
+            pass
+    return None
+
+
 def exact(value: ExactLike) -> Fraction:
     """Convert *value* to an exact Fraction.
 
@@ -71,16 +83,10 @@ def exact(value: ExactLike) -> Fraction:
     """
     if isinstance(value, str):
         text = value.strip()
-        # A plain ASCII decimal ("12" or "12.345"), the usual trace energy,
-        # is read from its digits without Fraction's regex. Every other
-        # string, and one with more digits than int() reads, takes the
-        # general path below, which sets the error messages.
-        whole, point, frac = text.partition(".")
-        if text.isascii() and whole.isdecimal() and (frac.isdecimal() or not point):
-            try:
-                return Fraction(int(whole + frac), 10 ** len(frac))
-            except ValueError:
-                pass
+        # A plain decimal, the usual trace energy, skips Fraction's regex.
+        # Every other string takes the general path, which sets the messages.
+        if ratio := decimal_ratio(text):
+            return Fraction(*ratio)
         mark = max(text.rfind("e"), text.rfind("E"))
         if mark >= 0:
             try:

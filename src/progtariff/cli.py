@@ -35,8 +35,10 @@ from .fileio import (
 )
 from .grouping import AllocationPolicy, proportional_allocation
 from .simulate import (
+    FIRST_MIDNIGHT,
     SchemeKind,
     SlotGrid,
+    check_period,
     compare_schemes,
     run_scheme,
     slot_partition,
@@ -170,15 +172,18 @@ def _load(args) -> tuple:
     The trace, a file or a pipe, is read once, straight into the
     partition, and no list of readings is held. Without ``--period-start``
     the partition finds the period start as it reads: midnight UTC of the
-    earliest reading.
+    earliest reading. The grid flags, then the schedule's period, are
+    checked before the trace is opened.
     """
     schedule = parse_schedule_file(args.schedule)
     slot_hours = exact(args.slot_hours)
+    start = FIRST_MIDNIGHT if args.period_start is None else parse_rfc3339(args.period_start)
+    grid = SlotGrid(slot_hours, args.period_days, start)
+    check_period(schedule, grid.period_days)
     with closing(iter_trace_csv(args.trace)) as readings:
         if args.period_start is None:
             matrix, grid = slot_partition_from_earliest(readings, slot_hours, args.period_days)
         else:
-            grid = SlotGrid(slot_hours, args.period_days, parse_rfc3339(args.period_start))
             matrix = slot_partition(readings, grid)
     return matrix, schedule, grid
 

@@ -31,7 +31,7 @@ import sys
 from datetime import datetime, timezone
 from fractions import Fraction
 from functools import lru_cache
-from itertools import repeat, starmap
+from itertools import repeat
 from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional, TextIO, Union
@@ -39,6 +39,7 @@ from typing import Callable, Iterable, Iterator, Optional, TextIO, Union
 from .amounts import (
     MONEY_PLACES,
     decimal_form,
+    decimal_ratio,
     energy_amount,
     exact_str,
     exact_text,
@@ -221,14 +222,16 @@ def emit_schedule(schedule: TariffSchedule, path: PathLike):
 
 
 # The checked fields of one reading: consumer id, start, energy and end.
-ReadingFields = tuple[str, datetime, Fraction, Optional[datetime]]
+# The energy is a (numerator, denominator) pair, not always in lowest terms.
+ReadingFields = tuple[str, datetime, tuple[int, int], Optional[datetime]]
 
 
 class _TraceReadings:
     """The checked readings of one trace CSV, read once, as a stream.
 
     ``fields`` yields each reading's checked ``(consumer, start, energy,
-    end)`` in file order, and ``slot_partition`` reads it directly.
+    end)`` in file order, the energy as an integer ``(numerator,
+    denominator)`` pair, and ``slot_partition`` reads it directly.
     Iterating yields the same readings, from the same pass over the file,
     as MeterReadings built by their constructor. ``len()`` is the number
     of readings read so far, so a caller handed the stream can still
@@ -240,7 +243,8 @@ class _TraceReadings:
         self.fields = _read_trace(path, self)
 
     def __iter__(self) -> Iterator[MeterReading]:
-        return starmap(MeterReading, self.fields)
+        for consumer, start, (num, den), end in self.fields:
+            yield MeterReading(consumer, start, Fraction(num, den), end)
 
     def __len__(self) -> int:
         return self.count
@@ -315,9 +319,9 @@ def _read_trace(path: Path, stream: _TraceReadings) -> Iterator[ReadingFields]:
     that cannot be read raise TraceError too. Every error in a row names
     the line the row ends on, the csv reader's ``line_num``.
     """
-    # Each distinct energy string is parsed and checked once per file,
-    # and each distinct consumer id is kept once.
-    energies: dict[str, Fraction] = {}
+    # Each distinct energy string is parsed and checked once per file, to
+    # its integer pair, and each distinct consumer id is kept once.
+    energies: dict[str, tuple[int, int]] = {}
     consumers: dict[str, str] = {}
     width = has_end = None  # set by the header, row 1
     try:
@@ -345,7 +349,9 @@ def _read_trace(path: Path, stream: _TraceReadings) -> Iterator[ReadingFields]:
                     start = parse_rfc3339(row[1])
                     energy = energies.get(row[2])
                     if energy is None:
-                        energy = energies[row[2]] = energy_amount(row[2].strip())
+                        text = row[2].strip()
+                        energy = decimal_ratio(text) or energy_amount(text).as_integer_ratio()
+                        energies[row[2]] = energy
                     end = parse_rfc3339(row[3]) if has_end and row[3].strip() else None
                     if end is not None and end <= start:
                         raise ValueError("reading end must be after its start")
@@ -375,10 +381,11 @@ def iter_trace_csv(path: PathLike) -> _TraceReadings:
 
     The result can be iterated once, for MeterReadings, or its
     ``fields`` read once, for the same readings as plain ``(consumer,
-    start, energy, end)`` tuples; both partitions in ``simulate`` read the
-    latter, so the CLI opens a trace, file or pipe, once. Its ``len()``
-    counts the readings read so far. Close it, for example with
-    ``contextlib.closing``, to close the file before the last row.
+    start, energy, end)`` tuples, each energy an integer pair; both
+    partitions in ``simulate`` read the latter, so the CLI opens a trace,
+    file or pipe, once. Its ``len()`` counts the readings read so far.
+    Close it, for example with ``contextlib.closing``, to close the file
+    before the last row.
     """
     return _TraceReadings(Path(path))
 
@@ -643,8 +650,11 @@ def _write_json(value, indent: str, write: Callable[[str], object]) -> None:
         inner = indent + "  "
         separator = ",\n" + inner
         write("[\n" + inner)
-        if isinstance(value, _SlotTexts) or all(isinstance(item, str) for item in value):
-            # Slot charges and loads are long lists of strings: one join.
+        if isinstance(value, _SlotTexts):
+            # Slot-charge texts hold only digits, "-", "." and "/": no escaping.
+            write('"' + ('"' + separator + '"').join(value) + '"')
+        elif all(isinstance(item, str) for item in value):
+            # Slot loads and the like are long lists of strings: one join.
             write(separator.join(map(_escape, value)))
         else:
             for index, item in enumerate(value):
@@ -676,12 +686,12 @@ def write_json(payload: dict, stream: TextIO) -> None:
 
     A list is written with one join when its items are strings, which a
     report's slot-charge lists (_SlotTexts) always are; they are rendered
-    here, as they are written. An int with more digits than Python
-    converts to text raises the display-limit error, after the chunks
-    before it have been written. The payloads built here refuse such an
-    int while they are built (see _number_fields), and prove every slot
-    charge printable (see _slot_charge_texts), so none of them fails
-    part way.
+    here, as they are written, and not escaped. An int with more digits
+    than Python converts to text raises the display-limit error, after
+    the chunks before it have been written. The payloads built here
+    refuse such an int while they are built (see _number_fields), and
+    prove every slot charge printable (see _slot_charge_texts), so none
+    of them fails part way.
     """
     chunk: list[str] = []
     size = 0

@@ -25,7 +25,6 @@ from datetime import datetime, timedelta, timezone
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from operator import attrgetter
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .amounts import (
@@ -128,7 +127,7 @@ class SlotGrid:
         except OverflowError:
             # Too long from the first datetime is too long from any start.
             start = self.period_start
-            start = "any start" if start == _FIRST_MIDNIGHT else start.isoformat()
+            start = "any start" if start == FIRST_MIDNIGHT else start.isoformat()
             raise ValueError(
                 f"a {self.period_days}-day period from {start} ends past the last datetime"
             ) from None
@@ -411,11 +410,12 @@ def slot_partition_from_earliest(
     last datetime, the first reading outside the period in file order,
     and overlapping intervals. An empty trace is refused.
     """
-    return _partition(readings, SlotGrid(slot_hours, period_days, _FIRST_MIDNIGHT), False)
+    return _partition(readings, SlotGrid(slot_hours, period_days, FIRST_MIDNIGHT), False)
 
 
-# A period too long to end from the first datetime ends from no start.
-_FIRST_MIDNIGHT = datetime.min.replace(tzinfo=timezone.utc)
+# The start of a grid whose period starts at the earliest reading, until
+# that is read. A period too long to end from it ends from no start.
+FIRST_MIDNIGHT = datetime.min.replace(tzinfo=timezone.utc)
 _DAY = 86_400 * 10**6  # microseconds
 
 
@@ -434,6 +434,8 @@ def _partition(readings, grid: SlotGrid, known: bool) -> tuple[SlotUsageMatrix, 
     ``t`` lands in slot ``t * den // num``, and interval offsets scaled by
     ``den`` meet slot edges ``k * num`` on integers. Shares are added by
     ``grouping.add_share``, and columns built by ``grouping.quantize_cells``.
+    Energies are integer pairs, from a stream not always in lowest terms;
+    ``quantize_cells`` reduces each column whatever the terms of its cells.
 
     Without a *known* origin, time counts from the first datetime and slot
     ``k`` lands in cell ``k % slot_count``; a reading past the period from
@@ -442,7 +444,7 @@ def _partition(readings, grid: SlotGrid, known: bool) -> tuple[SlotUsageMatrix, 
     """
     fields = getattr(readings, "fields", None)
     if fields is None:
-        fields = map(attrgetter("consumer", "start", "energy", "end"), readings)
+        fields = ((r.consumer, r.start, r.energy.as_integer_ratio(), r.end) for r in readings)
     slot_count = grid.slot_count
     origin = grid.period_start
     period = (grid.period_end - origin) // _MICROSECOND
@@ -463,7 +465,7 @@ def _partition(readings, grid: SlotGrid, known: bool) -> tuple[SlotUsageMatrix, 
     first = 0 if known else math.inf  # the earliest start's offset
     crossed = 0  # the slot edges inside the intervals split so far
 
-    for consumer, start, energy, stop in fields:
+    for consumer, start, (energy_num, energy_den), stop in fields:
         cells = rows.get(consumer)
         if cells is None:
             if (len(rows) + 1) * slot_count > MAX_CELLS:
@@ -473,7 +475,6 @@ def _partition(readings, grid: SlotGrid, known: bool) -> tuple[SlotUsageMatrix, 
                 )
             cells = rows[consumer] = ([0] * slot_count, [1] * slot_count, bytearray(slot_count))
         nums, dens, flags = cells
-        energy_num, energy_den = energy.as_integer_ratio()
         # The same integer as (start - origin) // _MICROSECOND, at less cost
         delta = start - origin
         offset = last = (delta.days * 86400 + delta.seconds) * 10**6 + delta.microseconds
@@ -575,16 +576,12 @@ def _row_sums(columns: Iterable[Column]) -> list[Fraction]:
     return [sum(map(Fraction, row, dens), Fraction(0)) for row in sums]
 
 
-def _check_grid(matrix: SlotUsageMatrix, schedule: TariffSchedule, grid: SlotGrid):
+def check_period(schedule: TariffSchedule, period_days: int):
+    """Refuse a *schedule* that is not quoted for a grid of *period_days*."""
     days = schedule.base_hours / HOURS_PER_DAY
-    if days != grid.period_days:
+    if days != period_days:
         raise SimulationError(
-            f"schedule is quoted for {echo_value(days)} days but "
-            f"the grid covers {grid.period_days}"
-        )
-    if matrix.slots != grid.slot_count:
-        raise SimulationError(
-            f"matrix has {matrix.slots} slots but the grid defines {grid.slot_count}"
+            f"schedule is quoted for {echo_value(days)} days but the grid covers {period_days}"
         )
 
 
@@ -601,7 +598,11 @@ class _Billing:
     """
 
     def __init__(self, matrix: SlotUsageMatrix, schedule: TariffSchedule, grid: SlotGrid):
-        _check_grid(matrix, schedule, grid)
+        check_period(schedule, grid.period_days)
+        if matrix.slots != grid.slot_count:
+            raise SimulationError(
+                f"matrix has {matrix.slots} slots but the grid defines {grid.slot_count}"
+            )
         self.matrix = matrix
         self.schedule = schedule
         self.grid = grid

@@ -402,6 +402,22 @@ def test_a_period_mismatch_is_named_in_days(capsys, tmp_path):
     assert run(capsys, *base, "--schedule", str(path)) == (1, "", message)
 
 
+@pytest.mark.parametrize("start", [[], ["--period-start", "2025-01-01T00:00:00Z"]])
+def test_a_period_mismatch_is_refused_before_the_trace_is_read(capsys, tmp_path, start):
+    # Row 3 is malformed, and the trace past it is never read; nor is a
+    # trace that does not exist.
+    trace = tmp_path / "bad_row.csv"
+    trace.write_text(
+        "consumer_id,interval_start,energy_kwh\na,2025-01-01T00:00:00Z,1\nb,not-a-stamp,1\n"
+    )
+    message = "error: schedule is quoted for 30 days but the grid covers 31\n"
+    for path in (trace, tmp_path / "missing.csv"):
+        shift = ["shift", "--consumer", "a", "--from-slot", "0", "--to-slot", "1", "--amount", "1"]
+        for command in (["compare"], ["simulate"], shift):
+            argv = [*command, "--schedule", SCHEDULE, "--trace", str(path), "--period-days", "31"]
+            assert run(capsys, *argv, *start) == (1, "", message), (path, command)
+
+
 def test_grid_past_cell_cap_is_input_error(capsys):
     # 3 consumers on 1/463 h slots: 333,360 slots, under the slot cap, but
     # 1,000,080 cells, over the cell cap. Refused at the third consumer.

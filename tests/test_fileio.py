@@ -31,7 +31,7 @@ from progtariff import (
     slot_partition,
 )
 from progtariff import cli, fileio
-from progtariff.amounts import MONEY_PLACES, exact, fixed_text
+from progtariff.amounts import MONEY_PLACES, energy_amount, exact, fixed_text
 from progtariff.fileio import (
     JSON_CHUNK_CHARS,
     TRACE_HEADER,
@@ -50,6 +50,7 @@ from oracles import (
     desk_parse_trace_csv,
     desk_partition,
     desk_read_trace,
+    desk_to_json,
     usage_rows,
 )
 
@@ -513,6 +514,59 @@ def test_trace_stream_counts_its_readings_and_closes_early(tmp_path):
         list(iter_trace_csv(path))
 
 
+_DIGITS = st.text("0123456789", min_size=1, max_size=30)
+# Energy texts the reader accepts: decimals with leading zeros and up to
+# 30 digits a side, zeros, p/q, exponents, and blanks around any of them.
+_ENERGY_TEXTS = st.builds(
+    lambda blank, text: blank + text + blank,
+    st.sampled_from(["", " ", "\t"]),
+    st.one_of(
+        st.builds(lambda whole, frac: f"{whole}.{frac}", _DIGITS, _DIGITS),
+        _DIGITS,
+        st.sampled_from(["0", "0.000", "-0", "12.", ".5", "+3", "007.50"]),
+        st.builds(lambda p, q: f"{p}/{q}", _DIGITS, st.integers(1, 10**30)),
+        st.builds(lambda m, e: f"{m}e{e}", _DIGITS, st.integers(-30, 30)),
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(_ENERGY_TEXTS, min_size=1, max_size=8))
+def test_the_reader_hands_each_energy_on_as_its_exact_integer_pair(tmp_path_factory, texts):
+    path = tmp_path_factory.mktemp("energies") / "trace.csv"
+    rows = "".join(f"c{i % 3},2025-01-01T00:00:00Z,{text}\n" for i, text in enumerate(texts))
+    path.write_text(f"{','.join(TRACE_HEADER)}\n{rows}")
+    pairs = [energy for _, _, energy, _ in iter_trace_csv(path).fields]
+    assert len(pairs) == len(texts)
+    for (num, den), text in zip(pairs, texts):
+        assert type(num) is int and type(den) is int and den > 0, text
+        assert Fraction(num, den) == energy_amount(text), text
+    assert parse_trace_csv(path) == desk_parse_trace_csv(path)
+    # Pairs not in lowest terms, summed per cell, give the columns of the
+    # readings' Fractions.
+    grid = SlotGrid(Fraction(6), 30, _BASE)
+    assert slot_partition(iter_trace_csv(path), grid) == slot_partition(parse_trace_csv(path), grid)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("-1.5", "energy must be >= 0, got -3/2"),
+        ("1.2.3", "not a decimal or p/q number: '1.2.3'"),
+        ("1_000", "not a decimal or p/q number: '1_000'"),
+        ("1" * 5000, f"more than 4300 digits in '{'1' * 40}'... (5000 characters)"),
+        ("0." + "0" * 4400 + "1", f"more than 4300 digits in '0.{'0' * 38}'... (4403 characters)"),
+    ],
+)
+def test_the_reader_refuses_an_energy_as_before(tmp_path, text, message):
+    path = tmp_path / "trace.csv"
+    path.write_text(f"{','.join(TRACE_HEADER)}\na,2025-01-01T00:00:00Z,{text}\n")
+    for read in (lambda p: list(iter_trace_csv(p).fields), parse_trace_csv, desk_parse_trace_csv):
+        with pytest.raises(TraceError) as caught:
+            read(path)
+        assert str(caught.value) == f"{path}:2: {message}"
+
+
 _HEAD_ROW = f"{','.join(TRACE_HEADER)}\na,2025-01-01T00:00:00Z,1\n".encode()
 _END_HEAD_ROW = f"{','.join(TRACE_HEADER)},interval_end\na,2025-01-01T00:00:00Z,1,\n".encode()
 
@@ -801,6 +855,31 @@ def test_minor_unit_slot_charges_match_the_desk_oracles(kepco):
         assert [list(row["slot_charges_exact"]) for row in rows][::-1] == [
             entry["slot_charges_exact"] for entry in entries
         ]
+
+
+def _listed(payload):
+    """*payload* with each slot-charge list (a ``_SlotTexts``) read into a list."""
+    if isinstance(payload, dict):
+        return {key: _listed(value) for key, value in payload.items()}
+    if isinstance(payload, (list, fileio._SlotTexts)):
+        return [_listed(item) for item in payload]
+    return payload
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.data())
+def test_slot_charge_texts_are_written_unescaped_as_json_dumps_writes_them(kepco, data):
+    # Slot-charge texts are joined without escaping; every other string
+    # is escaped. The pools hold negative units, p/q charges and a unit
+    # of 10**20.
+    pool = data.draw(charge_pools) + [10**20]
+    dens = data.draw(slot_denominators)
+    numerators = {
+        f"c{index}": data.draw(st.lists(st.sampled_from(pool), min_size=30, max_size=30))
+        for index in range(data.draw(st.integers(1, 5)))
+    }
+    report = _report_with_charges(kepco, numerators, dens)
+    assert to_json(report_to_dict(report)) == desk_to_json(_listed(report_to_dict(report)))
 
 
 def test_each_minor_unit_cell_is_formatted_once_per_write(kepco, monkeypatch):
